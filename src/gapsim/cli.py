@@ -116,65 +116,36 @@ def cmd_gap_eval(args) -> int:
     return 0
 
 
-def cmd_closure_test(args) -> int:
-    ok, results = suites.run_closure(args.corpus)
-    _write_report(args, "closure-test", [], results, {"closure": ok})
-    return 0 if ok else FAIL_EXIT
-
-
-def cmd_awpp_cert(args) -> int:
-    ok, results = suites.run_awpp(args.corpus)
-    _write_report(args, "awpp-cert", [], results, {"awpp": ok})
-    return 0 if ok else FAIL_EXIT
-
-
-def cmd_lwpp_cert(args) -> int:
-    ok, results = suites.run_lwpp(args.corpus)
-    _write_report(args, "lwpp-cert", [], results, {"lwpp": ok})
-    return 0 if ok else FAIL_EXIT
-
-
 def cmd_lowness(args) -> int:
-    if args.bundle:
-        instance, inputs = load_instance_bundle(args.bundle)
-        valid, why = validate_instance(instance, inputs)
-        report = verify_sign_preservation(instance, inputs)
-        results = {
-            "instance_valid": valid,
-            "reason": why,
-            "rows": [
-                {
-                    "error_budget": row.error_budget,
-                    "error_mass": row.error_mass,
-                    "inlined_gap": row.inlined_gap,
-                    "sign_ok": row.sign_ok,
-                    "true_gap": row.true_gap,
-                    "x": row.x,
-                }
-                for row in report.rows
-            ],
-        }
-        ok = valid and report.ok
-        _write_report(args, "lowness", [args.bundle], results, {"signs": ok})
-        return 0 if ok else FAIL_EXIT
-    ok, results = suites.run_lowness(args.corpus)
-    _write_report(args, "lowness", [], results, {"signs": ok})
+    instance, inputs = load_instance_bundle(args.bundle)
+    valid, why = validate_instance(instance, inputs)
+    report = verify_sign_preservation(instance, inputs)
+    results = {
+        "instance_valid": valid,
+        "reason": why,
+        "rows": [
+            {
+                "error_budget": row.error_budget,
+                "error_mass": row.error_mass,
+                "inlined_gap": row.inlined_gap,
+                "sign_ok": row.sign_ok,
+                "true_gap": row.true_gap,
+                "x": row.x,
+            }
+            for row in report.rows
+        ],
+    }
+    ok = valid and report.ok
+    _write_report(args, "lowness", [args.bundle], results, {"signs": ok})
     return 0 if ok else FAIL_EXIT
 
 
 def cmd_bbbv(args) -> int:
-    epsilons = (_parse_epsilon(args.epsilon),) if args.epsilon else None
-    if epsilons:
-        ok, results = suites.run_bbbv(args.corpus, epsilons=epsilons)
+    if args.epsilon:
+        ok, results = suites.run_bbbv(epsilons=(_parse_epsilon(args.epsilon),))
     else:
-        ok, results = suites.run_bbbv(args.corpus)
+        ok, results = suites.run_bbbv()
     _write_report(args, "bbbv", [], results, {"flip_stability": ok})
-    return 0 if ok else FAIL_EXIT
-
-
-def cmd_rerelativize(args) -> int:
-    ok, results = suites.run_rerelativize(args.corpus)
-    _write_report(args, "rerelativize", [], results, {"decider_agrees": ok})
     return 0 if ok else FAIL_EXIT
 
 
@@ -199,17 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json-out", metavar="PATH", help="also write the report here")
-        p.add_argument("--corpus", metavar="DIR", default=None, help="corpus directory")
-        p.add_argument(
-            "--max-configs",
-            type=int,
-            default=4096,
-            metavar="N",
-            help="configuration-count limit for loaded machines",
-        )
 
     p = sub.add_parser("simulate", help="exact acceptance probability of a machine file")
     p.add_argument("machine")
+    p.add_argument(
+        "--max-configs",
+        type=int,
+        default=4096,
+        metavar="N",
+        help="configuration-count limit for the machine file",
+    )
     common(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -219,20 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=cmd_gap_eval)
 
-    p = sub.add_parser("closure-test", help="combinators versus brute-force arithmetic")
-    common(p)
-    p.set_defaults(handler=cmd_closure_test)
-
-    p = sub.add_parser("awpp-cert", help="amplified-threshold certificates")
-    common(p)
-    p.set_defaults(handler=cmd_awpp_cert)
-
-    p = sub.add_parser("lwpp-cert", help="exact-target certificates")
-    common(p)
-    p.set_defaults(handler=cmd_lwpp_cert)
-
-    p = sub.add_parser("lowness", help="query-inlining sign preservation")
-    p.add_argument("--bundle", metavar="PATH", help="instance bundle file")
+    p = sub.add_parser("lowness", help="query-inlining sign preservation of a bundle")
+    p.add_argument("--bundle", metavar="PATH", required=True, help="instance bundle file")
     common(p)
     p.set_defaults(handler=cmd_lowness)
 
@@ -241,12 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=cmd_bbbv)
 
-    p = sub.add_parser("rerelativize", help="frugal decider versus full simulation")
-    common(p)
-    p.set_defaults(handler=cmd_rerelativize)
-
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")
+    p.add_argument(
+        "--corpus",
+        metavar="DIR",
+        default=None,
+        help="corpus directory read by the unitarity, gaplem and closure suites",
+    )
     common(p)
     p.set_defaults(handler=cmd_verify)
 

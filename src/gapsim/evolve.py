@@ -11,9 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import BoundsError, ResourceError, StructuralError
+from .errors import BoundsError, ParseError, ResourceError, StructuralError
 from .model import MachineFamily, UnitarySystem
 
 DEFAULT_MAX_PATHS = 1 << 20
@@ -56,19 +56,40 @@ class ExactProbability:
         return self.numerator == 5**self.log5_denominator
 
 
+def trajectory(
+    system: UnitarySystem,
+    t: int,
+    columns_at: Callable[[int], Mapping[int, Sequence[tuple]]],
+    one=1,
+) -> Iterator[list]:
+    """Amplitude vectors at steps 0..t, starting from `one` at the start config.
+
+    The single step loop of the package.  columns_at(k) gives the column map
+    (config -> ((row, weight), ...)) applied at step k; weights and `one` are
+    scaled ints for the exact runs or floats for the rounding witness.  Each
+    yielded list is new and is never modified afterwards.
+    """
+    zero = one * 0
+    current = [zero] * system.n_configs
+    current[system.start] = one
+    yield current
+    for step in range(t):
+        columns = columns_at(step)
+        nxt = [zero] * system.n_configs
+        for c, amp in enumerate(current):
+            if amp:
+                for r, w in columns.get(c, ()):
+                    nxt[r] += w * amp
+        current = nxt
+        yield current
+
+
 def evolve(system: UnitarySystem, t: int) -> AmplitudeVector:
     """Apply the scaled transition matrix t times to the start vector."""
     if t < 0 or t > system.t_bound:
         raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
-    current = [0] * system.n_configs
-    current[system.start] = 1
-    for _ in range(t):
-        nxt = [0] * system.n_configs
-        for c, amp in enumerate(current):
-            if amp:
-                for r, w in system.column(c):
-                    nxt[r] += w * amp
-        current = nxt
+    for current in trajectory(system, t, lambda _step: system.columns):
+        pass
     return AmplitudeVector(tuple(current), t)
 
 
@@ -82,7 +103,13 @@ def accept_probability(system: UnitarySystem) -> ExactProbability:
 def _path_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get(_MAX_PATHS_ENV, DEFAULT_MAX_PATHS))
+    text = os.environ.get(_MAX_PATHS_ENV)
+    if text is None:
+        return DEFAULT_MAX_PATHS
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"{_MAX_PATHS_ENV} must be an integer, got {text!r}") from exc
 
 
 def path_sum(system: UnitarySystem, t: int, cap: int | None = None) -> AmplitudeVector:
@@ -117,15 +144,11 @@ def float_check(system: UnitarySystem) -> float:
     Agrees with accept_probability within 1e-9 for t <= 20 and up to 4096
     configurations; used as a rounding-error witness, never as truth.
     """
-    current = [0.0] * system.n_configs
-    current[system.start] = 1.0
-    for _ in range(system.t_bound):
-        nxt = [0.0] * system.n_configs
-        for c, amp in enumerate(current):
-            if amp:
-                for r, w in system.column(c):
-                    nxt[r] += (w / 5.0) * amp
-        current = nxt
+    columns = {
+        c: tuple((r, w / 5.0) for r, w in col) for c, col in system.columns.items()
+    }
+    for current in trajectory(system, system.t_bound, lambda _step: columns, 1.0):
+        pass
     return current[system.accept] ** 2
 
 

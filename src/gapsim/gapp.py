@@ -9,6 +9,7 @@ independent oracle in the tests.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 from . import trees
 from .errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from .evolve import accept_probability
-from .model import MachineFamily, UnitarySystem
+from .model import MachineFamily, UnitarySystem, load_json_object, load_system
 from .poly import eval_poly
 from .strings import index_string, pair, strings_up_to, unpair
 from .trees import ACCEPT, REJECT, Branch, Node
@@ -370,23 +371,18 @@ def tree_to_json(node: Node):
 
 def load_gap_machine(path: str) -> GapMachine:
     """Load a corpus machine: an explicit tree or a compiled system reference."""
-    import json
-    import os
-
-    from .model import load_system
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    doc = load_json_object(path)
     kind = doc.get("kind")
     if kind == "tree":
         tree = tree_from_json(doc.get("tree"))
         return GapMachine(lambda _x: tree)
     if kind == "system":
-        target = os.path.join(os.path.dirname(path), doc.get("path", ""))
-        return system_to_gap_machine(load_system(target))
+        target = doc.get("path")
+        if not isinstance(target, str):
+            raise ParseError(f"{path}: a system reference needs a string 'path'")
+        return system_to_gap_machine(
+            load_system(os.path.join(os.path.dirname(path), target))
+        )
     raise ParseError(f"{path}: kind must be 'tree' or 'system'")
 
 

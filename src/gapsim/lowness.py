@@ -14,8 +14,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import trees
-from .errors import ModelError
-from .gapp import DEFAULT_BRANCH_BOUND, ClassCertificate, GapMachine, gap_of
+from .errors import ModelError, ParseError
+from .gapp import (
+    DEFAULT_BRANCH_BOUND,
+    ClassCertificate,
+    GapMachine,
+    gap_of,
+    tree_from_json,
+)
+from .model import load_json_object
 from .poly import eval_poly
 from .strings import pair, unpair
 from .trees import Branch, Node
@@ -292,16 +299,7 @@ def machine_from_tables(
 
 def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
     """Read an instance bundle file; returns the instance and its input list."""
-    import json
-
-    from .errors import ParseError
-    from .gapp import tree_from_json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    doc = load_json_object(path)
     try:
         table = doc["machine"]
         machine = machine_from_tables(

@@ -148,6 +148,11 @@ def make_system(
     return UnitarySystem(n_configs, ordered, start, accept, t)
 
 
+def _is_int(value) -> bool:
+    """JSON integer test; bool is an int subclass but not a file integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
     """Parse a machine-file dictionary into a validated UnitarySystem.
 
@@ -164,7 +169,7 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
     if extra:
         raise ParseError(f"unknown fields: {sorted(extra)}")
     for field in ("n_configs", "start", "accept", "t"):
-        if not isinstance(description[field], int):
+        if not _is_int(description[field]):
             raise ParseError(f"field {field!r} must be an integer")
     raw = description["entries"]
     if not isinstance(raw, list):
@@ -174,7 +179,7 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
         if (
             not isinstance(item, list)
             or len(item) != 3
-            or not all(isinstance(v, int) for v in item)
+            or not all(_is_int(v) for v in item)
         ):
             raise ParseError(f"bad entry {item!r}")
         if item[2] == 0:
@@ -195,14 +200,27 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
     )
 
 
-def load_system(path: str, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
-    """Read a machine file from disk."""
+def load_json_object(path: str) -> dict:
+    """Read a JSON file whose top-level value must be an object.
+
+    Unreadable files, undecodable contents and any other top-level value
+    are ParseErrors naming the path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return build_system(doc, max_configs=max_configs)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top-level value must be a JSON object")
+    return doc
+
+
+def load_system(path: str, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
+    """Read a machine file from disk."""
+    return build_system(load_json_object(path), max_configs=max_configs)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     BoundsError,
@@ -22,7 +22,7 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .evolve import BQP_ACCEPT, BQP_REJECT, ExactProbability
+from .evolve import BQP_ACCEPT, BQP_REJECT, ExactProbability, trajectory
 from .model import UnitarySystem, _gram_first_violation
 from .poly import eval_poly
 from .strings import strings_of_length
@@ -201,12 +201,14 @@ class OracleInstance:
             y for slots in self.query_slots.values() for y in slots.values()
         )
 
-    def _columns_for(self, step: int, bit_of: Callable[[str], int]) -> dict:
-        columns = dict(self.system.columns)
-        for config, y in self.query_slots.get(step, {}).items():
-            if bit_of(y):
-                columns[config] = self.alt_columns[config]
-        return columns
+    def _columns_for(self, step: int, bit_of: Callable[[str], int]) -> Mapping:
+        """Column map at one step: the shared base map unless a queried bit is 1."""
+        patch = {
+            config: self.alt_columns[config]
+            for config, y in self.query_slots.get(step, {}).items()
+            if bit_of(y)
+        }
+        return {**self.system.columns, **patch} if patch else self.system.columns
 
     def _validate_stepwise_unitarity(self, combo_budget: int = 1 << 12) -> None:
         n = self.system.n_configs
@@ -253,28 +255,23 @@ class OracleQuerySystem:
         return inst
 
 
-def _run_with_oracle(
+def _run(inst: OracleInstance, bit_of: Callable[[str], int]) -> Iterator[list]:
+    """Scaled amplitude vectors at steps 0..t_bound under the given bits."""
+    return trajectory(
+        inst.system,
+        inst.system.t_bound,
+        lambda step: inst._columns_for(step, bit_of),
+    )
+
+
+def _final_probability(
     inst: OracleInstance, bit_of: Callable[[str], int]
-) -> tuple[list[int], list[list[int]]]:
-    """Final amplitudes plus the per-step trajectory (scaled integers)."""
-    system = inst.system
-    current = [0] * system.n_configs
-    current[system.start] = 1
-    trajectory = [list(current)]
-    for step in range(system.t_bound):
-        columns = inst._columns_for(step, bit_of)
-        nxt = [0] * system.n_configs
-        for c, amp in enumerate(current):
-            if amp:
-                for r, w in columns.get(c, ()):
-                    nxt[r] += w * amp
-        current = nxt
-        trajectory.append(list(current))
-    return current, trajectory
-
-
-def _oracle_bits(oracle: OracleAssignment) -> Callable[[str], int]:
-    return oracle.value
+) -> ExactProbability:
+    """Exact acceptance probability of the run under the given bits."""
+    for final in _run(inst, bit_of):
+        pass
+    amp = final[inst.system.accept]
+    return ExactProbability(amp * amp, 2 * inst.system.t_bound)
 
 
 def acceptance_prob_rel(
@@ -284,9 +281,7 @@ def acceptance_prob_rel(
     inst = system.instance(x)
     for y in inst.queried_strings():
         oracle.value(y)  # totality check; raises OracleError otherwise
-    final, _ = _run_with_oracle(inst, _oracle_bits(oracle))
-    amp = final[inst.system.accept]
-    return ExactProbability(amp * amp, 2 * inst.system.t_bound)
+    return _final_probability(inst, oracle.value)
 
 
 def query_magnitudes(
@@ -294,10 +289,14 @@ def query_magnitudes(
 ) -> dict[str, Fraction]:
     """Cumulative squared amplitude each string is queried with across the run."""
     inst = system.instance(x)
-    _, trajectory = _run_with_oracle(inst, _oracle_bits(oracle))
+    amps_at = {
+        step: amps
+        for step, amps in enumerate(_run(inst, oracle.value))
+        if step in inst.query_slots
+    }
     magnitudes: dict[str, Fraction] = {}
     for step, slots in inst.query_slots.items():
-        amps = trajectory[step]
+        amps = amps_at[step]
         scale = 25**step
         for config, y in slots.items():
             weight = Fraction(amps[config] ** 2, scale)
@@ -389,9 +388,7 @@ def categorical_check(
         raise ResourceError(f"{len(names)} queried strings; too many assignments")
     for mask in range(1 << len(names)):
         bits = {y: (mask >> i) & 1 for i, y in enumerate(names)}
-        final, _ = _run_with_oracle(inst, lambda y: bits[y])
-        amp = final[inst.system.accept]
-        prob = Fraction(amp * amp, 25**inst.system.t_bound)
+        prob = _final_probability(inst, lambda y: bits[y]).as_fraction()
         if BQP_REJECT < prob < BQP_ACCEPT:
             ones = frozenset(y for y, b in bits.items() if b)
             raise CategoricalityError(

@@ -114,3 +114,37 @@ def test_bbbv_epsilon_flag(capsys):
 def test_bad_epsilon_exits_2(capsys):
     code, _, err = run(capsys, "bbbv", "--epsilon", "one-seventh")
     assert code == 2
+
+
+def _machine_with(tmp_path, **fields):
+    doc = rotation_system(BLOCK_REFLECT, 0, 1, 1).to_file_dict()
+    doc.update(fields)
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv,env",
+    [
+        (lambda tmp: ["simulate", str(tmp / "missing.json")], {}),
+        (lambda tmp: ["gap-eval", _file(tmp, "[1, 2]")], {}),
+        (lambda tmp: ["gap-eval", _file(tmp, '{"kind": "system"}')], {}),
+        (lambda tmp: ["simulate", _machine_with(tmp, n_configs=True)], {}),
+        (lambda tmp: ["simulate", _machine_with(tmp)], {"GAPSIM_MAX_PATHS": "abc"}),
+    ],
+    ids=["missing_file", "list_tree", "system_without_path", "bool_field", "bad_path_cap"],
+)
+def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -11,7 +11,7 @@ from gapsim.corpus import (
     unitary_corpus,
     zero_error_family,
 )
-from gapsim.errors import BoundsError, ResourceError
+from gapsim.errors import BoundsError, ParseError, ResourceError
 from gapsim.evolve import (
     accept_probability,
     classify_bqp,
@@ -91,6 +91,9 @@ def test_path_cap_env_override(monkeypatch):
         path_sum(system, 10)
     monkeypatch.setenv("GAPSIM_MAX_PATHS", "2000")
     path_sum(system, 10)
+    monkeypatch.setenv("GAPSIM_MAX_PATHS", "abc")
+    with pytest.raises(ParseError, match="GAPSIM_MAX_PATHS"):
+        path_sum(system, 10)
 
 
 @pytest.mark.parametrize("name,system", corpus, ids=corpus_ids)

@@ -92,6 +92,7 @@ def test_unitarity_failure_is_model_error():
         lambda d: d.update(t="3"),
         lambda d: d.update(extra=1),
         lambda d: d.pop("start"),
+        lambda d: d.update(n_configs=True),
     ],
 )
 def test_non_canonical_files_rejected(mangle):

@@ -245,3 +245,13 @@ def test_decider_every_long_placement():
                 system, assignment_from(condition, system), "0"
             ).as_fraction()
             assert result.accept == (truth >= Fraction(2, 3)), (name, cond_name)
+
+
+def test_runs_leave_the_shared_column_map_untouched():
+    system = four_way_phase_system()
+    inst = system.instance("")
+    before = dict(inst.system.columns)
+    all_set = OracleAssignment(system.universe_length, inst.queried_strings())
+    acceptance_prob_rel(system, all_set, "")
+    query_magnitudes(system, all_set, "")
+    assert inst.system.columns == before
