@@ -83,6 +83,8 @@ def _parse_epsilon(text: str) -> Fraction:
 
 
 def cmd_simulate(args) -> int:
+    if args.max_configs < 1:
+        raise ParseError(f"--max-configs must be positive, got {args.max_configs}")
     system = load_system(args.machine, max_configs=args.max_configs)
     prob = accept_probability(system)
     beta = path_sum(system, system.t_bound)

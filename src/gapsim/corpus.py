@@ -715,18 +715,6 @@ def write_corpus(root: str) -> list[str]:
         "trees/reflect_t1_compiled.json",
         {"kind": "system", "path": "../machines/reflect_t1.json"},
     )
-    emit(
-        "assignments/sparse.json",
-        {"universe_length": 3, "ones": ["101"]},
-    )
-    emit(
-        "conditions/short10_long0011.json",
-        {
-            "acceptable_lengths": [2, 4],
-            "domain_lengths": [0, 1, 2, 3, 4],
-            "ones": ["10", "0011"],
-        },
-    )
     finish = {
         "1": tree_to_json(_signed_tree(1)),
         "0": tree_to_json(_signed_tree(-3)),

@@ -107,9 +107,12 @@ def _path_cap(cap: int | None) -> int:
     if text is None:
         return DEFAULT_MAX_PATHS
     try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(f"{_MAX_PATHS_ENV} must be an integer, got {text!r}") from exc
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"{_MAX_PATHS_ENV} must be a positive integer, got {text!r}")
+    return cap
 
 
 def path_sum(system: UnitarySystem, t: int, cap: int | None = None) -> AmplitudeVector:

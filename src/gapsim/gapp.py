@@ -366,7 +366,7 @@ def tree_from_json(node) -> Node:
 def tree_to_json(node: Node):
     if isinstance(node, trees.Leaf):
         return "accept" if node.accepting else "reject"
-    return [tree_to_json(child) for child in node.children]
+    return [tree_to_json(child) for child in node.children] * node.count
 
 
 def load_gap_machine(path: str) -> GapMachine:
@@ -374,7 +374,10 @@ def load_gap_machine(path: str) -> GapMachine:
     doc = load_json_object(path)
     kind = doc.get("kind")
     if kind == "tree":
-        tree = tree_from_json(doc.get("tree"))
+        try:
+            tree = tree_from_json(doc.get("tree"))
+        except RecursionError as exc:
+            raise ParseError(f"{path}: tree nested too deeply") from exc
         return GapMachine(lambda _x: tree)
     if kind == "system":
         target = doc.get("path")

@@ -22,7 +22,7 @@ from .gapp import (
     gap_of,
     tree_from_json,
 )
-from .model import load_json_object
+from .model import _is_int, load_json_object
 from .poly import eval_poly
 from .strings import pair, unpair
 from .trees import Branch, Node
@@ -87,8 +87,8 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
 
     A query for y with continuations T_yes and T_no becomes three branches
     whose gaps add to f(y) * gap(T_yes) + (g - f(y)) * gap(T_no): the
-    approximator tree feeding T_yes (rejects negated), a block of g copies
-    of T_no, and the approximator tree feeding negated T_no.  Correct
+    approximator tree feeding T_yes (rejects negated), one branch repeating
+    T_no g times, and the approximator tree feeding negated T_no.  Correct
     answers thus carry weight at least (1 - 2**-q) g and wrong ones at most
     2**-q g.
     """
@@ -104,7 +104,7 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
         t_no = build(answers + (False,))
         f_tree = _approximator_tree(instance, y, m)
         yes_part = trees.substituted(f_tree, t_yes, trees.negated(t_yes))
-        no_block = Branch((t_no,) * g)
+        no_block = Branch((t_no,), g)
         no_correction = trees.substituted(f_tree, trees.negated(t_no), t_no)
         return Branch((yes_part, no_block, no_correction))
 
@@ -246,7 +246,7 @@ def near_extreme_certificate(
             value = 1
         if value < 1:
             raise ModelError(f"table value {value} must be positive")
-        return Branch((trees.ACCEPT,) * value) if value != 1 else trees.ACCEPT
+        return Branch((trees.ACCEPT,), value)
 
     return ClassCertificate(
         kind="awpp", f=GapMachine(evaluator), g=g, q_coeffs=tuple(q_coeffs)
@@ -302,6 +302,8 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
     doc = load_json_object(path)
     try:
         table = doc["machine"]
+        if not _is_int(table["query_count"]) or table["query_count"] < 0:
+            raise ParseError(f"{path}: 'query_count' must be a non-negative integer")
         machine = machine_from_tables(
             table["query_count"],
             dict(table["queries"]),
@@ -312,13 +314,27 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
             raise ParseError(f"unknown certificate style {cert['style']!r}")
         instance = near_extreme_instance(
             machine,
-            frozenset(doc["oracle"]),
-            tuple(cert["g_pow2"]),
-            tuple(doc["q"]),
+            frozenset(_binary_strings(path, "oracle", doc["oracle"])),
+            _exponents(path, "g_pow2", cert["g_pow2"]),
+            _exponents(path, "q", doc["q"]),
         )
-        return instance, tuple(doc["inputs"])
-    except (KeyError, TypeError) as exc:
+        return instance, _binary_strings(path, "inputs", doc["inputs"])
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed instance bundle ({exc})") from exc
+
+
+def _exponents(path: str, key: str, value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(_is_int(v) and v >= 0 for v in value):
+        raise ParseError(f"{path}: {key!r} must be a list of non-negative integers")
+    return tuple(value)
+
+
+def _binary_strings(path: str, key: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(v, str) and not v.strip("01") for v in value
+    ):
+        raise ParseError(f"{path}: {key!r} must be a list of binary strings")
+    return tuple(value)
 
 
 def validate_instance(

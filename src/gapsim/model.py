@@ -203,8 +203,8 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
 def load_json_object(path: str) -> dict:
     """Read a JSON file whose top-level value must be an object.
 
-    Unreadable files, undecodable contents and any other top-level value
-    are ParseErrors naming the path.
+    Unreadable files, undecodable or too deeply nested contents and any
+    other top-level value are ParseErrors naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -213,6 +213,8 @@ def load_json_object(path: str) -> dict:
         raise ParseError(f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be a JSON object")
     return doc

@@ -1,10 +1,11 @@
 """Finite computation trees with accept/reject leaves.
 
 Trees are immutable and may share subtrees: the in-memory object is a DAG
-whose unfolding is the computation tree.  All folds below are memoized on
-node identity, so a value over the full unfolding (which can be
-astronomically large) costs one visit per distinct node.  Node budgets
-count distinct nodes, which is what actually bounds memory and time.
+whose unfolding is the computation tree, and a branch repeats its children
+`count` times, so g equal subtrees are one edge.  All folds below are
+memoized on node identity, so a value over the full unfolding (which can be
+astronomically large) costs one visit per distinct node and stored edge.
+Node budgets count distinct nodes plus stored edges, which bound the work.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class Leaf:
 @dataclass(frozen=True, eq=False)
 class Branch:
     children: tuple
+    count: int = 1  # the children, in order, repeated this many times
 
 
 Node = Leaf | Branch
@@ -39,6 +41,7 @@ def fold(
 ):
     """Bottom-up computation over distinct nodes; shared subtrees visited once."""
     memo: dict[int, object] = {}
+    work = 0  # distinct nodes plus stored edges folded so far
     stack = [root]
     while stack:
         node = stack.pop()
@@ -53,9 +56,12 @@ def fold(
                 stack.extend(missing)
                 continue
             memo[id(node)] = combine(node, [memo[id(c)] for c in node.children])
-        if node_budget is not None and len(memo) > node_budget:
+            work += len(node.children)
+        work += 1
+        if node_budget is not None and work > node_budget:
             raise ResourceError(
-                f"computation tree exceeds the node budget of {node_budget}"
+                f"computation tree exceeds the node budget of {node_budget}: "
+                f"{work} distinct nodes and edges (raise branch_bound)"
             )
     return memo[id(root)]
 
@@ -65,7 +71,10 @@ def leaf_counts(root: Node, node_budget: int | None = None) -> tuple[int, int]:
     return fold(
         root,
         lambda leaf: (1, 0) if leaf.accepting else (0, 1),
-        lambda _, kids: (sum(a for a, _ in kids), sum(r for _, r in kids)),
+        lambda node, kids: (
+            node.count * sum(a for a, _ in kids),
+            node.count * sum(r for _, r in kids),
+        ),
         node_budget,
     )
 
@@ -92,7 +101,7 @@ def distinct_size(root: Node) -> int:
 
 def unfolded_size(root: Node) -> int:
     """Node count of the unfolded tree, with multiplicity."""
-    return fold(root, lambda _: 1, lambda _, kids: 1 + sum(kids))
+    return fold(root, lambda _: 1, lambda node, kids: 1 + node.count * sum(kids))
 
 
 def unfolded_leaves(root: Node) -> int:
@@ -102,7 +111,7 @@ def unfolded_leaves(root: Node) -> int:
 
 
 def rebuilt(root: Node, leaf_image: Callable[[Leaf], Node]) -> Node:
-    """Copy of the DAG with every leaf replaced; sharing is preserved.
+    """Copy of the DAG with every leaf replaced; sharing and counts are preserved.
 
     Subtrees whose leaves all map to themselves are reused unchanged.
     """
@@ -110,7 +119,7 @@ def rebuilt(root: Node, leaf_image: Callable[[Leaf], Node]) -> Node:
     def combine(node: Branch, kids: list) -> Node:
         if all(k is c for k, c in zip(kids, node.children)):
             return node
-        return Branch(tuple(kids))
+        return Branch(tuple(kids), node.count)
 
     return fold(root, leaf_image, combine)
 

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from gapsim.cli import main
 from gapsim.corpus import BLOCK_REFLECT, rotation_system, write_corpus
+
+BUNDLE = Path(__file__).resolve().parents[1] / "corpus" / "lowness" / "fixed_query.json"
 
 
 @pytest.fixture()
@@ -116,6 +119,37 @@ def test_bad_epsilon_exits_2(capsys):
     assert code == 2
 
 
+def _bundle_with(tmp_path, **fields):
+    doc = json.loads(BUNDLE.read_text())
+    doc["certificate"]["g_pow2"] = fields.pop("g_pow2", doc["certificate"]["g_pow2"])
+    doc.update(fields)
+    return _file(tmp_path, json.dumps(doc))
+
+
+def test_lowness_bundle_with_huge_tally(tmp_path, capsys):
+    code, out, _ = run(capsys, *_lowness(tmp_path, g_pow2=[200]))
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    g = 1 << 200  # the member query "00" has f = g - 1; T_yes has gap 1, T_no gap -3
+    assert [row["inlined_gap"] for row in rows] == [str((g - 1) * 1 + 1 * -3)] * 2
+
+
+def _nested(depth):
+    return "[" * depth + '"accept"' + "]" * depth
+
+
+def _tree_file(tmp_path, depth):
+    return _file(tmp_path, f'{{"kind": "tree", "tree": {_nested(depth)}}}')
+
+
+def _lowness(tmp_path, **fields):
+    return ["lowness", "--bundle", _bundle_with(tmp_path, **fields)]
+
+
+def _table(query_count, trees):
+    return {"query_count": query_count, "queries": {}, "trees": trees}
+
+
 def _machine_with(tmp_path, **fields):
     doc = rotation_system(BLOCK_REFLECT, 0, 1, 1).to_file_dict()
     doc.update(fields)
@@ -138,8 +172,25 @@ def _file(tmp_path, text):
         (lambda tmp: ["gap-eval", _file(tmp, '{"kind": "system"}')], {}),
         (lambda tmp: ["simulate", _machine_with(tmp, n_configs=True)], {}),
         (lambda tmp: ["simulate", _machine_with(tmp)], {"GAPSIM_MAX_PATHS": "abc"}),
+        (lambda tmp: ["simulate", _machine_with(tmp)], {"GAPSIM_MAX_PATHS": "-5"}),
+        (lambda tmp: ["simulate", _machine_with(tmp), "--max-configs", "-1"], {}),
+        (lambda tmp: ["gap-eval", _tree_file(tmp, 5000)], {}),
+        (lambda tmp: ["gap-eval", _tree_file(tmp, 900)], {}),
+        (lambda tmp: _lowness(tmp, g_pow2=[-1]), {}),
+        (lambda tmp: _lowness(tmp, g_pow2=[True]), {}),
+        (lambda tmp: _lowness(tmp, q=[-1]), {}),
+        (lambda tmp: _lowness(tmp, inputs="01"), {}),
+        (lambda tmp: _lowness(tmp, inputs=["0a"]), {}),
+        (lambda tmp: _lowness(tmp, oracle="00"), {}),
+        (lambda tmp: _lowness(tmp, machine=_table(-1, {})), {}),
+        (lambda tmp: _lowness(tmp, machine=_table(0, {"": json.loads(_nested(900))})), {}),
     ],
-    ids=["missing_file", "list_tree", "system_without_path", "bool_field", "bad_path_cap"],
+    ids=[
+        "missing_file", "list_tree", "system_without_path", "bool_field", "bad_path_cap",
+        "negative_path_cap", "negative_max_configs", "deep_json", "deep_tree",
+        "negative_g_pow2", "bool_g_pow2", "negative_q", "string_inputs", "non_binary_input",
+        "string_oracle", "negative_query_count", "deep_bundle_tree",
+    ],
 )
 def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeypatch, capsys):
     for name, value in env.items():

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from gapsim.corpus import adversarial_lowness_search, lowness_corpus
+from gapsim.corpus import adversarial_lowness_search, amplified_family, lowness_corpus
 from gapsim.errors import ModelError
-from gapsim.gapp import check_awpp, gap_of
+from gapsim.gapp import bqp_to_awpp, check_awpp, gap_of
 from gapsim.lowness import (
+    LownessInstance,
     OracleGapMachine,
     inline_construction,
     load_instance_bundle,
@@ -79,6 +80,27 @@ def test_sign_preserved_exhaustively_on_corpus():
         for row in report.rows:
             assert row.error_within_budget
             assert row.error_mass < abs(row.main_weight * row.true_gap)
+
+
+def test_inline_quantum_approximator():
+    # g = 5**44 (t = 22), so the T_no block must be one counted edge
+    family, language = amplified_family()
+    labeled = [(y, language(y)) for y in ("00", "01", "10", "11")]
+    cert = bqp_to_awpp(family, (0, 1), labeled, paddings=[2])
+    machine = OracleGapMachine(
+        query_count=1,
+        next_query=lambda x, _answers: x,
+        finish=lambda _x, answers: ACCEPT if answers[0] else REJECT,
+    )
+    oracle = frozenset(y for y, member in labeled if member)
+    instance = LownessInstance(machine, oracle, cert, (0, 1))
+    inputs = [y for y, _ in labeled]
+    assert validate_instance(instance, inputs) == (True, "ok")
+    report = verify_sign_preservation(instance, inputs)
+    assert report.ok
+    for row in report.rows:
+        assert row.queries[0].tally == 5**44
+        assert row.error_within_budget
 
 
 def test_corpus_is_large_enough():

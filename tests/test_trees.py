@@ -21,8 +21,10 @@ def tree_strategy(depth=4):
     leaf = st.sampled_from([ACCEPT, REJECT])
     return st.recursive(
         leaf,
-        lambda kids: st.lists(kids, min_size=1, max_size=4).map(
-            lambda cs: Branch(tuple(cs))
+        lambda kids: st.builds(
+            lambda cs, k: Branch(tuple(cs), k),
+            st.lists(kids, min_size=1, max_size=4),
+            st.integers(1, 3),
         ),
         max_leaves=25,
     )
@@ -56,6 +58,26 @@ def test_node_budget():
     with pytest.raises(ResourceError):
         gap(wide, node_budget=50)
     assert gap(wide, node_budget=1000) == 0
+
+
+def test_node_budget_counts_edges():
+    with pytest.raises(ResourceError, match="budget of 50.*branch_bound"):
+        gap(Branch((ACCEPT,) * 100), node_budget=50)
+    assert gap(Branch((ACCEPT,), 1 << 64), node_budget=3) == 1 << 64
+
+
+@given(st.lists(tree_strategy(), min_size=1, max_size=3), st.integers(1, 4))
+def test_counted_branch_matches_repeated_children(children, k):
+    counted, repeated = Branch(tuple(children), k), Branch(tuple(children) * k)
+    assert gap(counted) == gap(repeated)
+    assert leaf_counts(counted) == leaf_counts(repeated)
+    assert unfolded_size(counted) == unfolded_size(repeated)
+    assert leaf_counts(negated(counted)) == leaf_counts(negated(repeated))
+    assert negated(counted).count == k
+    inner = Branch((ACCEPT, REJECT, ACCEPT))
+    assert leaf_counts(substituted(counted, inner, REJECT)) == leaf_counts(
+        substituted(repeated, inner, REJECT)
+    )
 
 
 def test_deep_chain_no_recursion_limit():
