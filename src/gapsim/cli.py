@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import suites
@@ -36,14 +37,19 @@ def _digest(path: str) -> str:
     return sha.hexdigest()
 
 
+def _decimal(value: int) -> str:
+    """Every digit of value; str() stops at sys.get_int_max_str_digits()."""
+    return str(Decimal(value))
+
+
 def _canonical(value):
     """JSON-ready form: exact ints as strings, rationals as pairs, floats at 12 digits."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, Fraction):
-        return {"den": str(value.denominator), "num": str(value.numerator)}
+        return {"den": _decimal(value.denominator), "num": _decimal(value.numerator)}
     if isinstance(value, float):
         return format(value, ".12g")
     if isinstance(value, str):
@@ -157,6 +163,11 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITES)}\n"
         )
         return USAGE_EXIT
+    if args.corpus is not None and args.suite not in suites.READS_CORPUS:
+        raise ParseError(
+            f"suite {args.suite!r} reads no corpus; --corpus is for "
+            f"{', '.join(sorted(suites.READS_CORPUS))}"
+        )
     ok, results = suites.RUNNERS[args.suite](args.corpus)
     _write_report(args, f"verify {args.suite}", [], results, {args.suite: ok})
     return 0 if ok else FAIL_EXIT

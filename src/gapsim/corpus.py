@@ -111,18 +111,21 @@ class Draft:
 
     def system(self, start: int, accept: int, t: int) -> UnitarySystem:
         if self._queries:
-            raise StructuralError("query slots need finish_instance")
+            raise StructuralError("query slots need query_system")
         n, entries, _ = self._complete()
         return make_system(n, entries, start, accept, t)
 
-    def finish_instance(self, start: int, accept: int, t: int) -> OracleInstance:
+    def query_system(
+        self, start: int, accept: int, t: int, universe_length: int
+    ) -> OracleQuerySystem:
+        """Input-independent query system running t steps on every input."""
         n, entries, alts = self._complete()
-        system = make_system(n, entries, start, accept, t)
-        return OracleInstance(
-            system=system,
+        inst = OracleInstance(
+            system=make_system(n, entries, start, accept, t),
             query_slots={step: dict(slots) for step, slots in self._queries.items()},
             alt_columns=alts,
         )
+        return OracleQuerySystem(lambda _x: inst, (t,), universe_length)
 
 
 def rotation_system(matrix, start: int, accept: int, t: int) -> UnitarySystem:
@@ -432,133 +435,92 @@ def adversarial_lowness_search() -> tuple[LownessInstance, tuple[str, ...], int,
 # --- oracle query systems --------------------------------------------------
 
 
-def _static(instance_builder: Callable[[], OracleInstance]) -> Callable[[str], OracleInstance]:
-    cache: dict[str, OracleInstance] = {}
-
-    def instantiate(x: str) -> OracleInstance:
-        if "I" not in cache:
-            cache["I"] = instance_builder()
-        return cache["I"]
-
-    return instantiate
-
-
 def oracle_free_system() -> OracleQuerySystem:
     """Rotation machine that never consults the assignment."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        c0, c1 = d.cfg("0"), d.cfg("1")
-        d.block(c0, c1, c0, c1, BLOCK_ROTATE)
-        return d.finish_instance(c0, c1, 2)
-
-    return OracleQuerySystem(_static(build), (2,), 3)
+    d = Draft()
+    c0, c1 = d.cfg("0"), d.cfg("1")
+    d.block(c0, c1, c0, c1, BLOCK_ROTATE)
+    return d.query_system(c0, c1, 2, 3)
 
 
 def classical_route_system(query: str, accept_on: int = 1, t: int = 2) -> OracleQuerySystem:
     """One full-amplitude query routed straight to accept or reject."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        hit, miss = d.cfg("hit"), d.cfg("miss")
-        if accept_on == 1:
-            d.cond_swap(s, sp, miss, hit, query, 0)
-        else:
-            d.cond_swap(s, sp, hit, miss, query, 0)
-        acc = d.delay_chain(hit, "acc", t - 1)
-        d.delay_chain(miss, "sink", t - 1)
-        return d.finish_instance(s, acc, t)
-
-    return OracleQuerySystem(_static(build), (t,), max(3, len(query)))
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    hit, miss = d.cfg("hit"), d.cfg("miss")
+    rows = (miss, hit) if accept_on == 1 else (hit, miss)
+    d.cond_swap(s, sp, *rows, query, 0)
+    acc = d.delay_chain(hit, "acc", t - 1)
+    d.delay_chain(miss, "sink", t - 1)
+    return d.query_system(s, acc, t, max(3, len(query)))
 
 
 def phase_split_system(query: str, matrix=BLOCK_REFLECT) -> OracleQuerySystem:
     """Split, phase-query on the lighter arm, recombine: bit 1 costs 1 - 7/25."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        c1, c2 = d.cfg("c1"), d.cfg("c2")
-        acc, w = d.cfg("acc"), d.cfg("w")
-        d.block(s, sp, c1, c2, matrix)
-        d.block(c1, c2, acc, w, ((3, 4), (-4, 3)))
-        d.cond_phase(c1, query, 1)
-        return d.finish_instance(s, acc, 2)
-
-    return OracleQuerySystem(_static(build), (2,), 3)
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    c1, c2 = d.cfg("c1"), d.cfg("c2")
+    acc, w = d.cfg("acc"), d.cfg("w")
+    d.block(s, sp, c1, c2, matrix)
+    d.block(c1, c2, acc, w, ((3, 4), (-4, 3)))
+    d.cond_phase(c1, query, 1)
+    return d.query_system(s, acc, 2, 3)
 
 
 def double_phase_system(qa: str, qb: str) -> OracleQuerySystem:
     """Both arms carry phase queries on different strings."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        c1, c2 = d.cfg("c1"), d.cfg("c2")
-        acc, w = d.cfg("acc"), d.cfg("w")
-        d.block(s, sp, c1, c2)
-        d.block(c1, c2, acc, w, ((3, 4), (4, -3)))
-        d.cond_phase(c1, qa, 1)
-        d.cond_phase(c2, qb, 1)
-        return d.finish_instance(s, acc, 2)
-
-    return OracleQuerySystem(_static(build), (2,), 3)
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    c1, c2 = d.cfg("c1"), d.cfg("c2")
+    acc, w = d.cfg("acc"), d.cfg("w")
+    d.block(s, sp, c1, c2)
+    d.block(c1, c2, acc, w, ((3, 4), (4, -3)))
+    d.cond_phase(c1, qa, 1)
+    d.cond_phase(c2, qb, 1)
+    return d.query_system(s, acc, 2, 3)
 
 
 def four_way_phase_system() -> OracleQuerySystem:
     """Two-level split; four arms phase-query four strings with unequal mass."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        c1, c2 = d.cfg("c1"), d.cfg("c2")
-        z1, z2 = d.cfg("z1"), d.cfg("z2")
-        d1, d2, d3, d4 = (d.cfg(f"d{i}") for i in range(4))
-        m1, m2 = d.cfg("m1"), d.cfg("m2")
-        acc, w1 = d.cfg("acc"), d.cfg("w1")
-        d.block(s, sp, c1, c2)
-        d.block(c1, z1, d1, d2)
-        d.block(c2, z2, d3, d4)
-        for arm, y in zip((d1, d2, d3, d4), ("000", "001", "010", "011")):
-            d.cond_phase(arm, y, 2)
-        d.block(d1, d2, m1, m2)
-        d.block(d3, d4, acc, w1, ((4, -3), (3, 4)))
-        return d.finish_instance(s, acc, 3)
-
-    return OracleQuerySystem(_static(build), (3,), 3)
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    c1, c2 = d.cfg("c1"), d.cfg("c2")
+    z1, z2 = d.cfg("z1"), d.cfg("z2")
+    d1, d2, d3, d4 = (d.cfg(f"d{i}") for i in range(4))
+    m1, m2 = d.cfg("m1"), d.cfg("m2")
+    acc, w1 = d.cfg("acc"), d.cfg("w1")
+    d.block(s, sp, c1, c2)
+    d.block(c1, z1, d1, d2)
+    d.block(c2, z2, d3, d4)
+    for arm, y in zip((d1, d2, d3, d4), ("000", "001", "010", "011")):
+        d.cond_phase(arm, y, 2)
+    d.block(d1, d2, m1, m2)
+    d.block(d3, d4, acc, w1, ((4, -3), (3, 4)))
+    return d.query_system(s, acc, 3, 3)
 
 
 def sequential_query_system() -> OracleQuerySystem:
     """Classical chain: accept only if both queried bits are 1."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        u, dead1 = d.cfg("u"), d.cfg("dead1")
-        up = d.cfg("u_p")
-        hit, dead2 = d.cfg("hit"), d.cfg("dead2")
-        d.cond_swap(s, sp, dead1, u, "0", 0)
-        d.cond_swap(u, up, dead2, hit, "11", 1)
-        d.delay_chain(dead1, "sink1", 1)
-        return d.finish_instance(s, hit, 2)
-
-    return OracleQuerySystem(_static(build), (2,), 3)
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    u, dead1 = d.cfg("u"), d.cfg("dead1")
+    up = d.cfg("u_p")
+    hit, dead2 = d.cfg("hit"), d.cfg("dead2")
+    d.cond_swap(s, sp, dead1, u, "0", 0)
+    d.cond_swap(u, up, dead2, hit, "11", 1)
+    d.delay_chain(dead1, "sink1", 1)
+    return d.query_system(s, hit, 2, 3)
 
 
 def global_phase_system(query: str) -> OracleQuerySystem:
     """Queries with full magnitude but only a global phase: flips never matter."""
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s = d.cfg("s")
-        mid, acc = d.cfg("mid"), d.cfg("acc")
-        d.route(s, mid)
-        d.route(mid, acc)
-        d.cond_phase(s, query, 0)
-        return d.finish_instance(s, acc, 2)
-
-    return OracleQuerySystem(_static(build), (2,), 3)
+    d = Draft()
+    s = d.cfg("s")
+    mid, acc = d.cfg("mid"), d.cfg("acc")
+    d.route(s, mid)
+    d.route(mid, acc)
+    d.cond_phase(s, query, 0)
+    return d.query_system(s, acc, 2, 3)
 
 
 def deep_chain_system(
@@ -570,21 +532,17 @@ def deep_chain_system(
     the probe string is consulted with squared magnitude (9/25)**depth.
     """
     t = depth + 1
-
-    def build() -> OracleInstance:
-        d = Draft()
-        chain = [d.cfg(f"c{i}") for i in range(depth + 1)]
-        for i in range(depth):
-            leak = d.cfg(f"leak{i}")
-            d.block(chain[i], d.cfg(f"z{i}"), chain[i + 1], leak)
-            d.delay_chain(leak, f"track{i}", t - i - 2)
-        cp = d.cfg("c_p")
-        miss, acc = d.cfg("miss"), d.cfg("acc")
-        d.cond_swap(chain[depth], cp, miss, acc, query, depth)
-        return d.finish_instance(chain[0], acc, t)
-
-    return OracleQuerySystem(
-        _static(build), (t,), universe_length if universe_length else max(3, len(query))
+    d = Draft()
+    chain = [d.cfg(f"c{i}") for i in range(depth + 1)]
+    for i in range(depth):
+        leak = d.cfg(f"leak{i}")
+        d.block(chain[i], d.cfg(f"z{i}"), chain[i + 1], leak)
+        d.delay_chain(leak, f"track{i}", t - i - 2)
+    cp = d.cfg("c_p")
+    miss, acc = d.cfg("miss"), d.cfg("acc")
+    d.cond_swap(chain[depth], cp, miss, acc, query, depth)
+    return d.query_system(
+        chain[0], acc, t, universe_length if universe_length else max(3, len(query))
     )
 
 
@@ -615,51 +573,38 @@ def or_of_two_system() -> OracleQuerySystem:
     records are erased by re-querying, so exactly one configuration carries
     each outcome at the final step.
     """
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        u0, u1 = d.cfg("u0"), d.cfg("u1")
-        d.cond_swap(s, sp, u0, u1, "00", 0)
-        v = {key: d.cfg(f"v{key}") for key in ("00", "01", "10", "11")}
-        d.cond_swap(u0, d.cfg("u0_p"), v["00"], v["01"], "10", 1)
-        d.cond_swap(u1, d.cfg("u1_p"), v["10"], v["11"], "10", 1)
-        w = {key: d.cfg(f"w{key}") for key in ("000", "101", "110", "111", "010", "100")}
-        d.route(v["00"], w["000"])  # w[r + b0 + b1]
-        d.route(v["01"], w["101"])
-        d.route(v["10"], w["110"])
-        d.route(v["11"], w["111"])
-        x = {key: d.cfg(f"x{key}") for key in ("00", "11", "10", "01")}
-        d.cond_swap(w["000"], w["010"], x["00"], d.cfg("j1"), "00", 3)  # erase b0
-        d.cond_swap(w["101"], w["111"], x["11"], d.cfg("j2"), "00", 3)
-        d.cond_swap(w["100"], w["110"], x["10"], d.cfg("j3"), "00", 3)
-        f0, f1 = d.cfg("f0"), d.cfg("f1")
-        d.cond_swap(x["00"], x["01"], f0, d.cfg("j4"), "10", 4)  # erase b1
-        d.cond_swap(x["10"], x["11"], f1, d.cfg("j5"), "10", 4)
-        return d.finish_instance(s, f1, 5)
-
-    return OracleQuerySystem(_static(build), (5,), 4)
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    u0, u1 = d.cfg("u0"), d.cfg("u1")
+    d.cond_swap(s, sp, u0, u1, "00", 0)
+    v = {key: d.cfg(f"v{key}") for key in ("00", "01", "10", "11")}
+    d.cond_swap(u0, d.cfg("u0_p"), v["00"], v["01"], "10", 1)
+    d.cond_swap(u1, d.cfg("u1_p"), v["10"], v["11"], "10", 1)
+    w = {key: d.cfg(f"w{key}") for key in ("000", "101", "110", "111", "010", "100")}
+    d.route(v["00"], w["000"])  # w[r + b0 + b1]
+    d.route(v["01"], w["101"])
+    d.route(v["10"], w["110"])
+    d.route(v["11"], w["111"])
+    x = {key: d.cfg(f"x{key}") for key in ("00", "11", "10", "01")}
+    d.cond_swap(w["000"], w["010"], x["00"], d.cfg("j1"), "00", 3)  # erase b0
+    d.cond_swap(w["101"], w["111"], x["11"], d.cfg("j2"), "00", 3)
+    d.cond_swap(w["100"], w["110"], x["10"], d.cfg("j3"), "00", 3)
+    f0, f1 = d.cfg("f0"), d.cfg("f1")
+    d.cond_swap(x["00"], x["01"], f0, d.cfg("j4"), "10", 4)  # erase b1
+    d.cond_swap(x["10"], x["11"], f1, d.cfg("j5"), "10", 4)
+    return d.query_system(s, f1, 5, 4)
 
 
 def long_probe_system(accept_on_hit: bool = True) -> OracleQuerySystem:
     """Single full-magnitude query at the long length."""
-    query = "0110"
-
-    def build() -> OracleInstance:
-        d = Draft()
-        s, sp = d.cfg("s"), d.cfg("s_p")
-        miss, hit = d.cfg("miss"), d.cfg("hit")
-        if accept_on_hit:
-            d.cond_swap(s, sp, miss, hit, query, 0)
-            acc = d.delay_chain(hit, "acc", 1)
-            d.delay_chain(miss, "sink", 1)
-        else:
-            d.cond_swap(s, sp, hit, miss, query, 0)
-            acc = d.delay_chain(hit, "acc", 1)
-            d.delay_chain(miss, "sink", 1)
-        return d.finish_instance(s, acc, 2)
-
-    return OracleQuerySystem(_static(build), (2,), 4)
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    miss, hit = d.cfg("miss"), d.cfg("hit")
+    rows = (miss, hit) if accept_on_hit else (hit, miss)
+    d.cond_swap(s, sp, *rows, "0110", 0)
+    acc = d.delay_chain(hit, "acc", 1)
+    d.delay_chain(miss, "sink", 1)
+    return d.query_system(s, acc, 2, 4)
 
 
 def decider_corpus() -> list[tuple[str, OracleQuerySystem]]:

@@ -9,6 +9,7 @@ independent oracle in the tests.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,75 +96,43 @@ _ZERO = Branch((ACCEPT, REJECT))
 def system_tree(system: UnitarySystem) -> Node:
     """Tree whose gap is the squared accept amplitude of the system.
 
-    Layer s holds, per configuration and sign, a subtree whose gap is the
-    signed sum over remaining paths to the accept configuration of the
-    products of edge weights; |w| repeated children realize a weight-w edge.
-    The square is the signed product of two copies of the path sum.
+    A forward pass from the start configuration: after s steps, each
+    configuration reached so far holds a pair of subtrees whose gaps are
+    plus and minus the signed sum, over the length-s paths from start, of
+    the products of edge weights.  A reached configuration pushes its pair
+    along its column as |w| repeated children, swapped when w < 0.  Only
+    configurations reachable from start are built, and the root keeps only
+    those that also reach accept.  The square is the signed product of two
+    copies of the accept entry's path sum; an unreached accept gives gap 0.
     """
-    t = system.t_bound
-    pos: list[Node] = [
-        ACCEPT if c == system.accept else _ZERO for c in range(system.n_configs)
-    ]
-    neg: list[Node] = [
-        REJECT if c == system.accept else _ZERO for c in range(system.n_configs)
-    ]
-    for _ in range(t):
-        new_pos: list[Node] = []
-        new_neg: list[Node] = []
-        for c in range(system.n_configs):
-            same: list[Node] = []
-            flipped: list[Node] = []
+    layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
+    for _ in range(system.t_bound):
+        pushed: dict[int, tuple[list[Node], list[Node]]] = {}
+        for c, (pos, neg) in layer.items():
             for r, w in system.column(c):
-                if w > 0:
-                    same.extend([pos[r]] * w)
-                    flipped.extend([neg[r]] * w)
-                else:
-                    same.extend([neg[r]] * -w)
-                    flipped.extend([pos[r]] * -w)
-            new_pos.append(Branch(tuple(same)))
-            new_neg.append(Branch(tuple(flipped)))
-        pos, neg = new_pos, new_neg
-    amplitude = pos[system.start]
-    return trees.substituted(amplitude, amplitude, neg[system.start])
+                same, flipped = pushed.setdefault(r, ([], []))
+                a, b = (pos, neg) if w > 0 else (neg, pos)
+                same.extend([a] * abs(w))
+                flipped.extend([b] * abs(w))
+        layer = {
+            r: (Branch(tuple(same)), Branch(tuple(flipped)))
+            for r, (same, flipped) in pushed.items()
+        }
+    if system.accept not in layer:
+        return _ZERO
+    pos, neg = layer[system.accept]
+    return trees.substituted(pos, pos, neg)
 
 
-def system_to_gap_machine(
-    system: UnitarySystem, branch_bound: int = DEFAULT_BRANCH_BOUND
-) -> GapMachine:
+def system_to_gap_machine(system: UnitarySystem) -> GapMachine:
     """Constant machine whose gap equals the acceptance-probability numerator."""
     tree = system_tree(system)
-    return GapMachine(lambda _x: tree, branch_bound)
+    return GapMachine(lambda _x: tree)
 
 
-def family_gap_machine(
-    family: MachineFamily, branch_bound: int = DEFAULT_BRANCH_BOUND
-) -> GapMachine:
-    """Machine on pair codes <x, 1**m> evaluating the family member at padding m."""
-    cache: dict[str, Node] = {}
-
-    def evaluator(z: str) -> Node:
-        if z not in cache:
-            x, padding = unpair(z)
-            if padding.strip("1"):
-                raise StructuralError("padding must be a block of ones")
-            cache[z] = system_tree(family.system(x, len(padding)))
-        return cache[z]
-
-    return GapMachine(evaluator, branch_bound)
-
-
-def plain_family_gap_machine(
-    family: MachineFamily, branch_bound: int = DEFAULT_BRANCH_BOUND
-) -> GapMachine:
-    """Machine on raw inputs evaluating the family member at minimal padding."""
-    cache: dict[str, Node] = {}
-
-    def evaluator(x: str) -> Node:
-        if x not in cache:
-            cache[x] = system_tree(family.system(x))
-        return cache[x]
-
-    return GapMachine(evaluator, branch_bound)
+def _compiled(system_of: Callable[[str], UnitarySystem]) -> GapMachine:
+    """Machine compiling the system of each input once; repeats reuse the tree."""
+    return GapMachine(functools.cache(lambda z: system_tree(system_of(z))))
 
 
 CERT_KINDS = ("pp", "lwpp", "awpp", "ceqp")
@@ -342,9 +311,16 @@ def bqp_to_awpp(
                     f"promise fails at x={x!r}, m={m}: error {error}",
                     witness=(x, m, prob),
                 )
+
+    def system_at_padding(z: str) -> UnitarySystem:
+        x, padding = unpair(z)
+        if padding.strip("1"):
+            raise StructuralError("padding must be a block of ones")
+        return family.system(x, len(padding))
+
     return ClassCertificate(
         kind="awpp",
-        f=family_gap_machine(family),
+        f=_compiled(system_at_padding),
         g=lambda m: 5 ** (2 * family.t(m)),
         q_coeffs=q,
     )
@@ -411,6 +387,6 @@ def eqp_to_lwpp(
             )
     return ClassCertificate(
         kind="lwpp",
-        f=plain_family_gap_machine(family),
+        f=_compiled(family.system),
         g=lambda n: 5 ** (2 * family.t(n)),
     )

@@ -10,6 +10,7 @@ against the path count, preserves the sign of the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -28,6 +29,10 @@ from .strings import pair, unpair
 from .trees import Branch, Node
 
 Answers = tuple[bool, ...]
+
+# Bundle exponents (log2 g and q at a listed input) above this are refused
+# before any power of two is built.
+MAX_BUNDLE_EXPONENT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,6 @@ def machine_from_tables(
     query_count: int,
     queries: dict[str, str],
     finish_trees: dict[str, Node],
-    branch_bound: int = DEFAULT_BRANCH_BOUND,
 ) -> OracleGapMachine:
     """Input-independent machine from answer-prefix tables.
 
@@ -293,7 +297,6 @@ def machine_from_tables(
         query_count=query_count,
         next_query=lambda _x, answers: queries[encode(answers)],
         finish=lambda _x, answers: finish_trees[encode(answers)],
-        branch_bound=branch_bound,
     )
 
 
@@ -304,35 +307,58 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
         table = doc["machine"]
         if not _is_int(table["query_count"]) or table["query_count"] < 0:
             raise ParseError(f"{path}: 'query_count' must be a non-negative integer")
+        queries = _object(path, "queries", table["queries"])
+        if not all(_is_binary(y) for y in queries.values()):
+            raise ParseError(f"{path}: 'queries' values must be binary strings")
         machine = machine_from_tables(
             table["query_count"],
-            dict(table["queries"]),
-            {key: tree_from_json(node) for key, node in table["trees"].items()},
+            queries,
+            {
+                key: tree_from_json(node)
+                for key, node in _object(path, "trees", table["trees"]).items()
+            },
         )
         cert = doc["certificate"]
         if cert["style"] != "near-extreme":
             raise ParseError(f"unknown certificate style {cert['style']!r}")
+        inputs = _binary_strings(path, "inputs", doc["inputs"])
         instance = near_extreme_instance(
             machine,
             frozenset(_binary_strings(path, "oracle", doc["oracle"])),
-            _exponents(path, "g_pow2", cert["g_pow2"]),
-            _exponents(path, "q", doc["q"]),
+            _exponents(path, "g_pow2", cert["g_pow2"], inputs),
+            _exponents(path, "q", doc["q"], inputs),
         )
-        return instance, _binary_strings(path, "inputs", doc["inputs"])
+        return instance, inputs
     except (KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed instance bundle ({exc})") from exc
 
 
-def _exponents(path: str, key: str, value) -> tuple[int, ...]:
+def _object(path: str, key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: {key!r} must be a JSON object")
+    return value
+
+
+def _exponents(path: str, key: str, value, inputs: Sequence[str]) -> tuple[int, ...]:
+    """Polynomial coefficients, refused if the value at any input passes the cap."""
     if not isinstance(value, list) or not all(_is_int(v) and v >= 0 for v in value):
         raise ParseError(f"{path}: {key!r} must be a list of non-negative integers")
+    for x in inputs:
+        exponent = eval_poly(value, len(x))
+        if exponent > MAX_BUNDLE_EXPONENT:
+            raise ParseError(
+                f"{path}: {key!r} is {Decimal(exponent)} at input {x!r}, above "
+                f"the cap of {MAX_BUNDLE_EXPONENT} (lowness.MAX_BUNDLE_EXPONENT)"
+            )
     return tuple(value)
 
 
+def _is_binary(value) -> bool:
+    return isinstance(value, str) and not value.strip("01")
+
+
 def _binary_strings(path: str, key: str, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, str) and not v.strip("01") for v in value
-    ):
+    if not isinstance(value, list) or not all(_is_binary(v) for v in value):
         raise ParseError(f"{path}: {key!r} must be a list of binary strings")
     return tuple(value)
 

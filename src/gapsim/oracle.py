@@ -28,9 +28,11 @@ from .poly import eval_poly
 from .strings import strings_of_length
 
 _TOWER_EXPONENT_BUDGET = 1 << 20
+MAX_MIXED_STRINGS = 12  # exhaustive checks visit 2**12 bit assignments at most
+_SHORT_PROBE_BUDGET = 8  # lengths with at most this many strings are read in full
 
 
-def tower(n: int, exponent_budget: int = _TOWER_EXPONENT_BUDGET) -> int:
+def tower(n: int) -> int:
     """tower(0) = 2 and tower(n+1) = 2**tower(n), exactly.
 
     Refuses once the exponent itself no longer fits the big-integer budget.
@@ -39,10 +41,21 @@ def tower(n: int, exponent_budget: int = _TOWER_EXPONENT_BUDGET) -> int:
         raise StructuralError("tower is defined on nonnegative integers")
     value = 2
     for _ in range(n):
-        if value > exponent_budget:
+        if value > _TOWER_EXPONENT_BUDGET:
             raise ResourceError(f"tower({n}) exceeds the big-integer budget")
         value = 1 << value
     return value
+
+
+def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
+    """Every 0/1 assignment to the named strings, refused above the cap."""
+    if len(names) > MAX_MIXED_STRINGS:
+        raise ResourceError(
+            f"{where} conditions on {len(names)} strings, above the cap of "
+            f"{MAX_MIXED_STRINGS} (raise oracle.MAX_MIXED_STRINGS)"
+        )
+    for mask in range(1 << len(names)):
+        yield {y: (mask >> i) & 1 for i, y in enumerate(names)}
 
 
 def tower_values(limit: int) -> list[int]:
@@ -210,16 +223,10 @@ class OracleInstance:
         }
         return {**self.system.columns, **patch} if patch else self.system.columns
 
-    def _validate_stepwise_unitarity(self, combo_budget: int = 1 << 12) -> None:
+    def _validate_stepwise_unitarity(self) -> None:
         n = self.system.n_configs
         for step, slots in self.query_slots.items():
-            names = sorted(set(slots.values()))
-            if 1 << len(names) > combo_budget:
-                raise ResourceError(
-                    f"step {step} conditions on {len(names)} strings; too many mixes"
-                )
-            for mask in range(1 << len(names)):
-                bits = {y: (mask >> i) & 1 for i, y in enumerate(names)}
+            for bits in _bit_assignments(f"step {step}", sorted(set(slots.values()))):
                 columns = self._columns_for(step, lambda y: bits[y])
                 entries = [
                     (r, c, w) for c, col in columns.items() for r, w in col
@@ -374,20 +381,14 @@ def verify_flip_stability(
     )
 
 
-def categorical_check(
-    system: OracleQuerySystem, x: str, combo_budget: int = 1 << 12
-) -> None:
+def categorical_check(system: OracleQuerySystem, x: str) -> None:
     """Exhaustively confirm the promise holds for every assignment of queried bits.
 
     Raises CategoricalityError with a witness assignment otherwise.  Only
     the queried strings matter: the run never reads any other bit.
     """
     inst = system.instance(x)
-    names = sorted(inst.queried_strings())
-    if 1 << len(names) > combo_budget:
-        raise ResourceError(f"{len(names)} queried strings; too many assignments")
-    for mask in range(1 << len(names)):
-        bits = {y: (mask >> i) & 1 for i, y in enumerate(names)}
+    for bits in _bit_assignments(f"input {x!r}", sorted(inst.queried_strings())):
         prob = _final_probability(inst, lambda y: bits[y]).as_fraction()
         if BQP_REJECT < prob < BQP_ACCEPT:
             ones = frozenset(y for y, b in bits.items() if b)
@@ -412,7 +413,6 @@ def rerelativized_decide(
     condition: TowerCondition,
     x: str,
     params: SensitivityParams,
-    short_budget: int = 8,
     check_categorical: bool = True,
 ) -> DeciderResult:
     """Decide the machine's answer with polynomially many condition probes.
@@ -426,13 +426,13 @@ def rerelativized_decide(
     if check_categorical:
         categorical_check(system, x)
     lengths = sorted(condition.acceptable_lengths & condition.domain_lengths)
-    long_lengths = [n for n in lengths if (1 << n) > short_budget]
+    long_lengths = [n for n in lengths if (1 << n) > _SHORT_PROBE_BUDGET]
     if len(long_lengths) > 1:
         raise ModelError(
             f"lengths {long_lengths} all exceed the probe budget; tower spacing "
             "admits at most one"
         )
-    short_lengths = [n for n in lengths if (1 << n) <= short_budget]
+    short_lengths = [n for n in lengths if (1 << n) <= _SHORT_PROBE_BUDGET]
 
     query_log: list[str] = []
     known_ones: set[str] = set()

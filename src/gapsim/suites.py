@@ -37,17 +37,6 @@ from .oracle import (
 )
 from .strings import index_string, pair, strings_up_to
 
-SUITES = (
-    "unitarity",
-    "closure",
-    "gaplem",
-    "awpp",
-    "lwpp",
-    "lowness",
-    "bbbv",
-    "rerelativize",
-)
-
 
 def _corpus_systems(corpus_dir: str | None) -> list[tuple[str, UnitarySystem]]:
     if corpus_dir is None:
@@ -341,3 +330,5 @@ RUNNERS: dict[str, Callable[[str | None], tuple[bool, dict]]] = {
     "bbbv": run_bbbv,
     "rerelativize": run_rerelativize,
 }
+SUITES = tuple(RUNNERS)
+READS_CORPUS = frozenset({"unitarity", "gaplem", "closure"})

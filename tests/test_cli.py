@@ -134,6 +134,16 @@ def test_lowness_bundle_with_huge_tally(tmp_path, capsys):
     assert [row["inlined_gap"] for row in rows] == [str((g - 1) * 1 + 1 * -3)] * 2
 
 
+def test_lowness_bundle_past_the_decimal_digit_limit(tmp_path, capsys):
+    code, out, err = run(capsys, *_lowness(tmp_path, g_pow2=[15000]))
+    assert code == 0 and err == ""
+    rows = json.loads(out)["results"]["rows"]
+    # inlined gap g - 4 with g = 2**15000: 4516 digits, checked modulo 10**12
+    tail = str((pow(2, 15000, 10**12) - 4) % 10**12).zfill(12)
+    for row in rows:
+        assert len(row["inlined_gap"]) == 4516 and row["inlined_gap"].endswith(tail)
+
+
 def _nested(depth):
     return "[" * depth + '"accept"' + "]" * depth
 
@@ -148,6 +158,13 @@ def _lowness(tmp_path, **fields):
 
 def _table(query_count, trees):
     return {"query_count": query_count, "queries": {}, "trees": trees}
+
+
+def _shipped_table(**fields):
+    return {**json.loads(BUNDLE.read_text())["machine"], **fields}
+
+
+CORPUS_BLIND_SUITES = ("awpp", "lwpp", "lowness", "bbbv", "rerelativize")
 
 
 def _machine_with(tmp_path, **fields):
@@ -184,12 +201,23 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, oracle="00"), {}),
         (lambda tmp: _lowness(tmp, machine=_table(-1, {})), {}),
         (lambda tmp: _lowness(tmp, machine=_table(0, {"": json.loads(_nested(900))})), {}),
+        (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={"": "0a"})), {}),
+        (lambda tmp: _lowness(tmp, machine=_shipped_table(queries="ab")), {}),
+        (lambda tmp: _lowness(tmp, machine=_shipped_table(trees=[])), {}),
+        (lambda tmp: _lowness(tmp, g_pow2=[100000]), {}),
+        (lambda tmp: _lowness(tmp, q=[100000]), {}),
+        *[
+            (lambda tmp, suite=suite: ["verify", suite, "--corpus", str(tmp)], {})
+            for suite in CORPUS_BLIND_SUITES
+        ],
     ],
     ids=[
         "missing_file", "list_tree", "system_without_path", "bool_field", "bad_path_cap",
         "negative_path_cap", "negative_max_configs", "deep_json", "deep_tree",
         "negative_g_pow2", "bool_g_pow2", "negative_q", "string_inputs", "non_binary_input",
-        "string_oracle", "negative_query_count", "deep_bundle_tree",
+        "string_oracle", "negative_query_count", "deep_bundle_tree", "non_binary_query",
+        "string_queries", "list_trees", "tally_above_cap", "q_above_cap",
+        *[f"corpus_ignored_by_{suite}" for suite in CORPUS_BLIND_SUITES],
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeypatch, capsys):

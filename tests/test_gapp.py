@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from gapsim.corpus import (
     unitary_corpus,
     zero_error_family,
 )
-from gapsim.errors import ParseError, PromiseViolation, ResourceError
-from gapsim.evolve import accept_probability
+from gapsim.errors import ParseError, PromiseViolation, ResourceError, StructuralError
+from gapsim.evolve import accept_probability, path_sum
 from gapsim.gapp import (
     ClassCertificate,
     GapMachine,
@@ -30,12 +31,13 @@ from gapsim.gapp import (
     negate,
     poly_product,
     system_to_gap_machine,
+    system_tree,
     tree_from_json,
     tree_to_json,
 )
 from gapsim.model import make_system
 from gapsim.strings import index_string, pair, strings_up_to, unpair
-from gapsim.trees import ACCEPT, REJECT, Branch
+from gapsim.trees import ACCEPT, REJECT, Branch, distinct_size, gap
 
 
 def constant_machine(value):
@@ -138,6 +140,99 @@ def test_system_machines_reproduce_numerators():
 @pytest.mark.parametrize("name,system", unitary_corpus(), ids=[n for n, _ in unitary_corpus()])
 def test_round_trip_on_corpus(name, system):
     assert gap_of(system_to_gap_machine(system), "") == accept_probability(system).numerator
+
+
+def _successors(system):
+    return {c: [r for r, _ in system.column(c)] for c in range(system.n_configs)}
+
+
+def pb_system(seed, n, t, banded, accept_reachable):
+    """V = P.B: 2x2 fifth-integer blocks B, then a cyclic shift or random permutation P.
+
+    A reachable accept ends a random walk of length t from start; an
+    unreachable one lies outside the step-t forward cone when there is one.
+    """
+    rng = random.Random(seed)
+    entries = []
+    for a in range(0, n, 2):
+        x, y = rng.choice(((3, 4), (4, 3), (5, 0)))
+        x, y, sign = x * rng.choice((1, -1)), y * rng.choice((1, -1)), rng.choice((1, -1))
+        block = [(a, a, x), (a + 1, a, y), (a, a + 1, -sign * y), (a + 1, a + 1, sign * x)]
+        entries.extend(e for e in block if e[2])
+    shift = rng.choice((1, 3))
+    perm = [(i + shift) % n for i in range(n)] if banded else rng.sample(range(n), n)
+    entries = [(perm[r], c, w) for r, c, w in entries]
+    start = rng.randrange(n)
+    system = make_system(n, entries, start, start, t)
+    successors = _successors(system)
+    cone = {start}
+    for _ in range(t):
+        cone = {r for c in cone for r in successors[c]}
+    outside = sorted(set(range(n)) - cone)
+    if accept_reachable or not outside:
+        accept = start
+        for _ in range(t):
+            accept = rng.choice(successors[accept])
+    else:
+        accept = rng.choice(outside)
+    return make_system(n, entries, start, accept, t)
+
+
+def corridor_pairs(system):
+    """(config, step) pairs lying on some length-t path from start to accept."""
+    successors = _successors(system)
+    forward = [{system.start}]
+    for _ in range(system.t_bound):
+        forward.append({r for c in forward[-1] for r in successors[c]})
+    backward = {system.accept}
+    total = 0
+    for step in range(system.t_bound, -1, -1):
+        total += len(forward[step] & backward)
+        backward = {c for c in range(system.n_configs) if set(successors[c]) & backward}
+    return total
+
+
+pb_systems = st.builds(
+    pb_system,
+    st.integers(0, 2**32),
+    st.sampled_from([2, 4, 6, 8, 12, 16]),
+    st.integers(0, 8),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(system=pb_systems)
+def test_system_tree_gap_is_the_squared_amplitude(system):
+    path_square = path_sum(system, system.t_bound).entries[system.accept] ** 2
+    assert gap(system_tree(system)) == accept_probability(system).numerator == path_square
+
+
+@settings(deadline=None, max_examples=60)
+@given(system=pb_systems)
+def test_system_tree_stays_inside_the_corridor(system):
+    size = distinct_size(system_tree(system))  # a failing assert must not repr the DAG
+    assert size <= 4 * corridor_pairs(system) + 3
+
+
+def test_system_tree_of_an_unreached_accept_is_tiny():
+    ident = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 6)
+    tree = system_tree(ident)
+    size, value = distinct_size(tree), gap(tree)
+    assert corridor_pairs(ident) == 0 and size == 3 and value == 0
+
+
+def test_family_certificates_compile_each_input_once():
+    family, language = zero_error_family()
+    labeled = [(x, language(x)) for x in strings_up_to(2)]
+    awpp = bqp_to_awpp(family, (3,), labeled, paddings=[3])
+    z = pair("01", "111")
+    assert awpp.f.evaluator(z) is awpp.f.evaluator(z)
+    with pytest.raises(StructuralError):
+        awpp.f.evaluator(pair("01", "101"))
+    lwpp = eqp_to_lwpp(family, labeled)
+    assert lwpp.f.evaluator("01") is lwpp.f.evaluator("01")
 
 
 def test_check_pp():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gapsim.corpus import (
+    Draft,
     classical_route_system,
     decider_conditions,
     decider_corpus,
@@ -255,3 +256,20 @@ def test_runs_leave_the_shared_column_map_untouched():
     acceptance_prob_rel(system, all_set, "")
     query_magnitudes(system, all_set, "")
     assert inst.system.columns == before
+
+
+def test_exhaustive_bit_checks_refuse_thirteen_strings():
+    one_step = Draft()
+    for i in range(13):
+        one_step.cond_phase(one_step.cfg(str(i)), format(i, "04b"), 0)
+    with pytest.raises(ResourceError, match="step 0 conditions on 13 strings.*cap of 12"):
+        one_step.query_system(0, 0, 1, 4)
+    spread = Draft()  # a 13-step route, one phase query per step
+    chain = [spread.cfg("c0")]
+    for step in range(13):
+        chain.append(spread.cfg(f"c{step + 1}"))
+        spread.route(chain[step], chain[step + 1])
+        spread.cond_phase(chain[step], format(step, "04b"), step)
+    system = spread.query_system(chain[0], chain[13], 13, 4)
+    with pytest.raises(ResourceError, match="input '' conditions on 13 strings.*cap of 12"):
+        categorical_check(system, "")
