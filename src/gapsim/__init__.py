@@ -56,7 +56,6 @@ from .model import (
 )
 from .oracle import (
     OracleAssignment,
-    OracleInstance,
     OracleQuerySystem,
     SensitivityParams,
     TowerCondition,

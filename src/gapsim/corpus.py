@@ -25,7 +25,7 @@ from .lowness import (
     verify_sign_preservation,
 )
 from .model import MachineFamily, UnitarySystem, make_system
-from .oracle import OracleInstance, OracleQuerySystem, TowerCondition
+from .oracle import OracleQuerySystem, TowerCondition
 from .strings import string_to_num, strings_of_length, unpair
 from .trees import ACCEPT, REJECT, Branch, Node
 
@@ -120,12 +120,12 @@ class Draft:
     ) -> OracleQuerySystem:
         """Input-independent query system running t steps on every input."""
         n, entries, alts = self._complete()
-        inst = OracleInstance(
+        return OracleQuerySystem(
             system=make_system(n, entries, start, accept, t),
             query_slots={step: dict(slots) for step, slots in self._queries.items()},
             alt_columns=alts,
+            universe_length=universe_length,
         )
-        return OracleQuerySystem(lambda _x: inst, (t,), universe_length)
 
 
 def rotation_system(matrix, start: int, accept: int, t: int) -> UnitarySystem:
@@ -595,24 +595,12 @@ def or_of_two_system() -> OracleQuerySystem:
     return d.query_system(s, f1, 5, 4)
 
 
-def long_probe_system(accept_on_hit: bool = True) -> OracleQuerySystem:
-    """Single full-magnitude query at the long length."""
-    d = Draft()
-    s, sp = d.cfg("s"), d.cfg("s_p")
-    miss, hit = d.cfg("miss"), d.cfg("hit")
-    rows = (miss, hit) if accept_on_hit else (hit, miss)
-    d.cond_swap(s, sp, *rows, "0110", 0)
-    acc = d.delay_chain(hit, "acc", 1)
-    d.delay_chain(miss, "sink", 1)
-    return d.query_system(s, acc, 2, 4)
-
-
 def decider_corpus() -> list[tuple[str, OracleQuerySystem]]:
     return [
         ("oracle_free", oracle_free_system()),
         ("short_or", or_of_two_system()),
-        ("long_probe", long_probe_system()),
-        ("long_probe_inverted", long_probe_system(accept_on_hit=False)),
+        ("long_probe", classical_route_system("0110")),
+        ("long_probe_inverted", classical_route_system("0110", accept_on=0)),
         ("deep_tiny_long", deep_chain_system(11, "1010", universe_length=4)),
     ]
 

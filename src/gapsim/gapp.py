@@ -180,9 +180,6 @@ class CheckReport:
     rows: tuple[CheckRow, ...]
     ok: bool
 
-    def violations(self) -> tuple[CheckRow, ...]:
-        return tuple(row for row in self.rows if not row.ok)
-
 
 LabeledInputs = Iterable[tuple[str, bool]]
 

@@ -20,6 +20,7 @@ from .gapp import (
     DEFAULT_BRANCH_BOUND,
     ClassCertificate,
     GapMachine,
+    check_awpp,
     gap_of,
     tree_from_json,
 )
@@ -48,7 +49,6 @@ class OracleGapMachine:
     query_count: int
     next_query: Callable[[str, Answers], str]
     finish: Callable[[str, Answers], Node]
-    branch_bound: int = DEFAULT_BRANCH_BOUND
 
     def answer_trace(self, x: str, oracle: Callable[[str], bool]) -> tuple[
         tuple[str, ...], Answers
@@ -80,7 +80,7 @@ def true_gap(instance: LownessInstance, x: str) -> int:
     """Gap of the machine run with ground-truth oracle answers."""
     _, answers = instance.machine.answer_trace(x, lambda y: y in instance.oracle)
     tree = instance.machine.finish(x, answers)
-    return trees.gap(tree, node_budget=instance.machine.branch_bound)
+    return trees.gap(tree, node_budget=DEFAULT_BRANCH_BOUND)
 
 
 def _approximator_tree(instance: LownessInstance, y: str, m: int) -> Node:
@@ -117,7 +117,7 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
         tree = machine.finish(x, ())
     else:
         tree = build(())
-    return GapMachine(lambda _x: tree, machine.branch_bound)
+    return GapMachine(lambda _x: tree)
 
 
 def path_count(instance: LownessInstance, x: str) -> int:
@@ -367,8 +367,6 @@ def validate_instance(
     instance: LownessInstance, inputs: Sequence[str]
 ) -> tuple[bool, str]:
     """Check the declared budget and the approximator promise on reachable queries."""
-    from .gapp import check_awpp  # local import to keep module load light
-
     for x in inputs:
         if path_count(instance, x) ** 2 >= (1 << instance.q_value(len(x))):
             return False, f"path count of {x!r} reaches 2**(q/2)"

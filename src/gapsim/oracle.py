@@ -9,12 +9,11 @@ with exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
-    BoundsError,
     CategoricalityError,
     DomainError,
     ModelError,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .evolve import BQP_ACCEPT, BQP_REJECT, ExactProbability, trajectory
 from .model import UnitarySystem, _gram_first_violation
-from .poly import eval_poly
 from .strings import strings_of_length
 
 _TOWER_EXPONENT_BUDGET = 1 << 20
@@ -144,14 +142,6 @@ class TowerCondition:
             frozenset(y for y in self.ones if len(y) <= universe_length),
         )
 
-    def without_length(self, length: int) -> "TowerCondition":
-        """Same condition with the chosen string at one length dropped."""
-        return TowerCondition(
-            self.acceptable_lengths - {length},
-            self.domain_lengths,
-            frozenset(y for y in self.ones if len(y) != length),
-        )
-
 
 def l_member(x_like: TowerCondition | OracleAssignment, n: int) -> bool:
     """Whether some witness w of length n-1 has w0 set to 1."""
@@ -189,25 +179,42 @@ class SensitivityParams:
 
 
 @dataclass(frozen=True, eq=False)
-class OracleInstance:
-    """One input's transition structure: base system plus conditional columns."""
+class OracleQuerySystem:
+    """One oracle machine: a base system plus conditional columns at query steps.
+
+    At step k each configuration c in query_slots[k] applies alt_columns[c]
+    instead of its base column when the bit of query_slots[k][c] is 1.
+    Every input runs the same machine for system.t_bound steps, and every
+    query lies within the strings of length at most universe_length.  All
+    checks run once, here: slot steps, alternative columns, query lengths,
+    and norm preservation of each query step under every bit assignment.
+    """
 
     system: UnitarySystem
-    query_slots: Mapping[int, Mapping[int, str]] = field(default_factory=dict)
-    alt_columns: Mapping[int, tuple[tuple[int, int], ...]] = field(
-        default_factory=dict
-    )
+    query_slots: Mapping[int, Mapping[int, str]]
+    alt_columns: Mapping[int, tuple[tuple[int, int], ...]]
+    universe_length: int
 
     def __post_init__(self) -> None:
         for step, slots in self.query_slots.items():
             if not 0 <= step < self.system.t_bound:
                 raise StructuralError(f"query slot at step {step} out of range")
-            for config in slots:
+            for config, y in slots.items():
                 if config not in self.alt_columns:
                     raise StructuralError(
                         f"config {config} queries but has no alternative column"
                     )
+                if len(y) > self.universe_length:
+                    raise StructuralError(f"query {y!r} outside the universe")
         self._validate_stepwise_unitarity()
+
+    def p(self, n: int) -> int:
+        """Running time on inputs of length n: t_bound for every n."""
+        return self.system.t_bound
+
+    def instance(self, x: str) -> "OracleQuerySystem":
+        """The machine run on input x, which is this machine for every x."""
+        return self
 
     def queried_strings(self) -> frozenset[str]:
         return frozenset(
@@ -239,77 +246,61 @@ class OracleInstance:
                     )
 
 
-@dataclass(frozen=True)
-class OracleQuerySystem:
-    """Input-indexed oracle machines with a shared running-time polynomial."""
+def _run(
+    system: OracleQuerySystem, bit_of: Callable[[str], int]
+) -> tuple[ExactProbability, list[list]]:
+    """One run under the given bits: acceptance probability and step vectors.
 
-    instantiate: Callable[[str], OracleInstance]
-    p_coeffs: tuple[int, ...]
-    universe_length: int
-
-    def p(self, n: int) -> int:
-        return eval_poly(self.p_coeffs, n)
-
-    def instance(self, x: str) -> OracleInstance:
-        inst = self.instantiate(x)
-        if inst.system.t_bound > self.p(len(x)):
-            raise BoundsError(
-                f"instance runs {inst.system.t_bound} steps, bound is {self.p(len(x))}"
-            )
-        for y in inst.queried_strings():
-            if len(y) > self.universe_length:
-                raise StructuralError(f"query {y!r} outside the universe")
-        return inst
-
-
-def _run(inst: OracleInstance, bit_of: Callable[[str], int]) -> Iterator[list]:
-    """Scaled amplitude vectors at steps 0..t_bound under the given bits."""
-    return trajectory(
-        inst.system,
-        inst.system.t_bound,
-        lambda step: inst._columns_for(step, bit_of),
+    The vectors are the scaled amplitudes at steps 0..t, the kernel's own
+    lists (no copies).  Every slot's bit is read at its step, so an
+    assignment that does not cover a queried string raises OracleError.
+    """
+    base = system.system
+    vectors = list(
+        trajectory(base, base.t_bound, lambda k: system._columns_for(k, bit_of))
     )
+    amp = vectors[-1][base.accept]
+    return ExactProbability(amp * amp, 2 * base.t_bound), vectors
 
 
-def _final_probability(
-    inst: OracleInstance, bit_of: Callable[[str], int]
-) -> ExactProbability:
-    """Exact acceptance probability of the run under the given bits."""
-    for final in _run(inst, bit_of):
-        pass
-    amp = final[inst.system.accept]
-    return ExactProbability(amp * amp, 2 * inst.system.t_bound)
-
-
-def acceptance_prob_rel(
-    system: OracleQuerySystem, oracle: OracleAssignment, x: str
-) -> ExactProbability:
-    """Exact acceptance probability of the oracle-instantiated run."""
-    inst = system.instance(x)
-    for y in inst.queried_strings():
-        oracle.value(y)  # totality check; raises OracleError otherwise
-    return _final_probability(inst, oracle.value)
-
-
-def query_magnitudes(
-    system: OracleQuerySystem, oracle: OracleAssignment, x: str
-) -> dict[str, Fraction]:
-    """Cumulative squared amplitude each string is queried with across the run."""
-    inst = system.instance(x)
-    amps_at = {
-        step: amps
-        for step, amps in enumerate(_run(inst, oracle.value))
-        if step in inst.query_slots
-    }
+def _magnitudes(system: OracleQuerySystem, vectors: list[list]) -> dict[str, Fraction]:
+    """Cumulative squared amplitude each string is queried with in one run."""
     magnitudes: dict[str, Fraction] = {}
-    for step, slots in inst.query_slots.items():
-        amps = amps_at[step]
+    for step, slots in system.query_slots.items():
+        amps = vectors[step]
         scale = 25**step
         for config, y in slots.items():
             weight = Fraction(amps[config] ** 2, scale)
             if weight:
                 magnitudes[y] = magnitudes.get(y, Fraction(0)) + weight
     return magnitudes
+
+
+def _sensitive(
+    magnitudes: Mapping[str, Fraction], params: SensitivityParams
+) -> frozenset[str]:
+    """Strings above the magnitude threshold, refused past the size bound."""
+    threshold = params.magnitude_threshold
+    result = frozenset(y for y, mag in magnitudes.items() if mag > threshold)
+    if len(result) > params.bound:
+        raise ModelError(
+            f"sensitive set of size {len(result)} exceeds the bound {params.bound}"
+        )
+    return result
+
+
+def acceptance_prob_rel(
+    system: OracleQuerySystem, oracle: OracleAssignment, x: str
+) -> ExactProbability:
+    """Exact acceptance probability of the oracle-instantiated run."""
+    return _run(system, oracle.value)[0]
+
+
+def query_magnitudes(
+    system: OracleQuerySystem, oracle: OracleAssignment, x: str
+) -> dict[str, Fraction]:
+    """Cumulative squared amplitude each string is queried with across the run."""
+    return _magnitudes(system, _run(system, oracle.value)[1])
 
 
 def sensitive_set(
@@ -324,14 +315,7 @@ def sensitive_set(
     probability by at most epsilon; the flip-stability report checks that
     exhaustively.
     """
-    threshold = params.magnitude_threshold
-    magnitudes = query_magnitudes(system, oracle, x)
-    result = frozenset(y for y, mag in magnitudes.items() if mag > threshold)
-    if len(result) > params.bound:
-        raise ModelError(
-            f"sensitive set of size {len(result)} exceeds the bound {params.bound}"
-        )
-    return result
+    return _sensitive(query_magnitudes(system, oracle, x), params)
 
 
 @dataclass(frozen=True)
@@ -358,14 +342,13 @@ def verify_flip_stability(
     params: SensitivityParams,
 ) -> FlipReport:
     """Exhaustive single-string flips over the whole universe, exact comparisons."""
-    base = acceptance_prob_rel(system, oracle, x).as_fraction()
-    sensitive = sensitive_set(system, oracle, x, params)
+    prob, vectors = _run(system, oracle.value)
+    base = prob.as_fraction()
+    sensitive = _sensitive(_magnitudes(system, vectors), params)
     rows = []
     worst = Fraction(0)
     for y in oracle.strings():
-        deviation = abs(
-            acceptance_prob_rel(system, oracle.flipped(y), x).as_fraction() - base
-        )
+        deviation = abs(_run(system, oracle.flipped(y).value)[0].as_fraction() - base)
         member = y in sensitive
         if not member:
             worst = max(worst, deviation)
@@ -387,9 +370,8 @@ def categorical_check(system: OracleQuerySystem, x: str) -> None:
     Raises CategoricalityError with a witness assignment otherwise.  Only
     the queried strings matter: the run never reads any other bit.
     """
-    inst = system.instance(x)
-    for bits in _bit_assignments(f"input {x!r}", sorted(inst.queried_strings())):
-        prob = _final_probability(inst, lambda y: bits[y]).as_fraction()
+    for bits in _bit_assignments(f"input {x!r}", sorted(system.queried_strings())):
+        prob = _run(system, lambda y: bits[y])[0].as_fraction()
         if BQP_REJECT < prob < BQP_ACCEPT:
             ones = frozenset(y for y, b in bits.items() if b)
             raise CategoricalityError(
@@ -443,7 +425,8 @@ def rerelativized_decide(
                 known_ones.add(y)
 
     assumed = OracleAssignment(system.universe_length, frozenset(known_ones))
-    assumed_prob = acceptance_prob_rel(system, assumed, x).as_fraction()
+    prob, vectors = _run(system, assumed.value)
+    assumed_prob = prob.as_fraction()
     sensitive: frozenset[str] = frozenset()
     found: str | None = None
     decision_prob = assumed_prob
@@ -452,7 +435,7 @@ def rerelativized_decide(
         long_length = long_lengths[0]
         sensitive = frozenset(
             y
-            for y in sensitive_set(system, assumed, x, params)
+            for y in _sensitive(_magnitudes(system, vectors), params)
             if len(y) == long_length
         )
         for y in sorted(sensitive):
@@ -463,7 +446,7 @@ def rerelativized_decide(
             full = OracleAssignment(
                 system.universe_length, frozenset(known_ones | {found})
             )
-            decision_prob = acceptance_prob_rel(system, full, x).as_fraction()
+            decision_prob = _run(system, full.value)[0].as_fraction()
 
     if BQP_REJECT < decision_prob < BQP_ACCEPT:
         raise CategoricalityError(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import corpus
-from .errors import ModelError, PromiseViolation
+from .errors import ModelError, ParseError, PromiseViolation
 from .evolve import accept_probability, float_check, path_sum, trajectory
 from .gapp import (
     bqp_to_awpp,
@@ -23,6 +23,7 @@ from .gapp import (
     eqp_to_lwpp,
     exp_sum,
     gap_of,
+    load_gap_machine,
     negate,
     poly_product,
     system_to_gap_machine,
@@ -30,6 +31,7 @@ from .gapp import (
 from .lowness import validate_instance, verify_sign_preservation
 from .model import UnitarySystem, load_system, make_system
 from .oracle import (
+    OracleAssignment,
     SensitivityParams,
     acceptance_prob_rel,
     rerelativized_decide,
@@ -38,11 +40,18 @@ from .oracle import (
 from .strings import index_string, pair, strings_up_to
 
 
+def _corpus_files(corpus_dir: str, sub: str) -> list[tuple[str, str]]:
+    """(name, path) of each corpus_dir/sub/*.json; corpus_dir must exist."""
+    if not os.path.isdir(corpus_dir):
+        raise ParseError(f"corpus directory {corpus_dir!r} is not a directory")
+    paths = sorted(glob.glob(os.path.join(corpus_dir, sub, "*.json")))
+    return [(os.path.basename(p)[:-5], p) for p in paths]
+
+
 def _corpus_systems(corpus_dir: str | None) -> list[tuple[str, UnitarySystem]]:
     if corpus_dir is None:
         return corpus.unitary_corpus()
-    paths = sorted(glob.glob(os.path.join(corpus_dir, "machines", "*.json")))
-    return [(os.path.basename(p)[:-5], load_system(p)) for p in paths]
+    return [(name, load_system(p)) for name, p in _corpus_files(corpus_dir, "machines")]
 
 
 def run_unitarity(corpus_dir: str | None = None) -> tuple[bool, dict]:
@@ -134,10 +143,8 @@ def run_closure(corpus_dir: str | None = None) -> tuple[bool, dict]:
     """Machine-level combinators match value-level gap arithmetic exhaustively."""
     machines = corpus.gap_machine_corpus()
     if corpus_dir is not None:
-        from .gapp import load_gap_machine
-
-        for path in sorted(glob.glob(os.path.join(corpus_dir, "trees", "*.json"))):
-            machines.append((os.path.basename(path)[:-5], load_gap_machine(path)))
+        for name, path in _corpus_files(corpus_dir, "trees"):
+            machines.append((name, load_gap_machine(path)))
     universe = list(strings_up_to(6))
     mismatches = []
     checks = 0
@@ -253,8 +260,6 @@ def run_bbbv(
     epsilons: tuple[Fraction, ...] = (Fraction(1, 7), Fraction(1, 10)),
 ) -> tuple[bool, dict]:
     """Exhaustive single-flip stability over every corpus system and epsilon."""
-    from .oracle import OracleAssignment
-
     rows = []
     ok = True
     count = 0
@@ -280,16 +285,13 @@ def run_bbbv(
 
 def run_rerelativize(_corpus_dir: str | None = None) -> tuple[bool, dict]:
     """Decider equals exhaustive simulation for every long-string placement."""
-    params_for: Callable[[int], SensitivityParams] = lambda p: SensitivityParams(
-        Fraction(1, 7), p
-    )
     rows = []
     ok = True
     inputs = ["", "0", "1", "00", "0110"]
     for cond_name, condition in corpus.decider_conditions():
         for name, system in corpus.decider_corpus():
             for x in inputs:
-                params = params_for(system.p(len(x)))
+                params = SensitivityParams(Fraction(1, 7), system.p(len(x)))
                 result = rerelativized_decide(system, condition, x, params)
                 truth = (
                     acceptance_prob_rel(

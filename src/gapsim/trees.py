@@ -26,6 +26,10 @@ class Branch:
     children: tuple
     count: int = 1  # the children, in order, repeated this many times
 
+    def __repr__(self) -> str:
+        # Constant size: the default repr unfolds the shared DAG as a tree.
+        return f"Branch(<{len(self.children)} children>, count={self.count})"
+
 
 Node = Leaf | Branch
 

@@ -165,6 +165,7 @@ def _shipped_table(**fields):
 
 
 CORPUS_BLIND_SUITES = ("awpp", "lwpp", "lowness", "bbbv", "rerelativize")
+CORPUS_SUITES = ("unitarity", "closure", "gaplem")
 
 
 def _machine_with(tmp_path, **fields):
@@ -210,6 +211,10 @@ def _file(tmp_path, text):
             (lambda tmp, suite=suite: ["verify", suite, "--corpus", str(tmp)], {})
             for suite in CORPUS_BLIND_SUITES
         ],
+        *[
+            (lambda tmp, suite=suite: ["verify", suite, "--corpus", str(tmp / "none")], {})
+            for suite in CORPUS_SUITES
+        ],
     ],
     ids=[
         "missing_file", "list_tree", "system_without_path", "bool_field", "bad_path_cap",
@@ -218,6 +223,7 @@ def _file(tmp_path, text):
         "string_oracle", "negative_query_count", "deep_bundle_tree", "non_binary_query",
         "string_queries", "list_trees", "tally_above_cap", "q_above_cap",
         *[f"corpus_ignored_by_{suite}" for suite in CORPUS_BLIND_SUITES],
+        *[f"missing_corpus_dir_{suite}" for suite in CORPUS_SUITES],
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeypatch, capsys):

@@ -223,6 +223,12 @@ def test_system_tree_of_an_unreached_accept_is_tiny():
     assert corridor_pairs(ident) == 0 and size == 3 and value == 0
 
 
+def test_branch_repr_does_not_unfold_the_dag():
+    tree = system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 3))
+    text = repr(tree)  # 936,746 characters when repr unfolds the DAG
+    assert len(text) < 100 and text.startswith("Branch(")
+
+
 def test_family_certificates_compile_each_input_once():
     family, language = zero_error_family()
     labeled = [(x, language(x)) for x in strings_up_to(2)]

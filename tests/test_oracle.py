@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import gapsim.oracle
 from gapsim.corpus import (
     Draft,
     classical_route_system,
@@ -23,8 +24,10 @@ from gapsim.errors import (
     StructuralError,
 )
 from gapsim.evolve import accept_probability
+from gapsim.model import make_system
 from gapsim.oracle import (
     OracleAssignment,
+    OracleQuerySystem,
     SensitivityParams,
     TowerCondition,
     acceptance_prob_rel,
@@ -273,3 +276,40 @@ def test_exhaustive_bit_checks_refuse_thirteen_strings():
     system = spread.query_system(chain[0], chain[13], 13, 4)
     with pytest.raises(ResourceError, match="input '' conditions on 13 strings.*cap of 12"):
         categorical_check(system, "")
+
+
+IDENTITY_T1 = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "slots,alts,error,match",
+    [
+        ({1: {0: "0"}}, {0: ((0, -5),)}, StructuralError, "step 1 out of range"),
+        ({0: {0: "0"}}, {}, StructuralError, "config 0 queries but has no alternative"),
+        ({0: {0: "0000"}}, {0: ((0, -5),)}, StructuralError, "'0000' outside the universe"),
+        ({0: {0: "0"}}, {0: ((1, 5),)}, ModelError, "step 0 .* is not norm-preserving"),
+    ],
+    ids=["slot_step_is_t", "no_alternative_column", "query_past_universe", "alt_breaks_gram"],
+)
+def test_oracle_machine_is_checked_when_built(slots, alts, error, match):
+    OracleQuerySystem(IDENTITY_T1, {0: {0: "0"}}, {0: ((0, -5),)}, 3)  # a sound sign flip
+    with pytest.raises(error, match=match):
+        OracleQuerySystem(IDENTITY_T1, slots, alts, 3)
+
+
+def test_one_run_per_assignment(monkeypatch):
+    route, free = classical_route_system("101"), oracle_free_system()
+    _, condition = decider_conditions()[0]  # lengths 2 and 4; 4 is probed frugally
+    runs = []
+    kernel = gapsim.oracle.trajectory
+
+    def counted(*args):
+        runs.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(gapsim.oracle, "trajectory", counted)
+    verify_flip_stability(route, OracleAssignment(3, frozenset()), "", params_for(route))
+    assert len(runs) == 1 + 15  # the base assignment once, then each of 15 flips
+    runs.clear()
+    rerelativized_decide(free, condition, "", params_for(free), check_categorical=False)
+    assert len(runs) == 1
