@@ -28,16 +28,26 @@ DEFAULT_BRANCH_BOUND = 1 << 20
 
 @dataclass(frozen=True)
 class GapMachine:
-    """Evaluator from input strings to computation trees, with a size guard."""
+    """Evaluator from input strings to computation trees, with a size guard.
+
+    exp_sum and poly_product refuse over branch_bound before they build;
+    builders without a machine refuse over DEFAULT_BRANCH_BOUND.
+    """
 
     evaluator: Callable[[str], Node]
     branch_bound: int = DEFAULT_BRANCH_BOUND
 
 
+def bound_error(what: str, value, bound: int) -> ResourceError:
+    """Refusal of a tree whose size passes its bound, raised before it is built."""
+    return ResourceError(
+        f"{what} {value} exceeds branch_bound {bound} (raise branch_bound)"
+    )
+
+
 def gap_of(machine: GapMachine, x: str) -> int:
-    """Exact gap by full traversal; the ground truth for every combinator."""
-    tree = machine.evaluator(x)
-    return trees.gap(tree, node_budget=machine.branch_bound)
+    """Exact gap of the machine's tree on x; the ground truth for every combinator."""
+    return trees.gap(machine.evaluator(x))
 
 
 def negate(machine: GapMachine) -> GapMachine:
@@ -56,8 +66,8 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         if bound < 0:
             raise StructuralError("negative branching length")
         if (1 << (bound + 1)) - 1 > machine.branch_bound:
-            raise ResourceError(
-                f"2**{bound + 1} branches exceed the bound {machine.branch_bound}"
+            raise bound_error(
+                "exp_sum branches", f"2**{bound + 1} - 1", machine.branch_bound
             )
         return Branch(
             tuple(machine.evaluator(pair(x, y)) for y in strings_up_to(bound))
@@ -79,6 +89,8 @@ def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         bound = eval_poly(q, len(x))
         if bound < 0:
             raise StructuralError("negative product range")
+        if bound + 1 > machine.branch_bound:
+            raise bound_error("poly_product factors", bound + 1, machine.branch_bound)
         factors = [
             machine.evaluator(pair(x, index_string(k))) for k in range(bound + 1)
         ]
@@ -104,7 +116,22 @@ def system_tree(system: UnitarySystem) -> Node:
     configurations reachable from start are built, and the root keeps only
     those that also reach accept.  The square is the signed product of two
     copies of the accept entry's path sum; an unreached accept gives gap 0.
+
+    Before any node is built, the forward pass runs on the column structure
+    alone to count the nodes and edges it will store: two nodes per reached
+    configuration and 2|w| edges per column entry.  Over
+    DEFAULT_BRANCH_BOUND the system is refused.
     """
+    frontier, stored = {system.start}, 0
+    for _ in range(system.t_bound):
+        entries = [entry for c in frontier for entry in system.column(c)]
+        frontier = {r for r, _ in entries}
+        stored += 2 * (sum(abs(w) for _, w in entries) + len(frontier))
+        if stored > DEFAULT_BRANCH_BOUND:
+            raise bound_error(
+                "system_tree stored nodes and edges", stored, DEFAULT_BRANCH_BOUND
+            )
+
     layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
     for _ in range(system.t_bound):
         pushed: dict[int, tuple[list[Node], list[Node]]] = {}
@@ -324,7 +351,25 @@ def bqp_to_awpp(
 
 
 def tree_from_json(node) -> Node:
-    """Decode the nested-array tree form: "accept", "reject", or [child, ...]."""
+    """Decode the nested-array tree form: "accept", "reject", or [child, ...].
+
+    The branches and edges of the document are counted first, and a tree
+    over DEFAULT_BRANCH_BOUND is refused before any node is built.
+    """
+    stored, stack = 0, [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stored += 1 + len(item)
+            if stored > DEFAULT_BRANCH_BOUND:
+                raise bound_error(
+                    "tree branches and edges", stored, DEFAULT_BRANCH_BOUND
+                )
+            stack.extend(item)
+    return _decoded(node)
+
+
+def _decoded(node) -> Node:
     if node == "accept":
         return ACCEPT
     if node == "reject":
@@ -332,7 +377,7 @@ def tree_from_json(node) -> Node:
     if isinstance(node, list):
         if not node:
             raise ParseError("a branch needs at least one child")
-        return Branch(tuple(tree_from_json(child) for child in node))
+        return Branch(tuple(_decoded(child) for child in node))
     raise ParseError(f"bad tree node {node!r}")
 
 

@@ -9,6 +9,7 @@ against the path count, preserves the sign of the gap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .gapp import (
     DEFAULT_BRANCH_BOUND,
     ClassCertificate,
     GapMachine,
+    bound_error,
     check_awpp,
     gap_of,
     tree_from_json,
@@ -79,8 +81,7 @@ class LownessInstance:
 def true_gap(instance: LownessInstance, x: str) -> int:
     """Gap of the machine run with ground-truth oracle answers."""
     _, answers = instance.machine.answer_trace(x, lambda y: y in instance.oracle)
-    tree = instance.machine.finish(x, answers)
-    return trees.gap(tree, node_budget=DEFAULT_BRANCH_BOUND)
+    return trees.gap(instance.machine.finish(x, answers))
 
 
 def _approximator_tree(instance: LownessInstance, y: str, m: int) -> Node:
@@ -96,27 +97,52 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
     T_no g times, and the approximator tree feeding negated T_no.  Correct
     answers thus carry weight at least (1 - 2**-q) g and wrong ones at most
     2**-q g.
+
+    The finish and approximator trees are evaluated first.  A query node
+    stores at most two copies of its approximator tree, its continuations
+    and one negated copy of each, and six more nodes and edges, so their
+    stored sizes bound the result's.  Over DEFAULT_BRANCH_BOUND the
+    construction is refused before any node is built.
     """
     machine = instance.machine
     m = len(x)
     g = instance.approximator.g_value(m)
+    k = machine.query_count
+
+    @functools.cache
+    def part(answers: Answers) -> Node:
+        """The finish tree after k answers, else the next query's approximator tree."""
+        if len(answers) == k:
+            return machine.finish(x, answers)
+        return _approximator_tree(instance, machine.next_query(x, answers), m)
+
+    def stored_bound(answers: Answers) -> int:
+        """Nodes and edges that build(answers) stores, at most."""
+        size = trees.stored_size(part(answers))
+        if len(answers) == k:
+            return size
+        below = stored_bound(answers + (True,)) + stored_bound(answers + (False,))
+        return 2 * (size + below) + 6
+
+    if (size := stored_bound(())) > DEFAULT_BRANCH_BOUND:
+        raise bound_error(
+            "inline_construction stored nodes and edges (upper bound)",
+            size,
+            DEFAULT_BRANCH_BOUND,
+        )
 
     def build(answers: Answers) -> Node:
-        if len(answers) == machine.query_count:
-            return machine.finish(x, answers)
-        y = machine.next_query(x, answers)
+        if len(answers) == k:
+            return part(answers)
         t_yes = build(answers + (True,))
         t_no = build(answers + (False,))
-        f_tree = _approximator_tree(instance, y, m)
+        f_tree = part(answers)
         yes_part = trees.substituted(f_tree, t_yes, trees.negated(t_yes))
         no_block = Branch((t_no,), g)
         no_correction = trees.substituted(f_tree, trees.negated(t_no), t_no)
         return Branch((yes_part, no_block, no_correction))
 
-    if machine.query_count == 0:
-        tree = machine.finish(x, ())
-    else:
-        tree = build(())
+    tree = build(())
     return GapMachine(lambda _x: tree)
 
 

@@ -2,29 +2,42 @@
 
 Trees are immutable and may share subtrees: the in-memory object is a DAG
 whose unfolding is the computation tree, and a branch repeats its children
-`count` times, so g equal subtrees are one edge.  All folds below are
-memoized on node identity, so a value over the full unfolding (which can be
-astronomically large) costs one visit per distinct node and stored edge.
-Node budgets count distinct nodes plus stored edges, which bound the work.
+`count` times, so g equal subtrees are one edge.  Every node stores the
+(accepting, rejecting) leaf counts of its unfolding when it is built, from
+its children's counts and its `count`, so gaps are read, never recomputed.
+The folds below are memoized on node identity and cost one visit per
+distinct node and stored edge.  Size caps live in the builders (gapp,
+lowness), which refuse a tree over its bound before allocating it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ResourceError
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Leaf:
     accepting: bool
+    counts: tuple[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", (1, 0) if self.accepting else (0, 1))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Branch:
     children: tuple
     count: int = 1  # the children, in order, repeated this many times
+    counts: tuple[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        acc = rej = 0
+        for child in self.children:
+            a, r = child.counts
+            acc += a
+            rej += r
+        object.__setattr__(self, "counts", (self.count * acc, self.count * rej))
 
     def __repr__(self) -> str:
         # Constant size: the default repr unfolds the shared DAG as a tree.
@@ -41,11 +54,9 @@ def fold(
     root: Node,
     leaf_value: Callable[[Leaf], object],
     combine: Callable[[Branch, list], object],
-    node_budget: int | None = None,
 ):
     """Bottom-up computation over distinct nodes; shared subtrees visited once."""
     memo: dict[int, object] = {}
-    work = 0  # distinct nodes plus stored edges folded so far
     stack = [root]
     while stack:
         node = stack.pop()
@@ -60,47 +71,49 @@ def fold(
                 stack.extend(missing)
                 continue
             memo[id(node)] = combine(node, [memo[id(c)] for c in node.children])
-            work += len(node.children)
-        work += 1
-        if node_budget is not None and work > node_budget:
-            raise ResourceError(
-                f"computation tree exceeds the node budget of {node_budget}: "
-                f"{work} distinct nodes and edges (raise branch_bound)"
-            )
     return memo[id(root)]
 
 
-def leaf_counts(root: Node, node_budget: int | None = None) -> tuple[int, int]:
+def leaf_counts(root: Node) -> tuple[int, int]:
     """(accepting, rejecting) leaf counts of the unfolded tree, exact."""
-    return fold(
-        root,
-        lambda leaf: (1, 0) if leaf.accepting else (0, 1),
-        lambda node, kids: (
-            node.count * sum(a for a, _ in kids),
-            node.count * sum(r for _, r in kids),
-        ),
-        node_budget,
-    )
+    return root.counts
 
 
 def gap(root: Node, node_budget: int | None = None) -> int:
-    """Accepting minus rejecting leaves of the unfolded tree."""
-    acc, rej = leaf_counts(root, node_budget)
+    """Accepting minus rejecting leaves of the unfolded tree.
+
+    node_budget is unused.  It stays for callers that still pass a budget
+    positionally (perfbench's gap_trees workload); the builders refuse a
+    tree over its bound before it exists, so reading the gap needs none.
+    """
+    acc, rej = root.counts
     return acc - rej
 
 
-def distinct_size(root: Node) -> int:
-    """Number of distinct nodes in the representation."""
-    seen = set()
+def _distinct(root: Node) -> list[Node]:
+    seen: dict[int, Node] = {}
     stack = [root]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node
         if isinstance(node, Branch):
             stack.extend(node.children)
-    return len(seen)
+    return list(seen.values())
+
+
+def distinct_size(root: Node) -> int:
+    """Number of distinct nodes in the representation."""
+    return len(_distinct(root))
+
+
+def stored_size(root: Node) -> int:
+    """Distinct nodes plus stored child edges: the memory a tree holds."""
+    return sum(
+        1 + len(node.children) if isinstance(node, Branch) else 1
+        for node in _distinct(root)
+    )
 
 
 def unfolded_size(root: Node) -> int:
@@ -110,8 +123,7 @@ def unfolded_size(root: Node) -> int:
 
 def unfolded_leaves(root: Node) -> int:
     """Leaf count of the unfolded tree, with multiplicity."""
-    acc, rej = leaf_counts(root)
-    return acc + rej
+    return sum(root.counts)
 
 
 def rebuilt(root: Node, leaf_image: Callable[[Leaf], Node]) -> Node:

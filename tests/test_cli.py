@@ -233,3 +233,11 @@ def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeyp
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_oversized_tree_file_exits_1_with_one_line(tmp_path, capsys):
+    tree = _file(tmp_path, json.dumps({"kind": "tree", "tree": ["accept"] * ((1 << 20) + 1)}))
+    code, out, err = run(capsys, "gap-eval", tree)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "branch_bound" in err

@@ -14,7 +14,7 @@ from gapsim.corpus import (
     unitary_corpus,
     zero_error_family,
 )
-from gapsim.errors import ParseError, PromiseViolation, ResourceError, StructuralError
+from gapsim.errors import ParseError, PromiseViolation, StructuralError
 from gapsim.evolve import accept_probability, path_sum
 from gapsim.gapp import (
     ClassCertificate,
@@ -86,12 +86,6 @@ def test_exp_sum_zero_machine():
 def test_exp_sum_singleton():
     machine = table_machine(lambda y: 5 if y == "" else 99)
     assert gap_of(exp_sum(machine, (0,)), "11") == 5
-
-
-def test_exp_sum_respects_branch_bound():
-    ones = GapMachine(lambda z: ACCEPT, branch_bound=4)
-    with pytest.raises(ResourceError):
-        gap_of(exp_sum(ones, (2,)), "")
 
 
 def test_poly_product_two_factors():

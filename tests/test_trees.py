@@ -2,11 +2,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapsim.corpus import BLOCK_REFLECT, rotation_system
 from gapsim.errors import ResourceError
+from gapsim.gapp import (
+    ClassCertificate,
+    GapMachine,
+    exp_sum,
+    poly_product,
+    system_tree,
+    tree_from_json,
+)
+from gapsim.lowness import LownessInstance, inline_construction, machine_from_tables
 from gapsim.trees import (
     ACCEPT,
     REJECT,
     Branch,
+    Leaf,
     distinct_size,
     gap,
     leaf_counts,
@@ -53,17 +64,76 @@ def test_shared_subtrees_count_with_multiplicity():
     assert distinct_size(tree) == 3  # root, inner, shared leaf
 
 
-def test_node_budget():
-    wide = Branch(tuple(Branch((ACCEPT, REJECT)) for _ in range(100)))
-    with pytest.raises(ResourceError):
-        gap(wide, node_budget=50)
-    assert gap(wide, node_budget=1000) == 0
+def _inline_over_bound():
+    huge = Branch((ACCEPT,) * (1 << 19))  # the approximator tree, copied twice per query
+    machine = machine_from_tables(1, {"": "0"}, {"1": ACCEPT, "0": REJECT})
+    cert = ClassCertificate("awpp", GapMachine(lambda _z: huge), g=lambda _m: 2, q_coeffs=(0,))
+    instance = LownessInstance(machine, frozenset(), cert, (0,))
+    return lambda: inline_construction(instance, "")
 
 
-def test_node_budget_counts_edges():
-    with pytest.raises(ResourceError, match="budget of 50.*branch_bound"):
-        gap(Branch((ACCEPT,) * 100), node_budget=50)
-    assert gap(Branch((ACCEPT,), 1 << 64), node_budget=3) == 1 << 64
+def _machine(branch_bound):
+    return GapMachine(lambda _z: Branch((ACCEPT, REJECT, ACCEPT)), branch_bound)
+
+
+BOUND = r"exceeds branch_bound 1048576 \(raise branch_bound\)$"
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (  # 18 nodes and edges at the first step, 32 at each later one
+            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 40000)),
+            "^system_tree stored nodes and edges 1048594 " + BOUND,
+        ),
+        (
+            lambda: lambda: poly_product(_machine(4), (4,)).evaluator(""),
+            r"^poly_product factors 5 exceeds branch_bound 4 \(raise branch_bound\)$",
+        ),
+        (
+            _inline_over_bound,
+            "^inline_construction stored nodes and edges \\(upper bound\\) 1048590 " + BOUND,
+        ),
+        (
+            lambda: lambda: tree_from_json(["accept"] * ((1 << 20) + 1)),
+            "^tree branches and edges 1048578 " + BOUND,
+        ),
+        (
+            lambda: lambda: exp_sum(_machine(4), (2,)).evaluator(""),
+            r"^exp_sum branches 2\*\*3 - 1 exceeds branch_bound 4 \(raise branch_bound\)$",
+        ),
+    ],
+    ids=["system_tree", "poly_product", "inline_construction", "tree_from_json", "exp_sum"],
+)
+def test_builders_refuse_before_allocating(make, message, monkeypatch):
+    """Each row makes its inputs, then hands back the one call under test."""
+    build = make()
+    built = []
+    post_init = Branch.__post_init__
+    # Counts every Branch made anywhere, so a builder that allocated part of
+    # the tree (or let a helper do it) before refusing fails here.
+    monkeypatch.setattr(Branch, "__post_init__", lambda node: (built.append(1), post_init(node)))
+    with pytest.raises(ResourceError, match=message):
+        build()
+    assert built == []
+
+
+def recursive_counts(node):
+    """(accept, reject) leaves of the unfolding, recounted from children and count alone."""
+    if isinstance(node, Leaf):
+        return (1, 0) if node.accepting else (0, 1)
+    acc = rej = 0
+    for child in node.children:
+        a, r = recursive_counts(child)
+        acc, rej = acc + a, rej + r
+    return node.count * acc, node.count * rej
+
+
+@given(tree_strategy(), tree_strategy())
+def test_stored_counts_match_a_recursive_count(tree, other):
+    for image in (tree, negated(tree), substituted(tree, other, negated(other))):
+        assert image.counts == recursive_counts(image)
+    assert gap(tree, 10) == gap(tree)  # the positional budget perfbench passes
 
 
 @given(st.lists(tree_strategy(), min_size=1, max_size=3), st.integers(1, 4))
