@@ -82,10 +82,14 @@ def _parse_epsilon(text: str) -> Fraction:
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            epsilon = Fraction(int(num), int(den))
+        else:
+            epsilon = Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad epsilon {text!r}") from exc
+    if not 0 < epsilon < Fraction(1, 6):
+        raise ParseError(f"epsilon {text!r} must lie strictly between 0 and 1/6")
+    return epsilon
 
 
 def cmd_simulate(args) -> int:
@@ -116,6 +120,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gap_eval(args) -> int:
+    if args.input.strip("01"):
+        raise ParseError(f"--input must be a binary string, got {args.input!r}")
     machine = load_gap_machine(args.machine)
     value = gap_of(machine, args.input)
     _write_report(
@@ -149,7 +155,7 @@ def cmd_lowness(args) -> int:
 
 
 def cmd_bbbv(args) -> int:
-    if args.epsilon:
+    if args.epsilon is not None:
         ok, results = suites.run_bbbv(epsilons=(_parse_epsilon(args.epsilon),))
     else:
         ok, results = suites.run_bbbv()
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-eval", help="gap of a corpus machine on one input")
     p.add_argument("machine")
-    p.add_argument("--input", default="", help="input string (default empty)")
+    p.add_argument("--input", default="", help="binary input string (default empty)")
     common(p)
     p.set_defaults(handler=cmd_gap_eval)
 
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lowness)
 
     p = sub.add_parser("bbbv", help="single-flip stability of query systems")
-    p.add_argument("--epsilon", metavar="NUM/DEN", help="perturbation bound")
+    p.add_argument("--epsilon", metavar="NUM/DEN", help="perturbation bound in (0, 1/6)")
     common(p)
     p.set_defaults(handler=cmd_bbbv)
 

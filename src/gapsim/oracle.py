@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import (
     CategoricalityError,
@@ -45,13 +46,17 @@ def tower(n: int) -> int:
     return value
 
 
-def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
-    """Every 0/1 assignment to the named strings, refused above the cap."""
+def _refuse_above_cap(where: str, names: Collection[str]) -> None:
     if len(names) > MAX_MIXED_STRINGS:
         raise ResourceError(
             f"{where} conditions on {len(names)} strings, above the cap of "
             f"{MAX_MIXED_STRINGS} (raise oracle.MAX_MIXED_STRINGS)"
         )
+
+
+def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
+    """Every 0/1 assignment to the named strings, refused above the cap."""
+    _refuse_above_cap(where, names)
     for mask in range(1 << len(names)):
         yield {y: (mask >> i) & 1 for i, y in enumerate(names)}
 
@@ -188,6 +193,7 @@ class OracleQuerySystem:
     query lies within the strings of length at most universe_length.  All
     checks run once, here: slot steps, alternative columns, query lengths,
     and norm preservation of each query step under every bit assignment.
+    The bounded-error promise is checked lazily, at most once per object.
     """
 
     system: UnitarySystem
@@ -220,6 +226,19 @@ class OracleQuerySystem:
         return frozenset(
             y for slots in self.query_slots.values() for y in slots.values()
         )
+
+    @cached_property
+    def categorical_witness(self) -> tuple[Fraction, dict[str, int]] | None:
+        """(probability, bits) of the first queried-bit assignment whose run
+        leaves the promise interval, or None; computed once, on first use.
+
+        Every input runs this machine, so the answer holds for all inputs.
+        """
+        for bits in _bit_assignments("the machine", sorted(self.queried_strings())):
+            prob = _run(self, lambda y: bits[y])[0].as_fraction()
+            if BQP_REJECT < prob < BQP_ACCEPT:
+                return prob, bits
+        return None
 
     def _columns_for(self, step: int, bit_of: Callable[[str], int]) -> Mapping:
         """Column map at one step: the shared base map unless a queried bit is 1."""
@@ -368,16 +387,17 @@ def categorical_check(system: OracleQuerySystem, x: str) -> None:
     """Exhaustively confirm the promise holds for every assignment of queried bits.
 
     Raises CategoricalityError with a witness assignment otherwise.  Only
-    the queried strings matter: the run never reads any other bit.
+    the queried strings matter: the run never reads any other bit.  The
+    runs happen once per machine object (its categorical_witness); later
+    calls, for any x, only read the result.
     """
-    for bits in _bit_assignments(f"input {x!r}", sorted(system.queried_strings())):
-        prob = _run(system, lambda y: bits[y])[0].as_fraction()
-        if BQP_REJECT < prob < BQP_ACCEPT:
-            ones = frozenset(y for y, b in bits.items() if b)
-            raise CategoricalityError(
-                f"probability {prob} on input {x!r} under bits {bits}",
-                witness=ones,
-            )
+    _refuse_above_cap(f"input {x!r}", system.queried_strings())
+    if system.categorical_witness is not None:
+        prob, bits = system.categorical_witness
+        raise CategoricalityError(
+            f"probability {prob} on input {x!r} under bits {bits}",
+            witness=frozenset(y for y, b in bits.items() if b),
+        )
 
 
 @dataclass(frozen=True)

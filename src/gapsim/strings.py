@@ -14,14 +14,11 @@ from typing import Iterator
 from .errors import DecodeError
 
 
-def _check_binary(x: str) -> None:
-    if not all(ch in "01" for ch in x):
-        raise DecodeError(f"not a binary string: {x!r}")
-
-
 def string_to_num(x: str) -> int:
     """Number of a binary string under the 1-prefix isomorphism (always >= 1)."""
-    _check_binary(x)
+    # One C-level pass; it also refuses the "_" and whitespace int(..., 2) accepts.
+    if x.strip("01"):
+        raise DecodeError(f"not a binary string: {x!r}")
     return int("1" + x, 2)
 
 

@@ -133,9 +133,8 @@ def rebuilt(root: Node, leaf_image: Callable[[Leaf], Node]) -> Node:
     """
 
     def combine(node: Branch, kids: list) -> Node:
-        if all(k is c for k, c in zip(kids, node.children)):
-            return node
-        return Branch(tuple(kids), node.count)
+        kids = tuple(kids)  # nodes compare by identity, so == is an `is` per child
+        return node if kids == node.children else Branch(kids, node.count)
 
     return fold(root, leaf_image, combine)
 

@@ -6,7 +6,9 @@ import pytest
 from gapsim.cli import main
 from gapsim.corpus import BLOCK_REFLECT, rotation_system, write_corpus
 
-BUNDLE = Path(__file__).resolve().parents[1] / "corpus" / "lowness" / "fixed_query.json"
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+BUNDLE = CORPUS / "lowness" / "fixed_query.json"
+PARITY_TREE = CORPUS / "trees" / "parity_step.json"
 
 
 @pytest.fixture()
@@ -207,6 +209,10 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, machine=_shipped_table(trees=[])), {}),
         (lambda tmp: _lowness(tmp, g_pow2=[100000]), {}),
         (lambda tmp: _lowness(tmp, q=[100000]), {}),
+        (lambda tmp: ["bbbv", "--epsilon", "1/5"], {}),
+        (lambda tmp: ["bbbv", "--epsilon", "0"], {}),
+        (lambda tmp: ["bbbv", "--epsilon", ""], {}),
+        (lambda tmp: ["gap-eval", str(PARITY_TREE), "--input", "0a"], {}),
         *[
             (lambda tmp, suite=suite: ["verify", suite, "--corpus", str(tmp)], {})
             for suite in CORPUS_BLIND_SUITES
@@ -222,6 +228,7 @@ def _file(tmp_path, text):
         "negative_g_pow2", "bool_g_pow2", "negative_q", "string_inputs", "non_binary_input",
         "string_oracle", "negative_query_count", "deep_bundle_tree", "non_binary_query",
         "string_queries", "list_trees", "tally_above_cap", "q_above_cap",
+        "epsilon_above_sixth", "epsilon_zero", "epsilon_empty", "non_binary_gap_input",
         *[f"corpus_ignored_by_{suite}" for suite in CORPUS_BLIND_SUITES],
         *[f"missing_corpus_dir_{suite}" for suite in CORPUS_SUITES],
     ],

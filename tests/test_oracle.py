@@ -12,6 +12,7 @@ from gapsim.corpus import (
     flip_stability_corpus,
     four_way_phase_system,
     global_phase_system,
+    or_of_two_system,
     oracle_free_system,
     phase_split_system,
 )
@@ -297,9 +298,7 @@ def test_oracle_machine_is_checked_when_built(slots, alts, error, match):
         OracleQuerySystem(IDENTITY_T1, slots, alts, 3)
 
 
-def test_one_run_per_assignment(monkeypatch):
-    route, free = classical_route_system("101"), oracle_free_system()
-    _, condition = decider_conditions()[0]  # lengths 2 and 4; 4 is probed frugally
+def _count_runs(monkeypatch):
     runs = []
     kernel = gapsim.oracle.trajectory
 
@@ -308,8 +307,36 @@ def test_one_run_per_assignment(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(gapsim.oracle, "trajectory", counted)
+    return runs
+
+
+def test_one_run_per_assignment(monkeypatch):
+    route, free = classical_route_system("101"), oracle_free_system()
+    _, condition = decider_conditions()[0]  # lengths 2 and 4; 4 is probed frugally
+    runs = _count_runs(monkeypatch)
     verify_flip_stability(route, OracleAssignment(3, frozenset()), "", params_for(route))
     assert len(runs) == 1 + 15  # the base assignment once, then each of 15 flips
     runs.clear()
     rerelativized_decide(free, condition, "", params_for(free), check_categorical=False)
     assert len(runs) == 1
+
+
+def test_categorical_check_runs_once_per_machine(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    system = or_of_two_system()  # queries "00" and "10": four assignments
+    categorical_check(system, "")
+    assert len(runs) == 4
+    runs.clear()
+    categorical_check(system, "0110")  # another input runs the same machine
+    assert len(runs) == 0
+    categorical_check(or_of_two_system(), "")  # a fresh object checks afresh
+    assert len(runs) == 4
+
+
+def test_categorical_failure_names_each_callers_input():
+    system = four_way_phase_system()
+    with pytest.raises(CategoricalityError, match="on input '' under") as first:
+        categorical_check(system, "")
+    with pytest.raises(CategoricalityError, match="on input '01' under") as second:
+        categorical_check(system, "01")
+    assert first.value.witness == second.value.witness

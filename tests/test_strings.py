@@ -65,3 +65,20 @@ def test_strings_of_length_zero():
 
 def test_universe_size():
     assert sum(1 for _ in strings_up_to(6)) == 127
+
+
+@pytest.mark.parametrize("bad", ["0a", "0_1", " 01", "01\n", "１"])
+def test_non_binary_strings_are_refused(bad):
+    with pytest.raises(DecodeError, match="not a binary string"):
+        string_to_num(bad)
+    with pytest.raises(DecodeError, match="not a binary string"):
+        pair("0", bad)
+
+
+@given(st.text(alphabet="01_ \t\n2a１", max_size=8))
+def test_only_strings_over_01_have_numbers(x):
+    if set(x) <= {"0", "1"}:
+        assert num_to_string(string_to_num(x)) == x
+    else:
+        with pytest.raises(DecodeError):
+            string_to_num(x)

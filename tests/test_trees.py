@@ -174,4 +174,17 @@ def test_substitution_multiplies_gaps(t1, t2):
 
 @given(tree_strategy())
 def test_substitution_identity(tree):
-    assert gap(substituted(tree, ACCEPT, REJECT)) == gap(tree)
+    assert substituted(tree, ACCEPT, REJECT) is tree  # nothing changes, nothing is copied
+
+
+def test_partial_substitution_keeps_untouched_subtrees():
+    accepting = Branch((ACCEPT, ACCEPT), 3)
+    mixed = Branch((ACCEPT, REJECT))
+    root = Branch((accepting, mixed, accepting), 2)
+    pair_of_accepts = Branch((ACCEPT, ACCEPT))
+    copy = substituted(root, ACCEPT, pair_of_accepts)  # only reject leaves change
+    assert copy is not root and copy.count == 2
+    assert copy.children[0] is accepting and copy.children[2] is accepting
+    assert copy.children[1] is not mixed
+    assert copy.children[1].children == (ACCEPT, pair_of_accepts)
+    assert gap(copy) == 2 * (6 + 3 + 6)
