@@ -19,7 +19,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import suites
+from . import strings, suites
 from .errors import GapsimError, ParseError, PromiseViolation
 from .evolve import accept_probability, float_check, path_sum
 from .gapp import gap_of, load_gap_machine
@@ -120,7 +120,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gap_eval(args) -> int:
-    if args.input.strip("01"):
+    if not strings.is_binary(args.input):
         raise ParseError(f"--input must be a binary string, got {args.input!r}")
     machine = load_gap_machine(args.machine)
     value = gap_of(machine, args.input)

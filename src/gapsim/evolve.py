@@ -133,7 +133,9 @@ def path_sum(system: UnitarySystem, t: int, cap: int | None = None) -> Amplitude
         if depth == t:
             paths += 1
             if paths > cap:
-                raise ResourceError(f"more than {cap} nonzero-weight paths")
+                raise ResourceError(
+                    f"{paths} paths exceed the cap {cap} (raise {_MAX_PATHS_ENV})"
+                )
             totals[config] += weight
             continue
         for r, w in system.column(config):

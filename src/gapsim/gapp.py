@@ -38,11 +38,17 @@ class GapMachine:
     branch_bound: int = DEFAULT_BRANCH_BOUND
 
 
-def bound_error(what: str, value, bound: int) -> ResourceError:
-    """Refusal of a tree whose size passes its bound, raised before it is built."""
-    return ResourceError(
-        f"{what} {value} exceeds branch_bound {bound} (raise branch_bound)"
-    )
+def bound_error(what: str, value, machine: GapMachine | None = None) -> ResourceError:
+    """Refusal of a tree whose size passes its bound, raised before it is built.
+
+    The bound is the machine's branch_bound, or DEFAULT_BRANCH_BOUND for a
+    builder without a machine; the message names the knob that raises it.
+    """
+    if machine is None:
+        bound, knob = DEFAULT_BRANCH_BOUND, "gapp.DEFAULT_BRANCH_BOUND"
+    else:
+        bound, knob = machine.branch_bound, "branch_bound"
+    return ResourceError(f"{what} {value} exceeds branch_bound {bound} (raise {knob})")
 
 
 def gap_of(machine: GapMachine, x: str) -> int:
@@ -66,9 +72,7 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         if bound < 0:
             raise StructuralError("negative branching length")
         if (1 << (bound + 1)) - 1 > machine.branch_bound:
-            raise bound_error(
-                "exp_sum branches", f"2**{bound + 1} - 1", machine.branch_bound
-            )
+            raise bound_error("exp_sum branches", f"2**{bound + 1} - 1", machine)
         return Branch(
             tuple(machine.evaluator(pair(x, y)) for y in strings_up_to(bound))
         )
@@ -90,7 +94,7 @@ def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         if bound < 0:
             raise StructuralError("negative product range")
         if bound + 1 > machine.branch_bound:
-            raise bound_error("poly_product factors", bound + 1, machine.branch_bound)
+            raise bound_error("poly_product factors", bound + 1, machine)
         factors = [
             machine.evaluator(pair(x, index_string(k))) for k in range(bound + 1)
         ]
@@ -128,9 +132,7 @@ def system_tree(system: UnitarySystem) -> Node:
         frontier = {r for r, _ in entries}
         stored += 2 * (sum(abs(w) for _, w in entries) + len(frontier))
         if stored > DEFAULT_BRANCH_BOUND:
-            raise bound_error(
-                "system_tree stored nodes and edges", stored, DEFAULT_BRANCH_BOUND
-            )
+            raise bound_error("system_tree stored nodes and edges", stored)
 
     layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
     for _ in range(system.t_bound):
@@ -362,9 +364,7 @@ def tree_from_json(node) -> Node:
         if isinstance(item, list):
             stored += 1 + len(item)
             if stored > DEFAULT_BRANCH_BOUND:
-                raise bound_error(
-                    "tree branches and edges", stored, DEFAULT_BRANCH_BOUND
-                )
+                raise bound_error("tree branches and edges", stored)
             stack.extend(item)
     return _decoded(node)
 

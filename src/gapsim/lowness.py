@@ -9,7 +9,6 @@ against the path count, preserves the sign of the gap.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -23,12 +22,11 @@ from .gapp import (
     GapMachine,
     bound_error,
     check_awpp,
-    gap_of,
     tree_from_json,
 )
 from .model import _is_int, load_json_object
 from .poly import eval_poly
-from .strings import pair, unpair
+from .strings import is_binary, pair, unpair
 from .trees import Branch, Node
 
 Answers = tuple[bool, ...]
@@ -84,8 +82,48 @@ def true_gap(instance: LownessInstance, x: str) -> int:
     return trees.gap(instance.machine.finish(x, answers))
 
 
-def _approximator_tree(instance: LownessInstance, y: str, m: int) -> Node:
-    return instance.approximator.f.evaluator(pair(y, "1" * m))
+class _Unrolling:
+    """The machine on one input over every answer path, each call made once.
+
+    queries maps each answer prefix shorter than k, shortest first, to the
+    string asked next; finishes maps each full answer tuple to its tree;
+    answers is the path the ground-truth oracle picks.
+    """
+
+    def __init__(self, machine: OracleGapMachine, x: str, oracle: frozenset[str]):
+        self.queries: dict[Answers, str] = {}
+        level: list[Answers] = [()]
+        for _ in range(machine.query_count):
+            self.queries.update((a, machine.next_query(x, a)) for a in level)
+            level = [a + (bit,) for a in level for bit in (True, False)]
+        self.finishes = {a: machine.finish(x, a) for a in level}
+        self.path_count = max(map(trees.unfolded_leaves, self.finishes.values()))
+        self.answers: Answers = ()
+        while self.answers in self.queries:
+            self.answers += (self.queries[self.answers] in oracle,)
+
+    def inlined(
+        self, approximator: ClassCertificate, m: int
+    ) -> tuple[Node, dict[Answers, Node]]:
+        """inline_construction's tree, and the approximator tree of each prefix."""
+        g = approximator.g_value(m)
+        f_trees: dict[Answers, Node] = {}
+        bound = {a: trees.stored_size(t) for a, t in self.finishes.items()}
+        for a, y in reversed(self.queries.items()):
+            f_trees[a] = approximator.f.evaluator(pair(y, "1" * m))
+            below = bound[a + (True,)] + bound[a + (False,)]
+            bound[a] = 2 * (trees.stored_size(f_trees[a]) + below) + 6
+        if bound[()] > DEFAULT_BRANCH_BOUND:
+            raise bound_error(
+                "inline_construction stored nodes and edges (upper bound)", bound[()]
+            )
+        built = dict(self.finishes)
+        for a, f_tree in f_trees.items():  # deepest prefixes first
+            t_yes, t_no = built[a + (True,)], built[a + (False,)]
+            yes_part = trees.substituted(f_tree, t_yes, trees.negated(t_yes))
+            no_correction = trees.substituted(f_tree, trees.negated(t_no), t_no)
+            built[a] = Branch((yes_part, Branch((t_no,), g), no_correction))
+        return built[()], f_trees
 
 
 def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
@@ -98,62 +136,19 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
     answers thus carry weight at least (1 - 2**-q) g and wrong ones at most
     2**-q g.
 
-    The finish and approximator trees are evaluated first.  A query node
-    stores at most two copies of its approximator tree, its continuations
-    and one negated copy of each, and six more nodes and edges, so their
-    stored sizes bound the result's.  Over DEFAULT_BRANCH_BOUND the
-    construction is refused before any node is built.
+    The machine is unrolled once.  A query node stores at most two copies of
+    its approximator tree, its continuations and one negated copy of each,
+    and six more nodes and edges; a first bottom-up pass bounds the stored
+    size from theirs and refuses over DEFAULT_BRANCH_BOUND before any node.
     """
-    machine = instance.machine
-    m = len(x)
-    g = instance.approximator.g_value(m)
-    k = machine.query_count
-
-    @functools.cache
-    def part(answers: Answers) -> Node:
-        """The finish tree after k answers, else the next query's approximator tree."""
-        if len(answers) == k:
-            return machine.finish(x, answers)
-        return _approximator_tree(instance, machine.next_query(x, answers), m)
-
-    def stored_bound(answers: Answers) -> int:
-        """Nodes and edges that build(answers) stores, at most."""
-        size = trees.stored_size(part(answers))
-        if len(answers) == k:
-            return size
-        below = stored_bound(answers + (True,)) + stored_bound(answers + (False,))
-        return 2 * (size + below) + 6
-
-    if (size := stored_bound(())) > DEFAULT_BRANCH_BOUND:
-        raise bound_error(
-            "inline_construction stored nodes and edges (upper bound)",
-            size,
-            DEFAULT_BRANCH_BOUND,
-        )
-
-    def build(answers: Answers) -> Node:
-        if len(answers) == k:
-            return part(answers)
-        t_yes = build(answers + (True,))
-        t_no = build(answers + (False,))
-        f_tree = part(answers)
-        yes_part = trees.substituted(f_tree, t_yes, trees.negated(t_yes))
-        no_block = Branch((t_no,), g)
-        no_correction = trees.substituted(f_tree, trees.negated(t_no), t_no)
-        return Branch((yes_part, no_block, no_correction))
-
-    tree = build(())
+    run = _Unrolling(instance.machine, x, instance.oracle)
+    tree, _ = run.inlined(instance.approximator, len(x))
     return GapMachine(lambda _x: tree)
 
 
 def path_count(instance: LownessInstance, x: str) -> int:
     """Largest leaf count of the machine's tree over all answer patterns."""
-    machine = instance.machine
-    worst = 0
-    for bits in range(1 << machine.query_count):
-        answers = tuple(bool((bits >> i) & 1) for i in range(machine.query_count))
-        worst = max(worst, trees.unfolded_leaves(machine.finish(x, answers)))
-    return worst
+    return _Unrolling(instance.machine, x, instance.oracle).path_count
 
 
 @dataclass(frozen=True)
@@ -207,41 +202,40 @@ def verify_sign_preservation(
     instances that break the path-count budget are still evaluated, which
     is how the adversarial suite exhibits its sign flips.
     """
-    machine = instance.machine
     rows = []
     for x in inputs:
         n = len(x)
         q = instance.q_value(n)
         g = instance.approximator.g_value(n)
-        k = machine.query_count
-        queries, answers = machine.answer_trace(x, lambda y: y in instance.oracle)
-        tgap = true_gap(instance, x)
-        igap = gap_of(inline_construction(instance, x), x)
+        k = instance.machine.query_count
+        run = _Unrolling(instance.machine, x, instance.oracle)
+        tree, f_trees = run.inlined(instance.approximator, n)
+        tgap = trees.gap(run.finishes[run.answers])
+        igap = trees.gap(tree)
         audits = []
         main_weight = 1
-        for y, answer in zip(queries, answers):
-            f_value = trees.gap(_approximator_tree(instance, y, n))
-            main_weight *= f_value if answer else g - f_value
+        for i, member in enumerate(run.answers):
+            f_value = trees.gap(f_trees[run.answers[:i]])
+            main_weight *= f_value if member else g - f_value
             audits.append(
                 QueryAudit(
-                    string=y,
-                    member=y in instance.oracle,
+                    string=run.queries[run.answers[:i]],
+                    member=member,
                     f_value=f_value,
                     tally=g,
-                    majority_correct=(2 * f_value >= g) == (y in instance.oracle),
+                    majority_correct=(2 * f_value >= g) == member,
                 )
             )
-        paths = path_count(instance, x)
         error_mass = abs(igap - main_weight * tgap)
-        budget = Fraction(((1 << k) - 1) * paths * g**k, 1 << q)
+        budget = Fraction(((1 << k) - 1) * run.path_count * g**k, 1 << q)
         rows.append(
             SignRow(
                 x=x,
                 true_gap=tgap,
                 inlined_gap=igap,
                 sign_ok=_sign(igap) == _sign(tgap),
-                path_count=paths,
-                paths_within_budget=paths * paths < (1 << q),
+                path_count=run.path_count,
+                paths_within_budget=run.path_count**2 < (1 << q),
                 queries=tuple(audits),
                 main_weight=main_weight,
                 error_mass=error_mass,
@@ -306,24 +300,23 @@ def machine_from_tables(
     Every prefix shorter than query_count must name a query and every full
     answer string must have a tree; anything partial is rejected rather
     than padded, keeping the per-path query count uniform by construction.
+    One unrolling looks every entry up and stops at the first one missing,
+    so a short table costs its own size, not 2**query_count.
     """
-    for bits in range(1 << query_count):
-        for depth in range(query_count):
-            prefix = format(bits, f"0{query_count}b")[:depth] if depth else ""
-            if prefix not in queries:
-                raise ModelError(f"no query named after answers {prefix!r}")
-        full = format(bits, f"0{query_count}b") if query_count else ""
-        if full not in finish_trees:
-            raise ModelError(f"no computation tree for answers {full!r}")
 
     def encode(answers: Answers) -> str:
         return "".join("1" if a else "0" for a in answers)
 
-    return OracleGapMachine(
+    machine = OracleGapMachine(
         query_count=query_count,
         next_query=lambda _x, answers: queries[encode(answers)],
         finish=lambda _x, answers: finish_trees[encode(answers)],
     )
+    try:
+        _Unrolling(machine, "", frozenset())
+    except KeyError as exc:
+        raise ModelError(f"no query or tree for answers {exc.args[0]!r}") from exc
+    return machine
 
 
 def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
@@ -331,18 +324,18 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
     doc = load_json_object(path)
     try:
         table = doc["machine"]
-        if not _is_int(table["query_count"]) or table["query_count"] < 0:
+        k = table["query_count"]
+        if not _is_int(k) or k < 0:
             raise ParseError(f"{path}: 'query_count' must be a non-negative integer")
         queries = _object(path, "queries", table["queries"])
-        if not all(_is_binary(y) for y in queries.values()):
+        if not all(is_binary(y) for y in queries.values()):
             raise ParseError(f"{path}: 'queries' values must be binary strings")
+        tree_docs = _object(path, "trees", table["trees"])
+        # The bit length comes first, so 2**k is built only when it is small.
+        if len(tree_docs).bit_length() != k + 1 or len(tree_docs) != 1 << k:
+            raise ParseError(f"{path}: {len(tree_docs)} trees, not 2**{k} (query_count)")
         machine = machine_from_tables(
-            table["query_count"],
-            queries,
-            {
-                key: tree_from_json(node)
-                for key, node in _object(path, "trees", table["trees"]).items()
-            },
+            k, queries, {key: tree_from_json(node) for key, node in tree_docs.items()}
         )
         cert = doc["certificate"]
         if cert["style"] != "near-extreme":
@@ -355,7 +348,7 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
             _exponents(path, "q", doc["q"], inputs),
         )
         return instance, inputs
-    except (KeyError, TypeError, RecursionError) as exc:
+    except (KeyError, TypeError, RecursionError, ModelError) as exc:
         raise ParseError(f"{path}: malformed instance bundle ({exc})") from exc
 
 
@@ -379,12 +372,8 @@ def _exponents(path: str, key: str, value, inputs: Sequence[str]) -> tuple[int, 
     return tuple(value)
 
 
-def _is_binary(value) -> bool:
-    return isinstance(value, str) and not value.strip("01")
-
-
 def _binary_strings(path: str, key: str, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(_is_binary(v) for v in value):
+    if not isinstance(value, list) or not all(is_binary(v) for v in value):
         raise ParseError(f"{path}: {key!r} must be a list of binary strings")
     return tuple(value)
 
@@ -394,13 +383,10 @@ def validate_instance(
 ) -> tuple[bool, str]:
     """Check the declared budget and the approximator promise on reachable queries."""
     for x in inputs:
-        if path_count(instance, x) ** 2 >= (1 << instance.q_value(len(x))):
+        run = _Unrolling(instance.machine, x, instance.oracle)
+        if run.path_count**2 >= (1 << instance.q_value(len(x))):
             return False, f"path count of {x!r} reaches 2**(q/2)"
-        queries, _ = instance.machine.answer_trace(
-            x, lambda y: y in instance.oracle
-        )
-        labeled = [(y, y in instance.oracle) for y in queries]
-        report = check_awpp(instance.approximator, labeled, len(x))
-        if not report.ok:
+        labeled = [(run.queries[run.answers[:i]], a) for i, a in enumerate(run.answers)]
+        if not check_awpp(instance.approximator, labeled, len(x)).ok:
             return False, f"approximator promise fails on queries of {x!r}"
     return True, "ok"

@@ -41,7 +41,10 @@ def tower(n: int) -> int:
     value = 2
     for _ in range(n):
         if value > _TOWER_EXPONENT_BUDGET:
-            raise ResourceError(f"tower({n}) exceeds the big-integer budget")
+            raise ResourceError(
+                f"tower({n}) needs an exponent of 2**{value.bit_length() - 1}, above "
+                f"{_TOWER_EXPONENT_BUDGET} (raise oracle._TOWER_EXPONENT_BUDGET)"
+            )
         value = 1 << value
     return value
 
@@ -174,11 +177,11 @@ class SensitivityParams:
         if self.p_value < 1:
             raise ModelError("running-time value must be positive")
 
-    @property
+    @cached_property
     def bound(self) -> int:
         return math.ceil(4 * self.p_value**2 / self.epsilon**2)
 
-    @property
+    @cached_property
     def magnitude_threshold(self) -> Fraction:
         return self.epsilon**2 / (4 * self.p_value**2)
 

@@ -14,10 +14,14 @@ from typing import Iterator
 from .errors import DecodeError
 
 
+def is_binary(value) -> bool:
+    """A str over {0, 1}; unlike int(x, 2), "_" and whitespace are refused."""
+    return isinstance(value, str) and not value.strip("01")
+
+
 def string_to_num(x: str) -> int:
     """Number of a binary string under the 1-prefix isomorphism (always >= 1)."""
-    # One C-level pass; it also refuses the "_" and whitespace int(..., 2) accepts.
-    if x.strip("01"):
+    if not is_binary(x):
         raise DecodeError(f"not a binary string: {x!r}")
     return int("1" + x, 2)
 

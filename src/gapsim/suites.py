@@ -290,6 +290,8 @@ def run_rerelativize(_corpus_dir: str | None = None) -> tuple[bool, dict]:
     inputs = ["", "0", "1", "00", "0110"]
     conditions = corpus.decider_conditions()
     systems = corpus.decider_corpus()  # built once, so each checks its promise once
+    # One params per machine: its running time p is the same at every length.
+    params = {name: SensitivityParams(Fraction(1, 7), s.p(0)) for name, s in systems}
     for cond_name, condition in conditions:
         for name, system in systems:
             full_universe = sum(1 << n for n in range(system.universe_length + 1))
@@ -298,8 +300,7 @@ def run_rerelativize(_corpus_dir: str | None = None) -> tuple[bool, dict]:
             assignment = condition.to_assignment(system.universe_length)
             truth = acceptance_prob_rel(system, assignment, "").as_fraction() >= Fraction(2, 3)
             for x in inputs:
-                params = SensitivityParams(Fraction(1, 7), system.p(len(x)))
-                result = rerelativized_decide(system, condition, x, params)
+                result = rerelativized_decide(system, condition, x, params[name])
                 frugal = len(result.query_log) <= result.probe_budget
                 agree = result.accept == truth
                 row_ok = agree and frugal and len(result.query_log) < full_universe

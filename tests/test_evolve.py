@@ -80,7 +80,10 @@ def test_path_sum_trivial_lengths():
 
 def test_path_sum_cap():
     system = rotation_system(BLOCK_REFLECT, 0, 1, 10)
-    with pytest.raises(ResourceError):
+    with pytest.raises(
+        ResourceError,
+        match=r"^101 paths exceed the cap 100 \(raise GAPSIM_MAX_PATHS\)$",
+    ):
         path_sum(system, 10, cap=100)
 
 

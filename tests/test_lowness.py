@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapsim.corpus import adversarial_lowness_search, amplified_family, lowness_corpus
 from gapsim.errors import ModelError
@@ -17,7 +21,7 @@ from gapsim.lowness import (
     validate_instance,
     verify_sign_preservation,
 )
-from gapsim.trees import ACCEPT, REJECT, Branch
+from gapsim.trees import ACCEPT, REJECT, Branch, gap, unfolded_leaves
 
 
 def single_query_machine(yes_gap=1, no_gap=-1):
@@ -175,3 +179,89 @@ def test_bundle_round_trip(tmp_path):
     assert inputs == ("00", "01")
     assert true_gap(instance, "00") == 1
     assert verify_sign_preservation(instance, inputs).ok
+
+
+def _counted(instance):
+    """The instance with every machine call and approximator evaluation counted."""
+    calls = {"next_query": 0, "finish": 0, "approximator": 0}
+
+    def counting(name, call):
+        def counted_call(*args):
+            calls[name] += 1
+            return call(*args)
+
+        return counted_call
+
+    machine, f = instance.machine, instance.approximator.f
+    return (
+        dataclasses.replace(
+            instance,
+            machine=OracleGapMachine(
+                machine.query_count,
+                counting("next_query", machine.next_query),
+                counting("finish", machine.finish),
+            ),
+            approximator=dataclasses.replace(
+                instance.approximator,
+                f=dataclasses.replace(f, evaluator=counting("approximator", f.evaluator)),
+            ),
+        ),
+        calls,
+    )
+
+
+def test_each_machine_call_is_made_once():
+    # two queries: 3 answer prefixes ask one, 4 full answer tuples finish
+    instance = {name: inst for name, inst, _ in lowness_corpus()}["two_query"]
+    counted, calls = _counted(instance)
+    assert verify_sign_preservation(counted, ["00"]) == verify_sign_preservation(
+        instance, ["00"]
+    )
+    assert calls == {"next_query": 3, "finish": 4, "approximator": 3}
+    counted, calls = _counted(instance)
+    assert validate_instance(counted, ["00"]) == (True, "ok")
+    assert calls["approximator"] == 2  # check_awpp on the two traced queries only
+
+
+STRINGS = ("", "0", "1", "00", "01")
+
+
+@st.composite
+def table_instances(draw):
+    """A complete random query table, k in 0..3, with a near-extreme approximator."""
+    k = draw(st.integers(0, 3))
+    queries = {
+        "".join(bits): draw(st.sampled_from(STRINGS))
+        for depth in range(k)
+        for bits in itertools.product("10", repeat=depth)
+    }
+    leaves = st.lists(st.sampled_from([ACCEPT, REJECT]), min_size=1, max_size=4)
+    finish = {
+        "".join(bits): Branch(tuple(draw(leaves)), draw(st.integers(1, 3)))
+        for bits in itertools.product("10", repeat=k)
+    }
+    oracle = draw(st.frozensets(st.sampled_from(STRINGS)))
+    g_pow2 = (draw(st.integers(1, 3)), 1)  # g = 2**(c + len(x))
+    machine = machine_from_tables(k, queries, finish)
+    return near_extreme_instance(machine, oracle, g_pow2, (0, 4)), queries, finish
+
+
+@given(table_instances())
+def test_inlining_matches_the_weighted_recursion(drawn):
+    instance, queries, finish = drawn
+    report = verify_sign_preservation(instance, STRINGS)
+    for x, row in zip(STRINGS, report.rows):
+        g = instance.approximator.g_value(len(x))
+
+        def weighted(prefix):
+            """f * G(yes) + (g - f) * G(no), from the tables alone."""
+            if prefix in finish:
+                return gap(finish[prefix])
+            f = g - 1 if queries[prefix] in instance.oracle else 1
+            return f * weighted(prefix + "1") + (g - f) * weighted(prefix + "0")
+
+        assert gap_of(inline_construction(instance, x), x) == weighted("")
+        assert row.inlined_gap == weighted("")
+        assert row.true_gap == true_gap(instance, x)
+        assert row.path_count == path_count(instance, x)
+        assert row.path_count == max(unfolded_leaves(t) for t in finish.values())

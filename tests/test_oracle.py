@@ -57,7 +57,11 @@ def test_tower_values():
 
 
 def test_tower_budget_and_domain():
-    with pytest.raises(ResourceError):
+    with pytest.raises(
+        ResourceError,
+        match=r"^tower\(5\) needs an exponent of 2\*\*65536, above 1048576 "
+        r"\(raise oracle\._TOWER_EXPONENT_BUDGET\)$",
+    ):
         tower(5)
     with pytest.raises(StructuralError):
         tower(-1)

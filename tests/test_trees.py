@@ -76,7 +76,7 @@ def _machine(branch_bound):
     return GapMachine(lambda _z: Branch((ACCEPT, REJECT, ACCEPT)), branch_bound)
 
 
-BOUND = r"exceeds branch_bound 1048576 \(raise branch_bound\)$"
+BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
 
 
 @pytest.mark.parametrize(
