@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundsError, ParseError, ResourceError, StructuralError
 from .model import MachineFamily, UnitarySystem
@@ -59,15 +60,15 @@ class ExactProbability:
 def trajectory(
     system: UnitarySystem,
     t: int,
-    columns_at: Callable[[int], Mapping[int, Sequence[tuple]]],
+    columns_at: Callable[[int], Sequence[Sequence[tuple]]],
     one=1,
 ) -> Iterator[list]:
     """Amplitude vectors at steps 0..t, starting from `one` at the start config.
 
-    The single step loop of the package.  columns_at(k) gives the column map
-    (config -> ((row, weight), ...)) applied at step k; weights and `one` are
-    scaled ints for the exact runs or floats for the rounding witness.  Each
-    yielded list is new and is never modified afterwards.
+    The single step loop of the package.  columns_at(k) gives step k's columns
+    by configuration, columns[c] = ((row, weight), ...); only nonzero entries
+    are visited, in ascending order.  Weights and `one` are scaled ints, or
+    floats for the rounding witness.  Each yielded list is new and never modified.
     """
     zero = one * 0
     current = [zero] * system.n_configs
@@ -76,10 +77,10 @@ def trajectory(
     for step in range(t):
         columns = columns_at(step)
         nxt = [zero] * system.n_configs
-        for c, amp in enumerate(current):
-            if amp:
-                for r, w in columns.get(c, ()):
-                    nxt[r] += w * amp
+        for c in compress(range(system.n_configs), current):
+            amp = current[c]
+            for r, w in columns[c]:
+                nxt[r] += w * amp
         current = nxt
         yield current
 
@@ -149,9 +150,7 @@ def float_check(system: UnitarySystem) -> float:
     Agrees with accept_probability within 1e-9 for t <= 20 and up to 4096
     configurations; used as a rounding-error witness, never as truth.
     """
-    columns = {
-        c: tuple((r, w / 5.0) for r, w in col) for c, col in system.columns.items()
-    }
+    columns = tuple(tuple((r, w / 5.0) for r, w in col) for col in system.columns)
     for current in trajectory(system, system.t_bound, lambda _step: columns, 1.0):
         pass
     return current[system.accept] ** 2

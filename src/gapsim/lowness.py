@@ -24,7 +24,7 @@ from .gapp import (
     check_awpp,
     tree_from_json,
 )
-from .model import _is_int, load_json_object
+from .model import load_json_object
 from .poly import eval_poly
 from .strings import is_binary, pair, unpair
 from .trees import Branch, Node
@@ -301,7 +301,8 @@ def machine_from_tables(
     answer string must have a tree; anything partial is rejected rather
     than padded, keeping the per-path query count uniform by construction.
     One unrolling looks every entry up and stops at the first one missing,
-    so a short table costs its own size, not 2**query_count.
+    so a short table costs its own size, not 2**query_count.  Keys that no
+    answer prefix reaches are refused too.
     """
 
     def encode(answers: Answers) -> str:
@@ -316,6 +317,8 @@ def machine_from_tables(
         _Unrolling(machine, "", frozenset())
     except KeyError as exc:
         raise ModelError(f"no query or tree for answers {exc.args[0]!r}") from exc
+    if len(queries) != (1 << query_count) - 1 or len(finish_trees) != 1 << query_count:
+        raise ModelError("tables hold keys that no answer prefix reaches")
     return machine
 
 
@@ -325,15 +328,12 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
     try:
         table = doc["machine"]
         k = table["query_count"]
-        if not _is_int(k) or k < 0:
+        if type(k) is not int or k < 0:
             raise ParseError(f"{path}: 'query_count' must be a non-negative integer")
         queries = _object(path, "queries", table["queries"])
         if not all(is_binary(y) for y in queries.values()):
             raise ParseError(f"{path}: 'queries' values must be binary strings")
         tree_docs = _object(path, "trees", table["trees"])
-        # The bit length comes first, so 2**k is built only when it is small.
-        if len(tree_docs).bit_length() != k + 1 or len(tree_docs) != 1 << k:
-            raise ParseError(f"{path}: {len(tree_docs)} trees, not 2**{k} (query_count)")
         machine = machine_from_tables(
             k, queries, {key: tree_from_json(node) for key, node in tree_docs.items()}
         )
@@ -360,7 +360,7 @@ def _object(path: str, key: str, value) -> dict:
 
 def _exponents(path: str, key: str, value, inputs: Sequence[str]) -> tuple[int, ...]:
     """Polynomial coefficients, refused if the value at any input passes the cap."""
-    if not isinstance(value, list) or not all(_is_int(v) and v >= 0 for v in value):
+    if not isinstance(value, list) or not all(type(v) is int and v >= 0 for v in value):
         raise ParseError(f"{path}: {key!r} must be a list of non-negative integers")
     for x in inputs:
         exponent = eval_poly(value, len(x))

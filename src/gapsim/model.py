@@ -89,15 +89,15 @@ class UnitarySystem:
     t_bound: int
 
     @cached_property
-    def columns(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Column index -> ((row, numerator), ...), rows ascending."""
-        cols: dict[int, list[tuple[int, int]]] = {}
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """columns[c] = ((row, numerator), ...) for each configuration c, rows ascending."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n_configs)]
         for r, c, w in self.entries:
-            cols.setdefault(c, []).append((r, w))
-        return {c: tuple(items) for c, items in cols.items()}
+            cols[c].append((r, w))
+        return tuple(map(tuple, cols))
 
     def column(self, c: int) -> tuple[tuple[int, int], ...]:
-        return self.columns.get(c, ())
+        return self.columns[c]
 
     def to_file_dict(self) -> dict:
         """Machine-file form of this system."""
@@ -118,39 +118,37 @@ def make_system(
     t: int,
     max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> UnitarySystem:
-    """Build and validate a system from already-typed fields."""
+    """Build and validate a system from already-typed fields, entries in any order."""
+    ordered = tuple(sorted((int(r), int(c), int(w)) for r, c, w in entries))
+    if len({(r, c) for r, c, _ in ordered}) != len(ordered):
+        raise StructuralError("duplicate matrix entries")
+    return _checked_system(n_configs, ordered, start, accept, t, max_configs)
+
+
+def _checked_system(
+    n_configs: int, ordered: tuple, start: int, accept: int, t: int, max_configs: int
+) -> UnitarySystem:
+    """Validate int fields and int entries sorted by (row, col) without duplicates."""
     if n_configs < 1:
         raise StructuralError("n_configs must be positive")
     if n_configs > max_configs:
-        raise ModelError(
-            f"{n_configs} configurations exceed the limit of {max_configs}"
-        )
+        raise ModelError(f"{n_configs} configurations exceed the limit of {max_configs}")
     if not 0 <= start < n_configs:
         raise StructuralError(f"start index {start} out of range")
     if not 0 <= accept < n_configs:
         raise StructuralError(f"accept index {accept} out of range")
     if t < 0:
         raise StructuralError("running time must be nonnegative")
-    ordered = tuple(sorted((int(r), int(c), int(w)) for r, c, w in entries))
     for r, c, w in ordered:
         if not (0 <= r < n_configs and 0 <= c < n_configs):
             raise StructuralError(f"entry ({r},{c}) out of range")
         if w not in ALLOWED_NUMERATORS or w == 0:
-            raise AmplitudeError(
-                f"numerator {w} at ({r},{c}) not in the allowed set"
-            )
-    if len({(r, c) for r, c, _ in ordered}) != len(ordered):
-        raise StructuralError("duplicate matrix entries")
+            raise AmplitudeError(f"numerator {w} at ({r},{c}) not in the allowed set")
     violation = _gram_first_violation(n_configs, ordered)
     if violation is not None:
         report = UnitaryReport(ok=False, n=n_configs, first_violation=violation)
         raise ModelError(f"not norm-preserving: {report.message}")
     return UnitarySystem(n_configs, ordered, start, accept, t)
-
-
-def _is_int(value) -> bool:
-    """JSON integer test; bool is an int subclass but not a file integer."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
@@ -169,34 +167,34 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
     if extra:
         raise ParseError(f"unknown fields: {sorted(extra)}")
     for field in ("n_configs", "start", "accept", "t"):
-        if not _is_int(description[field]):
+        if type(description[field]) is not int:
             raise ParseError(f"field {field!r} must be an integer")
     raw = description["entries"]
     if not isinstance(raw, list):
         raise ParseError("entries must be an array of [row, col, numerator]")
     entries: list[Entry] = []
     for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not all(_is_int(v) for v in item)
-        ):
+        try:
+            r, c, w = item
+        except (TypeError, ValueError):
+            raise ParseError(f"bad entry {item!r}") from None
+        if type(r) is not int or type(c) is not int or type(w) is not int:
             raise ParseError(f"bad entry {item!r}")
-        if item[2] == 0:
+        if w == 0:
             raise ParseError("explicit zero entries must be omitted")
-        entries.append((item[0], item[1], item[2]))
+        entries.append((r, c, w))
     keys = [(r, c) for r, c, _ in entries]
     if keys != sorted(keys):
         raise ParseError("entries must be sorted by (row, col)")
     if len(set(keys)) != len(keys):
         raise ParseError("duplicate entries")
-    return make_system(
+    return _checked_system(
         description["n_configs"],
-        entries,
+        tuple(entries),
         description["start"],
         description["accept"],
         description["t"],
-        max_configs=max_configs,
+        max_configs,
     )
 
 

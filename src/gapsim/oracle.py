@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CategoricalityError,
@@ -213,6 +213,9 @@ class OracleQuerySystem:
                     raise StructuralError(
                         f"config {config} queries but has no alternative column"
                     )
+                rows = [r for r, _ in self.alt_columns[config]]
+                if not all(0 <= i < self.system.n_configs for i in (config, *rows)):
+                    raise StructuralError(f"config {config} or its alternative out of range")
                 if len(y) > self.universe_length:
                     raise StructuralError(f"query {y!r} outside the universe")
         self._validate_stepwise_unitarity()
@@ -243,23 +246,22 @@ class OracleQuerySystem:
                 return prob, bits
         return None
 
-    def _columns_for(self, step: int, bit_of: Callable[[str], int]) -> Mapping:
-        """Column map at one step: the shared base map unless a queried bit is 1."""
-        patch = {
-            config: self.alt_columns[config]
-            for config, y in self.query_slots.get(step, {}).items()
-            if bit_of(y)
-        }
-        return {**self.system.columns, **patch} if patch else self.system.columns
+    def _columns_for(self, step: int, bit_of: Callable[[str], int]) -> Sequence:
+        """Step columns by configuration: the base tuple, or a patched list copy."""
+        columns = self.system.columns
+        for config, y in self.query_slots.get(step, {}).items():
+            if bit_of(y):
+                if columns is self.system.columns:
+                    columns = list(columns)
+                columns[config] = self.alt_columns[config]
+        return columns
 
     def _validate_stepwise_unitarity(self) -> None:
         n = self.system.n_configs
         for step, slots in self.query_slots.items():
             for bits in _bit_assignments(f"step {step}", sorted(set(slots.values()))):
                 columns = self._columns_for(step, lambda y: bits[y])
-                entries = [
-                    (r, c, w) for c, col in columns.items() for r, w in col
-                ]
+                entries = [(r, c, w) for c, col in enumerate(columns) for r, w in col]
                 violation = _gram_first_violation(n, entries)
                 if violation is not None:
                     raise ModelError(

@@ -210,6 +210,7 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, machine=_shipped_table(query_count=2)), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(query_count=10**7)), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={})), {}),
+        (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={"": "00", "junk": "1"})), {}),
         (lambda tmp: _lowness(tmp, g_pow2=[100000]), {}),
         (lambda tmp: _lowness(tmp, q=[100000]), {}),
         (lambda tmp: ["bbbv", "--epsilon", "1/5"], {}),
@@ -231,7 +232,7 @@ def _file(tmp_path, text):
         "negative_g_pow2", "bool_g_pow2", "negative_q", "string_inputs", "non_binary_input",
         "string_oracle", "negative_query_count", "deep_bundle_tree", "non_binary_query",
         "string_queries", "list_trees", "incomplete_tables", "huge_query_count",
-        "missing_query", "tally_above_cap", "q_above_cap",
+        "missing_query", "junk_query_key", "tally_above_cap", "q_above_cap",
         "epsilon_above_sixth", "epsilon_zero", "epsilon_empty", "non_binary_gap_input",
         *[f"corpus_ignored_by_{suite}" for suite in CORPUS_BLIND_SUITES],
         *[f"missing_corpus_dir_{suite}" for suite in CORPUS_SUITES],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,12 @@ from hypothesis import strategies as st
 
 from gapsim.corpus import (
     BLOCK_REFLECT,
+    double_phase_system,
+    four_way_phase_system,
     leaky_family,
+    or_of_two_system,
     rotation_system,
+    sequential_query_system,
     unitary_corpus,
     zero_error_family,
 )
@@ -18,8 +23,10 @@ from gapsim.evolve import (
     evolve,
     float_check,
     path_sum,
+    trajectory,
 )
-from gapsim.model import make_system
+from gapsim.model import ALLOWED_NUMERATORS, make_system
+from gapsim.oracle import _run
 
 ROTATION = rotation_system(BLOCK_REFLECT, 0, 1, 1)
 ROTATION_T2 = rotation_system(BLOCK_REFLECT, 0, 1, 2)
@@ -149,3 +156,99 @@ def test_classify_accepts_zero_error():
     report = classify_bqp(family, ["", "0", "1", "01", "11"], language)
     assert report.ok
     assert {row.category for row in report.rows} == {"accept", "reject"}
+
+
+# --- the step kernel against a dict-scatter loop that shares no code with it
+
+
+def _scatter_run(columns_at, start: int, t: int, one) -> list[dict[int, object]]:
+    """Sparse vectors at steps 0..t; columns_at(k) maps config -> [(row, weight)].
+
+    Configurations are visited in ascending order and zeros are dropped, so
+    each row adds its terms in ascending column order, as a dense pass does.
+    """
+    current = {start: one}
+    vectors = [current]
+    for step in range(t):
+        columns = columns_at(step)
+        nxt: dict[int, object] = {}
+        for c in sorted(current):
+            for r, w in columns.get(c, ()):
+                nxt[r] = nxt.get(r, one * 0) + w * current[c]
+        current = {r: a for r, a in nxt.items() if a}
+        vectors.append(current)
+    return vectors
+
+
+def _column_dict(entries, weight=lambda w: w) -> dict[int, list]:
+    columns: dict[int, list] = {}
+    for r, c, w in entries:
+        columns.setdefault(c, []).append((r, weight(w)))
+    return columns
+
+
+def _dense(vector: dict, n: int, zero) -> list:
+    return [vector.get(i, zero) for i in range(n)]
+
+
+# 2x2 blocks (a b; c d) over the allowed numerators with orthogonal columns of norm 25
+BLOCKS = [
+    (a, b, c, d)
+    for a, b, c, d in product(sorted(ALLOWED_NUMERATORS), repeat=4)
+    if a * a + c * c == 25 == b * b + d * d and a * b + c * d == 0
+]
+
+
+@st.composite
+def pb_systems(draw):
+    """V = P.B with B a direct sum of 2x2 blocks and P a permutation, n <= 256."""
+    n = 2 * draw(st.integers(min_value=1, max_value=128))
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=n // 2, max_size=n // 2))
+    perm = draw(st.permutations(range(n)))
+    entries = [
+        (perm[2 * k + i], 2 * k + j, w)
+        for k, block in enumerate(blocks)
+        for (i, j), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), block)
+        if w
+    ]
+    config = st.integers(min_value=0, max_value=n - 1)
+    t = draw(st.integers(min_value=0, max_value=40))
+    return make_system(n, entries, draw(config), draw(config), t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=pb_systems())
+def test_kernel_matches_dict_scatter_loop(system):
+    n, t = system.n_configs, system.t_bound
+    exact = _column_dict(system.entries)
+    want = _scatter_run(lambda _k: exact, system.start, t, 1)
+    got = list(trajectory(system, t, lambda _k: system.columns))
+    assert got == [_dense(v, n, 0) for v in want]
+    floats = _column_dict(system.entries, lambda w: w / 5.0)
+    final = _scatter_run(lambda _k: floats, system.start, t, 1.0)[-1]
+    assert float_check(system) == final.get(system.accept, 0.0) ** 2  # bit for bit
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [four_way_phase_system, sequential_query_system, or_of_two_system,
+     lambda: double_phase_system("0", "1")],
+    ids=["four_way_phase", "sequential_query", "or_of_two", "double_phase"],
+)
+def test_oracle_runs_match_dict_scatter_loop(machine):
+    system = machine()
+    base, n = system.system, system.system.n_configs
+    base_columns = _column_dict(base.entries)
+    names = sorted({y for slots in system.query_slots.values() for y in slots.values()})
+    for values in product((0, 1), repeat=len(names)):
+        bits = dict(zip(names, values))
+
+        def columns_at(step):
+            slots = system.query_slots.get(step, {})
+            patch = {c: list(system.alt_columns[c]) for c, y in slots.items() if bits[y]}
+            return {**base_columns, **patch}
+
+        want = _scatter_run(columns_at, base.start, base.t_bound, 1)
+        prob, vectors = _run(system, bits.__getitem__)
+        assert vectors == [_dense(v, n, 0) for v in want]
+        assert prob.numerator == want[-1].get(base.accept, 0) ** 2

@@ -159,6 +159,10 @@ def test_incomplete_tables_rejected():
         machine_from_tables(2, {"": "00"}, {"00": ACCEPT})
     with pytest.raises(ModelError):
         machine_from_tables(1, {"": "00"}, {"1": ACCEPT})
+    with pytest.raises(ModelError, match="no answer prefix reaches"):
+        machine_from_tables(1, {"": "00", "junk": "1"}, {"1": ACCEPT, "0": ACCEPT})
+    with pytest.raises(ModelError, match="no answer prefix reaches"):
+        machine_from_tables(1, {"": "00"}, {"1": ACCEPT, "0": ACCEPT, "11": ACCEPT})
 
 
 def test_bundle_round_trip(tmp_path):

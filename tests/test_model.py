@@ -93,6 +93,13 @@ def test_unitarity_failure_is_model_error():
         lambda d: d.update(extra=1),
         lambda d: d.pop("start"),
         lambda d: d.update(n_configs=True),
+        lambda d: d["entries"][0].__setitem__(2, True),
+        lambda d: d["entries"][0].__setitem__(2, 3.0),
+        lambda d: d["entries"][1].__setitem__(1, "1"),
+        lambda d: d["entries"].__setitem__(0, [0, 0]),
+        lambda d: d["entries"].__setitem__(0, {"row": 0, "col": 0, "numerator": 3}),
+        lambda d: d["entries"].__setitem__(0, "033"),
+        lambda d: d["entries"].__setitem__(0, 3),
     ],
 )
 def test_non_canonical_files_rejected(mangle):

@@ -259,11 +259,16 @@ def test_decider_every_long_placement():
 def test_runs_leave_the_shared_column_map_untouched():
     system = four_way_phase_system()
     inst = system.instance("")
-    before = dict(inst.system.columns)
+    before = inst.system.columns
     all_set = OracleAssignment(system.universe_length, inst.queried_strings())
     acceptance_prob_rel(system, all_set, "")
     query_magnitudes(system, all_set, "")
-    assert inst.system.columns == before
+    assert inst.system.columns is before
+    step, slots = next(iter(inst.query_slots.items()))
+    assert inst._columns_for(step, lambda _y: 0) is before
+    patched = inst._columns_for(step, lambda _y: 1)
+    assert patched is not before and tuple(patched) != before
+    assert all(patched[c] == inst.alt_columns[c] for c in slots)
 
 
 def test_exhaustive_bit_checks_refuse_thirteen_strings():
@@ -293,8 +298,17 @@ IDENTITY_T1 = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 1)
         ({0: {0: "0"}}, {}, StructuralError, "config 0 queries but has no alternative"),
         ({0: {0: "0000"}}, {0: ((0, -5),)}, StructuralError, "'0000' outside the universe"),
         ({0: {0: "0"}}, {0: ((1, 5),)}, ModelError, "step 0 .* is not norm-preserving"),
+        ({0: {-1: "0"}}, {-1: ((1, -5),)}, StructuralError, "config -1 or its alternative"),
+        ({0: {0: "0"}}, {0: ((2, 5),)}, StructuralError, "config 0 or its alternative"),
     ],
-    ids=["slot_step_is_t", "no_alternative_column", "query_past_universe", "alt_breaks_gram"],
+    ids=[
+        "slot_step_is_t",
+        "no_alternative_column",
+        "query_past_universe",
+        "alt_breaks_gram",
+        "slot_config_negative",
+        "alt_row_past_n",
+    ],
 )
 def test_oracle_machine_is_checked_when_built(slots, alts, error, match):
     OracleQuerySystem(IDENTITY_T1, {0: {0: "0"}}, {0: ((0, -5),)}, 3)  # a sound sign flip
