@@ -11,11 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import BoundsError, ParseError, ResourceError, StructuralError
-from .model import MachineFamily, UnitarySystem
+from .model import Blocks, MachineFamily, UnitarySystem
 
 DEFAULT_MAX_PATHS = 1 << 20
 _MAX_PATHS_ENV = "GAPSIM_MAX_PATHS"
@@ -60,27 +59,38 @@ class ExactProbability:
 def trajectory(
     system: UnitarySystem,
     t: int,
-    columns_at: Callable[[int], Sequence[Sequence[tuple]]],
+    blocks_at: Callable[[int], Blocks],
     one=1,
 ) -> Iterator[list]:
     """Amplitude vectors at steps 0..t, starting from `one` at the start config.
 
-    The single step loop of the package.  columns_at(k) gives step k's columns
-    by configuration, columns[c] = ((row, weight), ...); only nonzero entries
-    are visited, in ascending order.  Weights and `one` are scaled ints, or
-    floats for the rounding witness.  Each yielded list is new and never modified.
+    The single step loop of the package.  blocks_at(k) gives step k's
+    (pairs, singles) in the form of model.column_blocks: each pair maps its
+    two inputs x, y to a*x + b*y on r1 and c*x + d*y on r2, each single
+    maps x to w*x on its row, and a block whose inputs are all zero is
+    skipped.  Rows no block writes stay zero, so blocks whose inputs are
+    zero on every run may be left out.  Each row is the sum of at most two
+    products, so the order of the terms cannot change a float result.
+    Weights and `one` are scaled ints, or floats for the rounding witness.
+    Each yielded list is new and never modified.
     """
     zero = one * 0
     current = [zero] * system.n_configs
     current[system.start] = one
     yield current
     for step in range(t):
-        columns = columns_at(step)
+        pairs, singles = blocks_at(step)
         nxt = [zero] * system.n_configs
-        for c in compress(range(system.n_configs), current):
-            amp = current[c]
-            for r, w in columns[c]:
-                nxt[r] += w * amp
+        for c1, c2, r1, r2, a, b, c, d in pairs:
+            x = current[c1]
+            y = current[c2]
+            if x or y:
+                nxt[r1] = a * x + b * y
+                nxt[r2] = c * x + d * y
+        for c, r, w in singles:
+            x = current[c]
+            if x:
+                nxt[r] = w * x
         current = nxt
         yield current
 
@@ -89,7 +99,7 @@ def evolve(system: UnitarySystem, t: int) -> AmplitudeVector:
     """Apply the scaled transition matrix t times to the start vector."""
     if t < 0 or t > system.t_bound:
         raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
-    for current in trajectory(system, t, lambda _step: system.columns):
+    for current in trajectory(system, t, lambda _step: system.blocks):
         pass
     return AmplitudeVector(tuple(current), t)
 
@@ -150,8 +160,15 @@ def float_check(system: UnitarySystem) -> float:
     Agrees with accept_probability within 1e-9 for t <= 20 and up to 4096
     configurations; used as a rounding-error witness, never as truth.
     """
-    columns = tuple(tuple((r, w / 5.0) for r, w in col) for col in system.columns)
-    for current in trajectory(system, system.t_bound, lambda _step: columns, 1.0):
+    pairs, singles = system.blocks
+    scaled = (
+        tuple(
+            (c1, c2, r1, r2, a / 5.0, b / 5.0, c / 5.0, d / 5.0)
+            for c1, c2, r1, r2, a, b, c, d in pairs
+        ),
+        tuple((c, r, w / 5.0) for c, r, w in singles),
+    )
+    for current in trajectory(system, system.t_bound, lambda _step: scaled, 1.0):
         pass
     return current[system.accept] ** 2
 

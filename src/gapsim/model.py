@@ -4,12 +4,25 @@ A system stores the integer matrix V (five times the amplitude matrix), a
 start and a single accept configuration, and a running-time bound.  Every
 accepted system satisfies the exact integer identity V^T V = 25 I, which is
 the scaled statement that the amplitude matrix preserves the L2 norm.
+
+Block theorem: with every numerator in {+-3, +-4, +-5}, V^T V = 25 I holds
+exactly when V's columns split into singles, one +-5 alone in its column
+and its row, and pairs, two columns holding one 3 and one 4 each on the
+same two rows, with orthogonal columns and nothing else on those rows.
+Proof: V is square, so V^T V = 25 I gives V V^T = 25 I as well, and every
+column and every row has squared norm 25.  Squares lie in {9, 16, 25}, so
+each line holds one +-5 or one +-3 and one +-4.  A row through a 3/4
+column c holds exactly one other entry, in some column c2; the inner
+product of c and c2 has a nonzero term on that row, so it needs a second
+term, and c2 meets c's other row too.  Conversely, blocks on disjoint rows
+give orthogonal columns.  Validation is this decomposition; the blocks are
+kept on the system, and evolve steps by them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -20,6 +33,9 @@ ALLOWED_NUMERATORS = frozenset({-5, -4, -3, 0, 3, 4, 5})
 DEFAULT_MAX_CONFIGS = 4096
 
 Entry = tuple[int, int, int]  # (row, col, numerator), numerator nonzero
+Pair = tuple[int, int, int, int, int, int, int, int]  # (c1, c2, r1, r2, a, b, c, d)
+Single = tuple[int, int, int]  # (col, row, numerator)
+Blocks = tuple[tuple[Pair, ...], tuple[Single, ...]]
 
 
 @dataclass(frozen=True)
@@ -60,6 +76,52 @@ def _gram_first_violation(
     return min(bad) if bad else None
 
 
+def column_blocks(n: int, entries: Iterable[Entry]) -> Blocks | None:
+    """V's columns as (pairs, singles), or None when V^T V != 25 I.
+
+    Entries come in any order, without duplicates, inside 0..n-1, with
+    numerators in {+-3, +-4, +-5}.  A pair (c1, c2, r1, r2, a, b, c, d) is
+    the block with V[r1][c1] = a, V[r1][c2] = b, V[r2][c1] = c and
+    V[r2][c2] = d, c1 < c2; a single (c, r, w) is V[r][c] = w = +-5.  Every
+    entry lies in exactly one block, and blocks share no row.
+    """
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for r, c, w in entries:
+        cols[c].append((r, w))
+        rows[r].append(c)
+    pairs: list[Pair] = []
+    singles: list[Single] = []
+    paired = [False] * n
+    for c1, col in enumerate(cols):
+        if len(col) == 1:
+            ((r, w),) = col
+            if w * w != 25 or len(rows[r]) != 1:
+                return None
+            singles.append((c1, r, w))
+        elif len(col) == 2:
+            if paired[c1]:
+                continue
+            (r1, a), (r2, c) = col
+            row1, row2 = rows[r1], rows[r2]
+            if a * a + c * c != 25 or len(row1) != 2 or len(row2) != 2:
+                return None
+            c2 = row1[0] if row1[1] == c1 else row1[1]
+            col2 = cols[c2]
+            if c2 not in row2 or len(col2) != 2:
+                return None
+            (s1, b), (_, d) = col2
+            if s1 != r1:
+                b, d = d, b
+            if a * b + c * d != 0 or b * b + d * d != 25:
+                return None
+            paired[c2] = True
+            pairs.append((c1, c2, r1, r2, a, b, c, d))
+        else:
+            return None
+    return tuple(pairs), tuple(singles)
+
+
 def validate_unitary(matrix: Sequence[Sequence[int]]) -> UnitaryReport:
     """Check V^T V = 25 I exactly for a dense integer matrix.
 
@@ -87,6 +149,7 @@ class UnitarySystem:
     start: int
     accept: int
     t_bound: int
+    blocks: Blocks = field(compare=False, repr=False)  # column_blocks(n_configs, entries)
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -144,11 +207,12 @@ def _checked_system(
             raise StructuralError(f"entry ({r},{c}) out of range")
         if w not in ALLOWED_NUMERATORS or w == 0:
             raise AmplitudeError(f"numerator {w} at ({r},{c}) not in the allowed set")
-    violation = _gram_first_violation(n_configs, ordered)
-    if violation is not None:
+    blocks = column_blocks(n_configs, ordered)
+    if blocks is None:
+        violation = _gram_first_violation(n_configs, ordered)
         report = UnitaryReport(ok=False, n=n_configs, first_violation=violation)
         raise ModelError(f"not norm-preserving: {report.message}")
-    return UnitarySystem(n_configs, ordered, start, accept, t)
+    return UnitarySystem(n_configs, ordered, start, accept, t, blocks)
 
 
 def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:

@@ -9,12 +9,13 @@ with exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import (
+    AmplitudeError,
     CategoricalityError,
     DomainError,
     ModelError,
@@ -23,7 +24,13 @@ from .errors import (
     StructuralError,
 )
 from .evolve import BQP_ACCEPT, BQP_REJECT, ExactProbability, trajectory
-from .model import UnitarySystem, _gram_first_violation
+from .model import (
+    ALLOWED_NUMERATORS,
+    Blocks,
+    UnitarySystem,
+    _gram_first_violation,
+    column_blocks,
+)
 from .strings import strings_of_length
 
 _TOWER_EXPONENT_BUDGET = 1 << 20
@@ -196,6 +203,7 @@ class OracleQuerySystem:
     query lies within the strings of length at most universe_length.  All
     checks run once, here: slot steps, alternative columns, query lengths,
     and norm preservation of each query step under every bit assignment.
+    The same pass caches each step's blocks for the runs (see _blocks_at).
     The bounded-error promise is checked lazily, at most once per object.
     """
 
@@ -203,6 +211,7 @@ class OracleQuerySystem:
     query_slots: Mapping[int, Mapping[int, str]]
     alt_columns: Mapping[int, tuple[tuple[int, int], ...]]
     universe_length: int
+    _step_blocks: list = field(init=False, repr=False)  # set by __post_init__
 
     def __post_init__(self) -> None:
         for step, slots in self.query_slots.items():
@@ -216,9 +225,14 @@ class OracleQuerySystem:
                 rows = [r for r, _ in self.alt_columns[config]]
                 if not all(0 <= i < self.system.n_configs for i in (config, *rows)):
                     raise StructuralError(f"config {config} or its alternative out of range")
+                for r, w in self.alt_columns[config]:
+                    if w not in ALLOWED_NUMERATORS or w == 0:
+                        raise AmplitudeError(
+                            f"numerator {w} at ({r},{config}) not in the allowed set"
+                        )
                 if len(y) > self.universe_length:
                     raise StructuralError(f"query {y!r} outside the universe")
-        self._validate_stepwise_unitarity()
+        object.__setattr__(self, "_step_blocks", self._checked_step_blocks())
 
     def p(self, n: int) -> int:
         """Running time on inputs of length n: t_bound for every n."""
@@ -246,28 +260,74 @@ class OracleQuerySystem:
                 return prob, bits
         return None
 
-    def _columns_for(self, step: int, bit_of: Callable[[str], int]) -> Sequence:
-        """Step columns by configuration: the base tuple, or a patched list copy."""
-        columns = self.system.columns
-        for config, y in self.query_slots.get(step, {}).items():
-            if bit_of(y):
-                if columns is self.system.columns:
-                    columns = list(columns)
-                columns[config] = self.alt_columns[config]
-        return columns
+    def _blocks_at(self, step: int, bit_of: Callable[[str], int]) -> Blocks:
+        """Step blocks under the given bits, read from the cache.
 
-    def _validate_stepwise_unitarity(self) -> None:
-        n = self.system.n_configs
-        for step, slots in self.query_slots.items():
-            for bits in _bit_assignments(f"step {step}", sorted(set(slots.values()))):
-                columns = self._columns_for(step, lambda y: bits[y])
-                entries = [(r, c, w) for c, col in enumerate(columns) for r, w in col]
-                violation = _gram_first_violation(n, entries)
-                if violation is not None:
+        A query step reads the bit of every slot, in slot order, so an
+        assignment that does not cover a queried string raises here.
+        """
+        shared, reads, patterns = self._step_blocks[step]
+        if not reads:
+            return shared
+        mask = 0
+        for y, bit in reads:
+            if bit_of(y):
+                mask |= bit
+        pairs, singles = patterns[mask]
+        return shared[0] + pairs, shared[1] + singles
+
+    def _checked_step_blocks(self) -> list[tuple[Blocks, tuple, list[Blocks]]]:
+        """Per step: (shared blocks, slot reads, blocks per bit pattern).
+
+        Each query step is decomposed under every bit pattern of its
+        strings, which is its norm check.  Only blocks with a column in the
+        forward cone (the configurations some assignment can reach by that
+        step) are kept.  At a query step the blocks on no slot configuration
+        are the base system's under every pattern, so they are shared, and
+        each pattern keeps only its blocks on slot configurations.
+        """
+        base = self.system
+        n, columns = base.n_configs, base.columns
+        cone = {base.start}
+        cache = []
+        for step in range(base.t_bound):
+            slots = self.query_slots.get(step, {})
+            names = sorted(set(slots.values()))
+            patterns = []
+            for bits in _bit_assignments(f"step {step}", names) if slots else ():
+                patched = list(columns)
+                for config, y in slots.items():
+                    if bits[y]:
+                        patched[config] = self.alt_columns[config]
+                entries = [(r, c, w) for c, col in enumerate(patched) for r, w in col]
+                blocks = column_blocks(n, entries)
+                if blocks is None:
+                    violation = _gram_first_violation(n, entries)
                     raise ModelError(
                         f"step {step} with bits {bits} is not norm-preserving "
                         f"at {violation[:2]}"
                     )
+                on_slots = _in_cone(blocks, cone, lambda cs: not slots.keys().isdisjoint(cs))
+                patterns.append(on_slots)
+            shared = _in_cone(base.blocks, cone, slots.keys().isdisjoint)
+            reads = tuple((y, 1 << names.index(y)) for y in slots.values())
+            cache.append((shared, reads, patterns))
+            cone = {
+                r
+                for c in cone
+                for col in (columns[c], self.alt_columns[c] if c in slots else ())
+                for r, _ in col
+            }
+        return cache
+
+
+def _in_cone(blocks: Blocks, cone: Collection[int], keep: Callable[[tuple], bool]) -> Blocks:
+    """The blocks with a column in the cone whose columns pass keep."""
+    pairs, singles = blocks
+    return (
+        tuple(b for b in pairs if (b[0] in cone or b[1] in cone) and keep(b[:2])),
+        tuple(b for b in singles if b[0] in cone and keep(b[:1])),
+    )
 
 
 def _run(
@@ -280,9 +340,7 @@ def _run(
     assignment that does not cover a queried string raises OracleError.
     """
     base = system.system
-    vectors = list(
-        trajectory(base, base.t_bound, lambda k: system._columns_for(k, bit_of))
-    )
+    vectors = list(trajectory(base, base.t_bound, lambda k: system._blocks_at(k, bit_of)))
     amp = vectors[-1][base.accept]
     return ExactProbability(amp * amp, 2 * base.t_bound), vectors
 

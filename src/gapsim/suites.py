@@ -106,7 +106,7 @@ def run_gaplem(corpus_dir: str | None = None) -> tuple[bool, dict]:
         norms_ok = all(
             sum(a * a for a in amps) == 25**t
             for t, amps in enumerate(
-                trajectory(system, system.t_bound, lambda _step: system.columns)
+                trajectory(system, system.t_bound, lambda _step: system.blocks)
             )
         )
         approx = float_check(system)

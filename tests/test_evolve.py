@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from gapsim.corpus import (
     BLOCK_REFLECT,
+    BLOCK_ROTATE,
+    Draft,
+    decider_corpus,
     double_phase_system,
+    flip_stability_corpus,
     four_way_phase_system,
     leaky_family,
     or_of_two_system,
@@ -222,21 +226,42 @@ def test_kernel_matches_dict_scatter_loop(system):
     n, t = system.n_configs, system.t_bound
     exact = _column_dict(system.entries)
     want = _scatter_run(lambda _k: exact, system.start, t, 1)
-    got = list(trajectory(system, t, lambda _k: system.columns))
+    got = list(trajectory(system, t, lambda _k: system.blocks))
     assert got == [_dense(v, n, 0) for v in want]
     floats = _column_dict(system.entries, lambda w: w / 5.0)
     final = _scatter_run(lambda _k: floats, system.start, t, 1.0)[-1]
     assert float_check(system) == final.get(system.accept, 0.0) ** 2  # bit for bit
 
 
-@pytest.mark.parametrize(
-    "machine",
-    [four_way_phase_system, sequential_query_system, or_of_two_system,
-     lambda: double_phase_system("0", "1")],
-    ids=["four_way_phase", "sequential_query", "or_of_two", "double_phase"],
+def _second_column_phase_system():
+    """Start on the higher column of one 2x2 block, phase-query the higher one of the next."""
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    c1, c2 = d.cfg("c1"), d.cfg("c2")
+    acc, w = d.cfg("acc"), d.cfg("w")
+    d.block(s, sp, c1, c2)
+    d.block(c1, c2, acc, w, BLOCK_ROTATE)
+    d.cond_phase(c2, "01", 1)
+    return d.query_system(sp, acc, 2, 3)
+
+
+ORACLE_MACHINES = (
+    [
+        ("four_way_phase", four_way_phase_system()),
+        ("sequential_query", sequential_query_system()),
+        ("or_of_two", or_of_two_system()),
+        ("double_phase", double_phase_system("0", "1")),
+        ("second_column_phase", _second_column_phase_system()),
+    ]
+    + [(f"flip_{name}", system) for name, system, _ones in flip_stability_corpus()]
+    + [(f"decider_{name}", system) for name, system in decider_corpus()]
 )
-def test_oracle_runs_match_dict_scatter_loop(machine):
-    system = machine()
+
+
+@pytest.mark.parametrize(
+    "system", [m for _, m in ORACLE_MACHINES], ids=[name for name, _ in ORACLE_MACHINES]
+)
+def test_oracle_runs_match_dict_scatter_loop(system):
     base, n = system.system, system.system.n_configs
     base_columns = _column_dict(base.entries)
     names = sorted({y for slots in system.query_slots.values() for y in slots.values()})

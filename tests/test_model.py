@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsim.corpus import unitary_corpus
@@ -7,7 +9,9 @@ from gapsim.errors import AmplitudeError, ModelError, ParseError, StructuralErro
 from gapsim.model import (
     ALLOWED_NUMERATORS,
     MachineFamily,
+    _gram_first_violation,
     build_system,
+    column_blocks,
     make_system,
     validate_unitary,
 )
@@ -159,6 +163,85 @@ def test_single_entry_perturbations_rejected(index, entry, replacement):
             make_system(
                 system.n_configs, entries, system.start, system.accept, system.t_bound
             )
+
+
+# 2x2 blocks (a b; c d) over the allowed numerators with orthogonal columns of norm 25
+BLOCKS = [
+    (a, b, c, d)
+    for a, b, c, d in product(sorted(ALLOWED_NUMERATORS), repeat=4)
+    if a * a + c * c == 25 == b * b + d * d and a * b + c * d == 0
+]
+NUMERATORS = sorted(ALLOWED_NUMERATORS)
+
+
+@st.composite
+def near_block_matrices(draw):
+    """(n, entries in shuffled order) for n <= 6, then 0-3 overwrites.
+
+    Half start from a valid block matrix, half from columns of squared norm
+    25 drawn one by one, whose rows may collide or stay empty.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    matrix = [[0] * n for _ in range(n)]
+    index = st.integers(min_value=0, max_value=n - 1)
+    if draw(st.booleans()):
+        rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        k = 0
+        while k < n:
+            if k + 1 < n and draw(st.booleans()):
+                a, b, c, d = draw(st.sampled_from(BLOCKS))
+                (r1, r2), (c1, c2) = rows[k : k + 2], cols[k : k + 2]
+                matrix[r1][c1], matrix[r1][c2], matrix[r2][c1], matrix[r2][c2] = a, b, c, d
+                k += 2
+            else:
+                matrix[rows[k]][cols[k]] = draw(st.sampled_from((5, -5)))
+                k += 1
+    else:
+        for c in range(n):
+            r1, r2 = draw(index), draw(index)
+            top, bottom = draw(st.sampled_from(BLOCKS))[::2]  # one column of a block
+            if r1 == r2 or not (top and bottom):
+                matrix[r1][c] = draw(st.sampled_from((5, -5)))
+            else:
+                matrix[r1][c], matrix[r2][c] = top, bottom
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        matrix[draw(index)][draw(index)] = draw(st.sampled_from(NUMERATORS))
+    entries = [(r, c, w) for r, row in enumerate(matrix) for c, w in enumerate(row) if w]
+    return n, draw(st.permutations(entries))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=near_block_matrices())
+# a 3-cycle of 3/4 columns: column 2 meets column 1's first row but not its second
+@example(case=(3, [(0, 1, -4), (0, 2, -3), (1, 0, -4), (1, 1, 3), (2, 0, -3), (2, 2, -4)]))
+# two pairs share row 3 and row 0 stays empty
+@example(
+    case=(
+        4,
+        [(1, 0, -4), (1, 2, -3), (2, 1, 4), (2, 3, 3), (3, 0, -3), (3, 1, -3), (3, 2, 4), (3, 3, 4)],
+    )
+)
+def test_column_blocks_exactly_when_gram_is_scaled_identity(case):
+    n, entries = case
+    violation = _gram_first_violation(n, entries)
+    blocks = column_blocks(n, entries)
+    assert (blocks is None) == (violation is not None)
+    if blocks is not None:
+        pairs, singles = blocks
+        held = [(r, c, w) for c, r, w in singles]
+        for c1, c2, r1, r2, a, b, c, d in pairs:
+            assert c1 < c2
+            held += [(r1, c1, a), (r1, c2, b), (r2, c1, c), (r2, c2, d)]
+        assert sorted(held) == sorted(entries)  # every entry exactly once
+        assert make_system(n, entries, 0, 0, 1).blocks == column_blocks(n, sorted(entries))
+    else:
+        i, j, got, want = violation
+        with pytest.raises(ModelError) as info:
+            make_system(n, entries, 0, 0, 1)
+        assert str(info.value) == (
+            f"not norm-preserving: inner product of columns ({i},{j}) is {got}, "
+            f"expected {want}"
+        )
 
 
 def test_family_checks_time_bound():

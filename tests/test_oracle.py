@@ -17,6 +17,7 @@ from gapsim.corpus import (
     phase_split_system,
 )
 from gapsim.errors import (
+    AmplitudeError,
     CategoricalityError,
     DomainError,
     ModelError,
@@ -256,19 +257,58 @@ def test_decider_every_long_placement():
             assert result.accept == (truth >= Fraction(2, 3)), (name, cond_name)
 
 
+def _column_in(blocks, config):
+    """Sorted (row, numerator) entries of one configuration's column in (pairs, singles)."""
+    pairs, singles = blocks
+    column = [(r, w) for c, r, w in singles if c == config]
+    for c1, c2, r1, r2, a, b, c, d in pairs:
+        if config in (c1, c2):
+            column += [(r1, a), (r2, c)] if config == c1 else [(r1, b), (r2, d)]
+    return sorted((r, w) for r, w in column if w)
+
+
 def test_runs_leave_the_shared_column_map_untouched():
     system = four_way_phase_system()
     inst = system.instance("")
-    before = inst.system.columns
+    before = inst.system.blocks
     all_set = OracleAssignment(system.universe_length, inst.queried_strings())
     acceptance_prob_rel(system, all_set, "")
     query_magnitudes(system, all_set, "")
-    assert inst.system.columns is before
+    assert inst.system.blocks is before
     step, slots = next(iter(inst.query_slots.items()))
-    assert inst._columns_for(step, lambda _y: 0) is before
-    patched = inst._columns_for(step, lambda _y: 1)
-    assert patched is not before and tuple(patched) != before
-    assert all(patched[c] == inst.alt_columns[c] for c in slots)
+    unset, patched = (inst._blocks_at(step, lambda _y: bit) for bit in (0, 1))
+    for c in slots:
+        assert _column_in(unset, c) == sorted(inst.system.column(c))
+        assert _column_in(patched, c) == sorted(inst.alt_columns[c])
+
+
+def test_step_block_cache_reads_every_bit_and_splits_on_slots():
+    system = deep_chain_system(11, "110")
+    oracle = OracleAssignment(3, frozenset({"110"}))
+    first = acceptance_prob_rel(system, oracle, "")
+    with pytest.raises(OracleError):  # a second run still reads the uncovered bit
+        acceptance_prob_rel(system, OracleAssignment(2, frozenset()), "")
+    assert acceptance_prob_rel(system, oracle, "") == first
+    reachable = {system.system.start}
+    for step, (shared, _reads, patterns) in enumerate(system._step_blocks):
+        slots = system.query_slots.get(step, {})
+        assert len(patterns) == (2 if slots else 0)  # one query string
+        for pairs, singles in patterns:
+            assert pairs or singles
+            assert all(c1 in slots or c2 in slots for c1, c2, *_ in pairs)
+            assert all(c in slots for c, _r, _w in singles)
+        assert not any(c1 in slots or c2 in slots for c1, c2, *_ in shared[0])
+        assert not any(c in slots for c, _r, _w in shared[1])
+        for pairs, singles in (shared, *patterns):  # only the forward cone is cached
+            assert all(c1 in reachable or c2 in reachable for c1, c2, *_ in pairs)
+            assert all(c in reachable for c, _r, _w in singles)
+        alts = {c: system.alt_columns[c] for c in slots}
+        reachable = {
+            r
+            for c in reachable
+            for col in (system.system.column(c), alts.get(c, ()))
+            for r, _ in col
+        }
 
 
 def test_exhaustive_bit_checks_refuse_thirteen_strings():
@@ -289,17 +329,47 @@ def test_exhaustive_bit_checks_refuse_thirteen_strings():
 
 
 IDENTITY_T1 = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 1)
+IDENTITY4_T1 = make_system(4, [(i, i, 5) for i in range(4)], 0, 0, 1)
+# Left multiplication by the quaternion 1 + 2i + 2j + 4k (norm 25): its columns
+# are orthogonal with squared norm 25, but 1, 2 and -2 are no fifth-integer numerators.
+QUATERNION = {
+    c: tuple(enumerate(col))
+    for c, col in enumerate(((1, 2, 2, 4), (-2, 1, 4, -2), (-2, -4, 1, 2), (-4, 2, -2, 1)))
+}
 
 
 @pytest.mark.parametrize(
-    "slots,alts,error,match",
+    "base,slots,alts,error,match",
     [
-        ({1: {0: "0"}}, {0: ((0, -5),)}, StructuralError, "step 1 out of range"),
-        ({0: {0: "0"}}, {}, StructuralError, "config 0 queries but has no alternative"),
-        ({0: {0: "0000"}}, {0: ((0, -5),)}, StructuralError, "'0000' outside the universe"),
-        ({0: {0: "0"}}, {0: ((1, 5),)}, ModelError, "step 0 .* is not norm-preserving"),
-        ({0: {-1: "0"}}, {-1: ((1, -5),)}, StructuralError, "config -1 or its alternative"),
-        ({0: {0: "0"}}, {0: ((2, 5),)}, StructuralError, "config 0 or its alternative"),
+        (IDENTITY_T1, {1: {0: "0"}}, {0: ((0, -5),)}, StructuralError, "step 1 out of range"),
+        (
+            IDENTITY_T1, {0: {0: "0"}}, {}, StructuralError,
+            "config 0 queries but has no alternative",
+        ),
+        (
+            IDENTITY_T1, {0: {0: "0000"}}, {0: ((0, -5),)}, StructuralError,
+            "'0000' outside the universe",
+        ),
+        (
+            IDENTITY_T1, {0: {0: "0"}}, {0: ((1, 5),)}, ModelError,
+            "step 0 .* is not norm-preserving",
+        ),
+        (
+            IDENTITY_T1, {0: {-1: "0"}}, {-1: ((1, -5),)}, StructuralError,
+            "config -1 or its alternative",
+        ),
+        (
+            IDENTITY_T1, {0: {0: "0"}}, {0: ((2, 5),)}, StructuralError,
+            "config 0 or its alternative",
+        ),
+        (
+            IDENTITY_T1, {0: {0: "0"}}, {0: ((0, 5), (1, 0))}, AmplitudeError,
+            r"numerator 0 at \(1,0\) not in the allowed set",
+        ),
+        (
+            IDENTITY4_T1, {0: {c: "1" for c in range(4)}}, QUATERNION, AmplitudeError,
+            r"numerator 1 at \(0,0\) not in the allowed set",
+        ),
     ],
     ids=[
         "slot_step_is_t",
@@ -308,12 +378,14 @@ IDENTITY_T1 = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 1)
         "alt_breaks_gram",
         "slot_config_negative",
         "alt_row_past_n",
+        "alt_explicit_zero",
+        "alt_quaternion_numerators",
     ],
 )
-def test_oracle_machine_is_checked_when_built(slots, alts, error, match):
+def test_oracle_machine_is_checked_when_built(base, slots, alts, error, match):
     OracleQuerySystem(IDENTITY_T1, {0: {0: "0"}}, {0: ((0, -5),)}, 3)  # a sound sign flip
     with pytest.raises(error, match=match):
-        OracleQuerySystem(IDENTITY_T1, slots, alts, 3)
+        OracleQuerySystem(base, slots, alts, 3)
 
 
 def _count_runs(monkeypatch):
