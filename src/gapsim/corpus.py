@@ -279,14 +279,13 @@ def leaky_family() -> tuple[MachineFamily, Callable[[str], bool]]:
 
 
 def _signed_tree(value: int, noise: int = 0) -> Node:
-    """Tree with the given gap: |value| same-label leaves plus noise pairs."""
-    children: list[Node] = [ACCEPT] * value if value > 0 else [REJECT] * -value
-    children.extend([ACCEPT, REJECT] * noise)
-    if not children:
-        children = [ACCEPT, REJECT]
-    if len(children) == 1:
-        return children[0]
-    return Branch(tuple(children))
+    """Tree with the given gap: a same-label leaf of weight |value|, then noise pairs."""
+    if value == 0:
+        return Branch((ACCEPT, REJECT) * max(noise, 1))
+    leaf = ACCEPT if value > 0 else REJECT
+    if abs(value) == 1 and not noise:
+        return leaf
+    return Branch((leaf,) + (ACCEPT, REJECT) * noise, (abs(value),) + (1, 1) * noise)
 
 
 def _machine(fn: Callable[[str], int]) -> GapMachine:

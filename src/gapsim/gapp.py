@@ -10,6 +10,7 @@ independent oracle in the tests.
 from __future__ import annotations
 
 import functools
+import gc
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from .evolve import accept_probability
 from .model import MachineFamily, UnitarySystem, load_json_object, load_system
 from .poly import eval_poly
-from .strings import index_string, pair, strings_up_to, unpair
+from .strings import index_string, pair, pair_of_nums, string_to_num, unpair
 from .trees import ACCEPT, REJECT, Branch, Node
 
 DEFAULT_BRANCH_BOUND = 1 << 20
@@ -73,8 +74,9 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
             raise StructuralError("negative branching length")
         if (1 << (bound + 1)) - 1 > machine.branch_bound:
             raise bound_error("exp_sum branches", f"2**{bound + 1} - 1", machine)
+        a = string_to_num(x)  # y runs over the strings numbered 1 .. 2**(bound+1) - 1
         return Branch(
-            tuple(machine.evaluator(pair(x, y)) for y in strings_up_to(bound))
+            tuple(machine.evaluator(pair_of_nums(a, b)) for b in range(1, 1 << (bound + 1)))
         )
 
     return GapMachine(evaluator, machine.branch_bound)
@@ -112,45 +114,69 @@ _ZERO = Branch((ACCEPT, REJECT))
 def system_tree(system: UnitarySystem) -> Node:
     """Tree whose gap is the squared accept amplitude of the system.
 
-    A forward pass from the start configuration: after s steps, each
-    configuration reached so far holds a pair of subtrees whose gaps are
-    plus and minus the signed sum, over the length-s paths from start, of
-    the products of edge weights.  A reached configuration pushes its pair
-    along its column as |w| repeated children, swapped when w < 0.  Only
+    A forward pass from the start configuration over system.blocks: after s
+    steps, each configuration reached so far holds a pair of subtrees whose
+    gaps are plus and minus the signed sum, over the length-s paths from
+    start, of the products of edge weights.  Each row of a block reached
+    gets one branch per sign, with one child of weight |w| per reached
+    source (at most two), the source's pair swapped when w < 0.  Only
     configurations reachable from start are built, and the root keeps only
     those that also reach accept.  The square is the signed product of two
-    copies of the accept entry's path sum; an unreached accept gives gap 0.
+    copies of the accept entry's path sum; an unreached accept gives gap 0
+    and builds nothing.
 
-    Before any node is built, the forward pass runs on the column structure
-    alone to count the nodes and edges it will store: two nodes per reached
-    configuration and 2|w| edges per column entry.  Over
-    DEFAULT_BRANCH_BOUND the system is refused.
+    Before any node is built, the forward pass runs on the blocks alone to
+    bound the nodes and edges the square will store: two branches per
+    reached row with one edge per reached source, the copy of at most all
+    of them that the square adds, and five for the leaves or the gap-0
+    tree.  Over DEFAULT_BRANCH_BOUND the system is refused.
     """
-    frontier, stored = {system.start}, 0
-    for _ in range(system.t_bound):
-        entries = [entry for c in frontier for entry in system.column(c)]
-        frontier = {r for r, _ in entries}
-        stored += 2 * (sum(abs(w) for _, w in entries) + len(frontier))
-        if stored > DEFAULT_BRANCH_BOUND:
-            raise bound_error("system_tree stored nodes and edges", stored)
+    pairs, singles = system.blocks
+    # Each block as its rows, each row with its (source column, weight)s; a
+    # block's first row reads all of its columns.
+    blocks = [
+        ((r1, ((c1, a), (c2, b))), (r2, ((c1, c), (c2, d))))
+        for c1, c2, r1, r2, a, b, c, d in pairs
+    ]
+    blocks += [((r, ((c, w),)),) for c, r, w in singles]
+    block_of = {c: k for k, block in enumerate(blocks) for c, _ in block[0][1]}
 
-    layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
+    frontier, stored = {system.start}, 5
     for _ in range(system.t_bound):
-        pushed: dict[int, tuple[list[Node], list[Node]]] = {}
-        for c, (pos, neg) in layer.items():
-            for r, w in system.column(c):
-                same, flipped = pushed.setdefault(r, ([], []))
-                a, b = (pos, neg) if w > 0 else (neg, pos)
-                same.extend([a] * abs(w))
-                flipped.extend([b] * abs(w))
-        layer = {
-            r: (Branch(tuple(same)), Branch(tuple(flipped)))
-            for r, (same, flipped) in pushed.items()
-        }
-    if system.accept not in layer:
+        if stored > DEFAULT_BRANCH_BOUND:
+            break
+        # each reached column has an entry on every row of its block
+        entries = sum(len(blocks[block_of[c]]) for c in frontier)
+        frontier = {r for k in {block_of[c] for c in frontier} for r, _ in blocks[k]}
+        stored += 4 * (len(frontier) + entries)
+    if stored > DEFAULT_BRANCH_BOUND:
+        raise bound_error("system_tree stored nodes and edges (upper bound)", stored)
+    if system.accept not in frontier:
         return _ZERO
-    pos, neg = layer[system.accept]
-    return trees.substituted(pos, pos, neg)
+
+    paused = gc.isenabled()
+    gc.disable()  # see the trees docstring: the build makes no cycle to collect
+    try:
+        layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
+        for _ in range(system.t_bound):
+            pushed: dict[int, tuple[Node, Node]] = {}
+            for k in {block_of[c] for c in layer}:
+                for r, sources in blocks[k]:
+                    same, flipped, ws = [], [], []
+                    for c, w in sources:
+                        if c in layer:
+                            pos, neg = layer[c]
+                            same.append(pos if w > 0 else neg)
+                            flipped.append(neg if w > 0 else pos)
+                            ws.append(abs(w))
+                    weights = tuple(ws)
+                    pushed[r] = (Branch(tuple(same), weights), Branch(tuple(flipped), weights))
+            layer = pushed
+        pos, neg = layer[system.accept]
+        return trees.substituted(pos, pos, neg)
+    finally:
+        if paused:
+            gc.enable()
 
 
 def system_to_gap_machine(system: UnitarySystem) -> GapMachine:
@@ -384,7 +410,8 @@ def _decoded(node) -> Node:
 def tree_to_json(node: Node):
     if isinstance(node, trees.Leaf):
         return "accept" if node.accepting else "reject"
-    return [tree_to_json(child) for child in node.children] * node.count
+    weights = node.weights or (1,) * len(node.children)
+    return [doc for child, w in zip(node.children, weights) for doc in [tree_to_json(child)] * w]
 
 
 def load_gap_machine(path: str) -> GapMachine:

@@ -122,7 +122,7 @@ class _Unrolling:
             t_yes, t_no = built[a + (True,)], built[a + (False,)]
             yes_part = trees.substituted(f_tree, t_yes, trees.negated(t_yes))
             no_correction = trees.substituted(f_tree, trees.negated(t_no), t_no)
-            built[a] = Branch((yes_part, Branch((t_no,), g), no_correction))
+            built[a] = Branch((yes_part, Branch((t_no,), (g,)), no_correction))
         return built[()], f_trees
 
 
@@ -271,7 +271,7 @@ def near_extreme_certificate(
             value = 1
         if value < 1:
             raise ModelError(f"table value {value} must be positive")
-        return Branch((trees.ACCEPT,), value)
+        return Branch((trees.ACCEPT,), (value,))
 
     return ClassCertificate(
         kind="awpp", f=GapMachine(evaluator), g=g, q_coeffs=tuple(q_coeffs)

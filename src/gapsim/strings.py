@@ -40,8 +40,11 @@ def index_string(k: int) -> str:
 
 def pair(x: str, y: str) -> str:
     """Injective pair code of two binary strings, itself a binary string."""
-    a = string_to_num(x)
-    b = string_to_num(y)
+    return pair_of_nums(string_to_num(x), string_to_num(y))
+
+
+def pair_of_nums(a: int, b: int) -> str:
+    """pair of the strings numbered a and b: their Cantor pairing, as a string."""
     return num_to_string((a + b) * (a + b + 1) // 2 + b)
 
 

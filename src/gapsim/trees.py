@@ -1,13 +1,16 @@
 """Finite computation trees with accept/reject leaves.
 
 Trees are immutable and may share subtrees: the in-memory object is a DAG
-whose unfolding is the computation tree, and a branch repeats its children
-`count` times, so g equal subtrees are one edge.  Every node stores the
-(accepting, rejecting) leaf counts of its unfolding when it is built, from
-its children's counts and its `count`, so gaps are read, never recomputed.
-The folds below are memoized on node identity and cost one visit per
-distinct node and stored edge.  Size caps live in the builders (gapp,
-lowness), which refuse a tree over its bound before allocating it.
+whose unfolding is the computation tree, and a branch may weight its
+children, child i standing for `weights[i]` copies of itself, so g equal
+subtrees are one edge.  Every node stores the (accepting, rejecting) leaf
+counts of its unfolding when it is built, the weighted sum of its
+children's counts, so gaps are read, never recomputed.  The folds below
+are memoized on node identity and cost one visit per distinct node and
+stored edge.  Size caps live in the builders (gapp, lowness), which refuse
+a tree over its bound before allocating it.  Nodes built bottom-up hold no
+cycle, so gapp.system_tree pauses the garbage collector while it builds; the
+pause is process-global, and other threads run without the collector then.
 """
 
 from __future__ import annotations
@@ -28,20 +31,27 @@ class Leaf:
 @dataclass(frozen=True, eq=False, slots=True)
 class Branch:
     children: tuple
-    count: int = 1  # the children, in order, repeated this many times
+    # Child i repeated weights[i] >= 1 times in the unfolding; None: each once.
+    weights: tuple[int, ...] | None = None
     counts: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         acc = rej = 0
-        for child in self.children:
-            a, r = child.counts
-            acc += a
-            rej += r
-        object.__setattr__(self, "counts", (self.count * acc, self.count * rej))
+        if self.weights is None:
+            for child in self.children:
+                a, r = child.counts
+                acc += a
+                rej += r
+        else:
+            for child, w in zip(self.children, self.weights, strict=True):
+                a, r = child.counts
+                acc += w * a
+                rej += w * r
+        object.__setattr__(self, "counts", (acc, rej))
 
     def __repr__(self) -> str:
         # Constant size: the default repr unfolds the shared DAG as a tree.
-        return f"Branch(<{len(self.children)} children>, count={self.count})"
+        return f"Branch(<{len(self.children)} children>, weights={self.weights})"
 
 
 Node = Leaf | Branch
@@ -72,11 +82,6 @@ def fold(
                 continue
             memo[id(node)] = combine(node, [memo[id(c)] for c in node.children])
     return memo[id(root)]
-
-
-def leaf_counts(root: Node) -> tuple[int, int]:
-    """(accepting, rejecting) leaf counts of the unfolded tree, exact."""
-    return root.counts
 
 
 def gap(root: Node, node_budget: int | None = None) -> int:
@@ -116,25 +121,20 @@ def stored_size(root: Node) -> int:
     )
 
 
-def unfolded_size(root: Node) -> int:
-    """Node count of the unfolded tree, with multiplicity."""
-    return fold(root, lambda _: 1, lambda node, kids: 1 + node.count * sum(kids))
-
-
 def unfolded_leaves(root: Node) -> int:
     """Leaf count of the unfolded tree, with multiplicity."""
     return sum(root.counts)
 
 
 def rebuilt(root: Node, leaf_image: Callable[[Leaf], Node]) -> Node:
-    """Copy of the DAG with every leaf replaced; sharing and counts are preserved.
+    """Copy of the DAG with every leaf replaced; sharing and weights are preserved.
 
     Subtrees whose leaves all map to themselves are reused unchanged.
     """
 
     def combine(node: Branch, kids: list) -> Node:
         kids = tuple(kids)  # nodes compare by identity, so == is an `is` per child
-        return node if kids == node.children else Branch(kids, node.count)
+        return node if kids == node.children else Branch(kids, node.weights)
 
     return fold(root, leaf_image, combine)
 

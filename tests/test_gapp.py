@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsim import gapp, trees
 from gapsim.corpus import (
     BLOCK_REFLECT,
     amplified_family,
@@ -14,7 +16,7 @@ from gapsim.corpus import (
     unitary_corpus,
     zero_error_family,
 )
-from gapsim.errors import ParseError, PromiseViolation, StructuralError
+from gapsim.errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from gapsim.evolve import accept_probability, path_sum
 from gapsim.gapp import (
     ClassCertificate,
@@ -37,7 +39,7 @@ from gapsim.gapp import (
 )
 from gapsim.model import make_system
 from gapsim.strings import index_string, pair, strings_up_to, unpair
-from gapsim.trees import ACCEPT, REJECT, Branch, distinct_size, gap
+from gapsim.trees import ACCEPT, REJECT, Branch, distinct_size, gap, stored_size
 
 
 def constant_machine(value):
@@ -208,6 +210,44 @@ def test_system_tree_gap_is_the_squared_amplitude(system):
 def test_system_tree_stays_inside_the_corridor(system):
     size = distinct_size(system_tree(system))  # a failing assert must not repr the DAG
     assert size <= 4 * corridor_pairs(system) + 3
+
+
+@settings(deadline=None, max_examples=60)
+@given(system=pb_systems)
+def test_system_tree_cap_bounds_the_tree_it_builds(system):
+    size = stored_size(system_tree(system))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", size - 1)
+        with pytest.raises(ResourceError, match="^system_tree stored nodes and edges"):
+            system_tree(system)
+
+
+def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
+    refused = rotation_system(BLOCK_REFLECT, 0, 1, 50000)
+    small = rotation_system(BLOCK_REFLECT, 0, 1, 3)
+
+    def out_of_memory(*_args):
+        raise MemoryError
+
+    assert gc.isenabled()
+    with pytest.raises(ResourceError):
+        system_tree(refused)
+    assert gc.isenabled()
+    system_tree(small)
+    assert gc.isenabled()
+    with monkeypatch.context() as patch:  # a failure while the collector is paused
+        patch.setattr(trees, "substituted", out_of_memory)
+        with pytest.raises(MemoryError):
+            system_tree(small)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        system_tree(small)
+        with pytest.raises(ResourceError):
+            system_tree(refused)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_system_tree_of_an_unreached_accept_is_tiny():

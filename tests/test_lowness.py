@@ -239,9 +239,11 @@ def table_instances(draw):
         for depth in range(k)
         for bits in itertools.product("10", repeat=depth)
     }
-    leaves = st.lists(st.sampled_from([ACCEPT, REJECT]), min_size=1, max_size=4)
+    weighted_leaves = st.lists(
+        st.tuples(st.sampled_from([ACCEPT, REJECT]), st.integers(1, 3)), min_size=1, max_size=4
+    )
     finish = {
-        "".join(bits): Branch(tuple(draw(leaves)), draw(st.integers(1, 3)))
+        "".join(bits): Branch(*zip(*draw(weighted_leaves)))  # (children, weights)
         for bits in itertools.product("10", repeat=k)
     }
     oracle = draw(st.frozensets(st.sampled_from(STRINGS)))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapsim.corpus import BLOCK_REFLECT, rotation_system
+from gapsim.corpus import BLOCK_REFLECT, _signed_tree, rotation_system
 from gapsim.errors import ResourceError
 from gapsim.gapp import (
     ClassCertificate,
@@ -11,6 +11,7 @@ from gapsim.gapp import (
     poly_product,
     system_tree,
     tree_from_json,
+    tree_to_json,
 )
 from gapsim.lowness import LownessInstance, inline_construction, machine_from_tables
 from gapsim.trees import (
@@ -20,30 +21,35 @@ from gapsim.trees import (
     Leaf,
     distinct_size,
     gap,
-    leaf_counts,
     negated,
     substituted,
     unfolded_leaves,
-    unfolded_size,
 )
+
+
+def weighted_branches(kids):
+    """Branches over 1-4 drawn children, unweighted or with weights 1-3 each."""
+    return st.lists(kids, min_size=1, max_size=4).flatmap(
+        lambda cs: st.builds(
+            lambda ws: Branch(tuple(cs), ws),
+            st.none() | st.tuples(*[st.integers(1, 3)] * len(cs)),
+        )
+    )
 
 
 def tree_strategy(depth=4):
     leaf = st.sampled_from([ACCEPT, REJECT])
-    return st.recursive(
-        leaf,
-        lambda kids: st.builds(
-            lambda cs, k: Branch(tuple(cs), k),
-            st.lists(kids, min_size=1, max_size=4),
-            st.integers(1, 3),
-        ),
-        max_leaves=25,
-    )
+    return st.recursive(leaf, weighted_branches, max_leaves=25)
+
+
+def json_nodes(doc):
+    """Node count of a tree document, that is of the unfolded tree."""
+    return 1 + sum(map(json_nodes, doc)) if isinstance(doc, list) else 1
 
 
 def test_gap_by_definition():
     tree = Branch((ACCEPT, ACCEPT, ACCEPT, REJECT))
-    assert leaf_counts(tree) == (3, 1)
+    assert tree.counts == (3, 1)
     assert gap(tree) == 2
 
 
@@ -60,7 +66,7 @@ def test_shared_subtrees_count_with_multiplicity():
     tree = Branch((inner, inner, inner))
     assert gap(tree) == 6
     assert unfolded_leaves(tree) == 6
-    assert unfolded_size(tree) == 1 + 3 * 3
+    assert json_nodes(tree_to_json(tree)) == 1 + 3 * 3
     assert distinct_size(tree) == 3  # root, inner, shared leaf
 
 
@@ -82,9 +88,9 @@ BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
 @pytest.mark.parametrize(
     "make,message",
     [
-        (  # 18 nodes and edges at the first step, 32 at each later one
-            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 40000)),
-            "^system_tree stored nodes and edges 1048594 " + BOUND,
+        (  # 5 for the leaves, 16 at the first step, 24 at each later one
+            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 50000)),
+            r"^system_tree stored nodes and edges \(upper bound\) 1048581 " + BOUND,
         ),
         (
             lambda: lambda: poly_product(_machine(4), (4,)).evaluator(""),
@@ -119,14 +125,14 @@ def test_builders_refuse_before_allocating(make, message, monkeypatch):
 
 
 def recursive_counts(node):
-    """(accept, reject) leaves of the unfolding, recounted from children and count alone."""
+    """(accept, reject) leaves of the unfolding, recounted from children and weights alone."""
     if isinstance(node, Leaf):
         return (1, 0) if node.accepting else (0, 1)
     acc = rej = 0
-    for child in node.children:
+    for child, w in zip(node.children, node.weights or [1] * len(node.children)):
         a, r = recursive_counts(child)
-        acc, rej = acc + a, rej + r
-    return node.count * acc, node.count * rej
+        acc, rej = acc + w * a, rej + w * r
+    return acc, rej
 
 
 @given(tree_strategy(), tree_strategy())
@@ -136,18 +142,43 @@ def test_stored_counts_match_a_recursive_count(tree, other):
     assert gap(tree, 10) == gap(tree)  # the positional budget perfbench passes
 
 
-@given(st.lists(tree_strategy(), min_size=1, max_size=3), st.integers(1, 4))
-def test_counted_branch_matches_repeated_children(children, k):
-    counted, repeated = Branch(tuple(children), k), Branch(tuple(children) * k)
-    assert gap(counted) == gap(repeated)
-    assert leaf_counts(counted) == leaf_counts(repeated)
-    assert unfolded_size(counted) == unfolded_size(repeated)
-    assert leaf_counts(negated(counted)) == leaf_counts(negated(repeated))
-    assert negated(counted).count == k
-    inner = Branch((ACCEPT, REJECT, ACCEPT))
-    assert leaf_counts(substituted(counted, inner, REJECT)) == leaf_counts(
-        substituted(repeated, inner, REJECT)
+@given(weighted_branches(tree_strategy()), tree_strategy())
+def test_weighted_branch_matches_its_expansion(weighted, other):
+    weights = weighted.weights or (1,) * len(weighted.children)
+    expanded = Branch(
+        tuple(child for child, w in zip(weighted.children, weights) for _ in range(w))
     )
+    for image in (
+        lambda t: t,
+        negated,
+        lambda t: substituted(t, other, negated(other)),
+        lambda t: substituted(t, ACCEPT, Branch((ACCEPT, REJECT, ACCEPT))),
+    ):
+        assert image(weighted).counts == image(expanded).counts
+        assert gap(image(weighted)) == gap(image(expanded))
+        assert tree_to_json(image(weighted)) == tree_to_json(image(expanded))
+    assert negated(weighted).weights == weighted.weights
+    assert substituted(weighted, other, REJECT).weights == weighted.weights
+    assert tree_from_json(tree_to_json(weighted)).counts == weighted.counts
+
+
+def _listed_signed_tree(value, noise=0):
+    """The gap-machine corpus tree as one child per leaf, the form of the tree files."""
+    children = [ACCEPT] * value if value > 0 else [REJECT] * -value
+    children.extend([ACCEPT, REJECT] * noise)
+    if not children:
+        children = [ACCEPT, REJECT]
+    if len(children) == 1:
+        return children[0]
+    return Branch(tuple(children))
+
+
+def test_signed_tree_writes_the_listed_form():
+    for value in range(-30, 31):
+        for noise in range(3):
+            tree = _signed_tree(value, noise)
+            assert tree_to_json(tree) == tree_to_json(_listed_signed_tree(value, noise))
+            assert tree.counts == _listed_signed_tree(value, noise).counts
 
 
 def test_deep_chain_no_recursion_limit():
@@ -161,8 +192,8 @@ def test_deep_chain_no_recursion_limit():
 @given(tree_strategy())
 def test_negation_flips_gap(tree):
     assert gap(negated(tree)) == -gap(tree)
-    acc, rej = leaf_counts(tree)
-    assert leaf_counts(negated(tree)) == (rej, acc)
+    acc, rej = tree.counts
+    assert negated(tree).counts == (rej, acc)
 
 
 @given(tree_strategy(), tree_strategy())
@@ -178,12 +209,12 @@ def test_substitution_identity(tree):
 
 
 def test_partial_substitution_keeps_untouched_subtrees():
-    accepting = Branch((ACCEPT, ACCEPT), 3)
+    accepting = Branch((ACCEPT, ACCEPT), (3, 3))
     mixed = Branch((ACCEPT, REJECT))
-    root = Branch((accepting, mixed, accepting), 2)
+    root = Branch((accepting, mixed, accepting), (2, 2, 2))
     pair_of_accepts = Branch((ACCEPT, ACCEPT))
     copy = substituted(root, ACCEPT, pair_of_accepts)  # only reject leaves change
-    assert copy is not root and copy.count == 2
+    assert copy is not root and copy.weights == (2, 2, 2)
     assert copy.children[0] is accepting and copy.children[2] is accepting
     assert copy.children[1] is not mixed
     assert copy.children[1].children == (ACCEPT, pair_of_accepts)
