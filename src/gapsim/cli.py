@@ -72,10 +72,13 @@ def _write_report(args, command: str, input_paths: list, results, pass_fail: dic
         "results": _canonical(results),
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError(f"{args.json_out}: cannot write ({exc.strerror})") from exc
+    sys.stdout.write(text)
 
 
 def _parse_epsilon(text: str) -> Fraction:

@@ -10,6 +10,7 @@ closes to V^T V = 25 I; the validators re-check this anyway.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -278,8 +279,13 @@ def leaky_family() -> tuple[MachineFamily, Callable[[str], bool]]:
 # --- gap machine corpus ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _signed_tree(value: int, noise: int = 0) -> Node:
-    """Tree with the given gap: a same-label leaf of weight |value|, then noise pairs."""
+    """Tree with the given gap: a same-label leaf of weight |value|, then noise pairs.
+
+    Trees are immutable, so equal calls share one tree, kept in a bounded
+    cache: the corpus machines ask for the same few gaps on every input.
+    """
     if value == 0:
         return Branch((ACCEPT, REJECT) * max(noise, 1))
     leaf = ACCEPT if value > 0 else REJECT
@@ -289,7 +295,7 @@ def _signed_tree(value: int, noise: int = 0) -> Node:
 
 
 def _machine(fn: Callable[[str], int]) -> GapMachine:
-    return GapMachine(lambda x: _signed_tree(fn(x), noise=len(x) % 3))
+    return GapMachine(lambda x: _signed_tree(fn(x), len(x) % 3))
 
 
 def gap_machine_corpus() -> list[tuple[str, GapMachine]]:

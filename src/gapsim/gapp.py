@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,63 +115,76 @@ _ZERO = Branch((ACCEPT, REJECT))
 def system_tree(system: UnitarySystem) -> Node:
     """Tree whose gap is the squared accept amplitude of the system.
 
-    A forward pass from the start configuration over system.blocks: after s
-    steps, each configuration reached so far holds a pair of subtrees whose
-    gaps are plus and minus the signed sum, over the length-s paths from
-    start, of the products of edge weights.  Each row of a block reached
-    gets one branch per sign, with one child of weight |w| per reached
-    source (at most two), the source's pair swapped when w < 0.  Only
-    configurations reachable from start are built, and the root keeps only
-    those that also reach accept.  The square is the signed product of two
-    copies of the accept entry's path sum; an unreached accept gives gap 0
-    and builds nothing.
+    Only the two-sided cone is built: a row gets nodes at step s only if it
+    is reachable from start in s steps and reaches accept in exactly t - s
+    more.  Such a row holds a pair of subtrees whose gaps are plus and minus
+    the signed sum, over the length-s paths from start, of the products of
+    edge weights: one branch per sign, with one child of weight |w| per
+    source reached at step s - 1 (at most two, each in the cone because it
+    reaches accept through the row), the source's pair swapped when w < 0.
+    Rows off the cone were never under the root, so the DAG is the one a
+    forward pass over every reached row would leave there.  The square is
+    the signed product of two copies of the accept entry's path sum; an
+    unreached accept gives gap 0 and builds nothing.
 
-    Before any node is built, the forward pass runs on the blocks alone to
-    bound the nodes and edges the square will store: two branches per
-    reached row with one edge per reached source, the copy of at most all
-    of them that the square adds, and five for the leaves or the gap-0
-    tree.  Over DEFAULT_BRANCH_BOUND the system is refused.
+    Before any node is built, the forward frontiers from start are taken
+    from the blocks alone and kept while their total stays within
+    DEFAULT_BRANCH_BOUND.  Past it a reached accept is refused, bounded by
+    5 + 12 times that total (a row reads at most two sources); an unreached
+    one still gives the gap-0 tree.  A walk back from accept inside the
+    frontiers gives the cone and the pre-count of the nodes and edges the
+    square will store: two branches per cone row with one edge per source
+    it reads, the copy of at most all of them that the square adds, and
+    five for the leaves or the gap-0 tree.  It is at most about twice the
+    stored size.  Over DEFAULT_BRANCH_BOUND the system is refused.
     """
+    # Each row's (source column, weight)s and each column's rows, from the blocks.
     pairs, singles = system.blocks
-    # Each block as its rows, each row with its (source column, weight)s; a
-    # block's first row reads all of its columns.
-    blocks = [
-        ((r1, ((c1, a), (c2, b))), (r2, ((c1, c), (c2, d))))
-        for c1, c2, r1, r2, a, b, c, d in pairs
-    ]
-    blocks += [((r, ((c, w),)),) for c, r, w in singles]
-    block_of = {c: k for k, block in enumerate(blocks) for c, _ in block[0][1]}
+    sources_of, rows_of = {}, {}
+    for c1, c2, r1, r2, a, b, c, d in pairs:
+        sources_of[r1], sources_of[r2] = ((c1, a), (c2, b)), ((c1, c), (c2, d))
+        rows_of[c1] = rows_of[c2] = (r1, r2)
+    for c, r, w in singles:
+        sources_of[r], rows_of[c] = ((c, w),), (r,)
 
-    frontier, stored = {system.start}, 5
+    frontiers, frontier, total = [], {system.start}, 0
     for _ in range(system.t_bound):
+        total += len(frontier)
+        if total <= DEFAULT_BRANCH_BOUND:  # past it only the count goes on
+            frontiers.append(frontier)
+        frontier = {r for c in frontier for r in rows_of[c]}
+    reached = system.accept in frontier
+    what = "system_tree stored nodes and edges (upper bound)"
+    if reached and total > DEFAULT_BRANCH_BOUND:
+        raise bound_error(what, 5 + 12 * (total + len(frontier)))
+    cone, cones, costs = {system.accept}, [], []
+    for before in reversed(frontiers) if reached else ():
+        cones.append(cone)
+        read = [c for r in cone for c, _ in sources_of[r] if c in before]
+        costs.append(4 * (len(cone) + len(read)))
+        cone = set(read)
+    for stored in itertools.accumulate(reversed(costs), initial=5):
         if stored > DEFAULT_BRANCH_BOUND:
-            break
-        # each reached column has an entry on every row of its block
-        entries = sum(len(blocks[block_of[c]]) for c in frontier)
-        frontier = {r for k in {block_of[c] for c in frontier} for r, _ in blocks[k]}
-        stored += 4 * (len(frontier) + entries)
-    if stored > DEFAULT_BRANCH_BOUND:
-        raise bound_error("system_tree stored nodes and edges (upper bound)", stored)
-    if system.accept not in frontier:
+            raise bound_error(what, stored)
+    if not reached:
         return _ZERO
 
     paused = gc.isenabled()
     gc.disable()  # see the trees docstring: the build makes no cycle to collect
     try:
         layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
-        for _ in range(system.t_bound):
+        for cone in reversed(cones):
             pushed: dict[int, tuple[Node, Node]] = {}
-            for k in {block_of[c] for c in layer}:
-                for r, sources in blocks[k]:
-                    same, flipped, ws = [], [], []
-                    for c, w in sources:
-                        if c in layer:
-                            pos, neg = layer[c]
-                            same.append(pos if w > 0 else neg)
-                            flipped.append(neg if w > 0 else pos)
-                            ws.append(abs(w))
-                    weights = tuple(ws)
-                    pushed[r] = (Branch(tuple(same), weights), Branch(tuple(flipped), weights))
+            for r in cone:
+                same, flipped, ws = [], [], []
+                for c, w in sources_of[r]:
+                    if c in layer:
+                        pos, neg = layer[c]
+                        same.append(pos if w > 0 else neg)
+                        flipped.append(neg if w > 0 else pos)
+                        ws.append(abs(w))
+                weights = tuple(ws)
+                pushed[r] = (Branch(tuple(same), weights), Branch(tuple(flipped), weights))
             layer = pushed
         pos, neg = layer[system.accept]
         return trees.substituted(pos, pos, neg)

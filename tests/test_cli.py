@@ -91,6 +91,14 @@ def test_json_out_writes_the_same_report(rotation_file, tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_unwritable_json_out_exits_2(tmp_path, capsys):
+    machine = str(CORPUS / "machines" / "reflect_t1.json")
+    target = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    code, out, err = run(capsys, "simulate", machine, "--json-out", target)
+    assert code == 2 and out == ""
+    assert err == f"error: {target}: cannot write (No such file or directory)\n"
+
+
 def test_gap_eval_tree_file(tmp_path, capsys):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps({"kind": "tree", "tree": ["accept", "accept", "reject"]}))

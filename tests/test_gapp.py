@@ -222,6 +222,66 @@ def test_system_tree_cap_bounds_the_tree_it_builds(system):
             system_tree(system)
 
 
+@settings(deadline=None, max_examples=60)
+@given(system=pb_systems)
+def test_system_tree_pre_count_stays_within_twice_the_tree(system):
+    size = stored_size(system_tree(system))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 2 * size + 5)
+        again = stored_size(system_tree(system))  # not refused
+    assert again == size
+
+
+def forward_pass_tree(system):
+    """The square built over every row reached from start, read from the entries.
+
+    Rows that never reach accept are built too; they are garbage once the
+    root is made, so the DAG under the root is the cone's.
+    """
+    sources = {}
+    for r, c, w in sorted(system.entries, key=lambda e: e[1]):
+        sources.setdefault(r, []).append((c, w))
+    layer = {system.start: (ACCEPT, REJECT)}
+    for _ in range(system.t_bound):
+        pushed = {}
+        for r, row in sources.items():
+            read = [(layer[c], w) for c, w in row if c in layer]
+            if read:
+                weights = tuple(abs(w) for _, w in read)
+                same = tuple(pos if w > 0 else neg for (pos, neg), w in read)
+                flipped = tuple(neg if w > 0 else pos for (pos, neg), w in read)
+                pushed[r] = (Branch(same, weights), Branch(flipped, weights))
+        layer = pushed
+    if system.accept not in layer:
+        return Branch((ACCEPT, REJECT))
+    pos, neg = layer[system.accept]
+    return trees.substituted(pos, pos, neg)
+
+
+def same_dag(a, b, matched):
+    """Node-for-node equality, memoized on the pairs of nodes already matched."""
+    if (id(a), id(b)) in matched:
+        return True
+    leaves = isinstance(a, trees.Leaf), isinstance(b, trees.Leaf)
+    if any(leaves):
+        return all(leaves) and a.accepting == b.accepting
+    if a.weights != b.weights or len(a.children) != len(b.children):
+        return False
+    if not all(same_dag(x, y, matched) for x, y in zip(a.children, b.children)):
+        return False
+    matched.add((id(a), id(b)))
+    return True
+
+
+@settings(deadline=None, max_examples=60)
+@given(system=pb_systems)
+def test_system_tree_is_the_forward_pass_dag(system):
+    cone, forward = system_tree(system), forward_pass_tree(system)
+    assert same_dag(cone, forward, set())  # a failing assert must not repr the DAG
+    assert distinct_size(cone) == distinct_size(forward)
+    assert stored_size(cone) == stored_size(forward)
+
+
 def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
     refused = rotation_system(BLOCK_REFLECT, 0, 1, 50000)
     small = rotation_system(BLOCK_REFLECT, 0, 1, 3)
@@ -255,6 +315,18 @@ def test_system_tree_of_an_unreached_accept_is_tiny():
     tree = system_tree(ident)
     size, value = distinct_size(tree), gap(tree)
     assert corridor_pairs(ident) == 0 and size == 3 and value == 0
+
+
+def test_system_tree_caps_the_forward_frontiers(monkeypatch):
+    monkeypatch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 10)
+    unreached = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 20)  # 20 frontier rows
+    tree = system_tree(unreached)
+    value, size = gap(tree), stored_size(tree)
+    assert value == 0 and size == 5
+    # frontiers {0}, {0, 1} x 6 total 13 before the last one: 5 + 12 * (13 + 2)
+    refusal = r"^system_tree stored nodes and edges \(upper bound\) 185 "
+    with pytest.raises(ResourceError, match=refusal):
+        system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 7))
 
 
 def test_branch_repr_does_not_unfold_the_dag():
