@@ -16,10 +16,8 @@ from .errors import (
 )
 from .evolve import (
     AmplitudeVector,
-    BqpReport,
     ExactProbability,
     accept_probability,
-    classify_bqp,
     evolve,
     float_check,
     path_sum,
@@ -52,7 +50,6 @@ from .model import (
     build_system,
     load_system,
     make_system,
-    validate_unitary,
 )
 from .oracle import (
     OracleAssignment,
@@ -60,9 +57,7 @@ from .oracle import (
     SensitivityParams,
     TowerCondition,
     acceptance_prob_rel,
-    l_member,
     rerelativized_decide,
-    sensitive_set,
     tower,
     verify_flip_stability,
 )

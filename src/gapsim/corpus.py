@@ -280,7 +280,7 @@ def leaky_family() -> tuple[MachineFamily, Callable[[str], bool]]:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _signed_tree(value: int, noise: int = 0) -> Node:
+def _signed_tree(value: int, noise: int) -> Node:
     """Tree with the given gap: a same-label leaf of weight |value|, then noise pairs.
 
     Trees are immutable, so equal calls share one tree, kept in a bounded
@@ -332,10 +332,10 @@ def _const_tree_machine(
         return OracleGapMachine(
             query_count=1,
             next_query=lambda x, _answers: x,
-            finish=lambda _x, answers: _signed_tree(yes_gap if answers[0] else no_gap),
+            finish=lambda _x, answers: _signed_tree(yes_gap if answers[0] else no_gap, 0),
         )
     return machine_from_tables(
-        1, {"": query}, {"1": _signed_tree(yes_gap), "0": _signed_tree(no_gap)}
+        1, {"": query}, {"1": _signed_tree(yes_gap, 0), "0": _signed_tree(no_gap, 0)}
     )
 
 
@@ -350,7 +350,7 @@ def _two_query_machine() -> OracleGapMachine:
     return OracleGapMachine(
         query_count=2,
         next_query=lambda x, a: x if not a else ("11" if a[0] else "01"),
-        finish=lambda _x, a: _signed_tree(outcomes[tuple(a)]),
+        finish=lambda _x, a: _signed_tree(outcomes[tuple(a)], 0),
     )
 
 
@@ -384,7 +384,7 @@ def lowness_corpus() -> list[tuple[str, LownessInstance, tuple[str, ...]]]:
                 OracleGapMachine(
                     query_count=0,
                     next_query=lambda _x, _a: "",
-                    finish=lambda x, _a: _signed_tree(2 if parity_language(x) else -2),
+                    finish=lambda x, _a: _signed_tree(2 if parity_language(x) else -2, 0),
                 ),
                 frozenset({"00"}),
                 g_pow2,
@@ -654,8 +654,8 @@ def write_corpus(root: str) -> list[str]:
         {"kind": "system", "path": "../machines/reflect_t1.json"},
     )
     finish = {
-        "1": tree_to_json(_signed_tree(1)),
-        "0": tree_to_json(_signed_tree(-3)),
+        "1": tree_to_json(_signed_tree(1, 0)),
+        "0": tree_to_json(_signed_tree(-3, 0)),
     }
     emit(
         "lowness/fixed_query.json",

@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import BoundsError, ParseError, ResourceError, StructuralError
-from .model import Blocks, MachineFamily, UnitarySystem
+from .model import Blocks, UnitarySystem
 
 DEFAULT_MAX_PATHS = 1 << 20
 _MAX_PATHS_ENV = "GAPSIM_MAX_PATHS"
@@ -111,31 +111,22 @@ def accept_probability(system: UnitarySystem) -> ExactProbability:
     return ExactProbability(amp * amp, 2 * system.t_bound)
 
 
-def _path_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
+    """Amplitudes by explicit enumeration of nonzero-weight length-t paths.
+
+    Independent of evolve: sums the product of edge weights over every path
+    from the start configuration.  Raises ResourceError once more complete
+    paths are seen than GAPSIM_MAX_PATHS allows (2**20 when unset).
+    """
+    if t < 0 or t > system.t_bound:
+        raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
     text = os.environ.get(_MAX_PATHS_ENV)
-    if text is None:
-        return DEFAULT_MAX_PATHS
     try:
-        cap = int(text)
+        cap = DEFAULT_MAX_PATHS if text is None else int(text)
     except ValueError:
         cap = 0
     if cap < 1:
         raise ParseError(f"{_MAX_PATHS_ENV} must be a positive integer, got {text!r}")
-    return cap
-
-
-def path_sum(system: UnitarySystem, t: int, cap: int | None = None) -> AmplitudeVector:
-    """Amplitudes by explicit enumeration of nonzero-weight length-t paths.
-
-    Independent of evolve: sums the product of edge weights over every path
-    from the start configuration.  Raises ResourceError once more than `cap`
-    complete paths (default from GAPSIM_MAX_PATHS, else 2**20) are seen.
-    """
-    if t < 0 or t > system.t_bound:
-        raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
-    cap = _path_cap(cap)
     totals = [0] * system.n_configs
     paths = 0
     stack: list[tuple[int, int, int]] = [(system.start, 0, 1)]
@@ -171,39 +162,3 @@ def float_check(system: UnitarySystem) -> float:
     for current in trajectory(system, system.t_bound, lambda _step: scaled, 1.0):
         pass
     return current[system.accept] ** 2
-
-
-@dataclass(frozen=True)
-class BqpRow:
-    x: str
-    probability: Fraction
-    category: str  # "accept" | "reject" | "violation"
-    expected_member: bool
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class BqpReport:
-    rows: tuple[BqpRow, ...]
-    ok: bool
-
-
-def classify_bqp(
-    family: MachineFamily,
-    inputs: Iterable[str],
-    in_language: Callable[[str], bool],
-) -> BqpReport:
-    """Compare exact acceptance probabilities against the 2/3 vs 1/3 promise."""
-    rows = []
-    for x in inputs:
-        prob = accept_probability(family.system(x)).as_fraction()
-        if prob >= BQP_ACCEPT:
-            category = "accept"
-        elif prob <= BQP_REJECT:
-            category = "reject"
-        else:
-            category = "violation"
-        expected = bool(in_language(x))
-        consistent = category == ("accept" if expected else "reject")
-        rows.append(BqpRow(x, prob, category, expected, consistent))
-    return BqpReport(tuple(rows), all(r.consistent for r in rows))

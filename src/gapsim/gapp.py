@@ -131,11 +131,13 @@ def system_tree(system: UnitarySystem) -> Node:
     from the blocks alone and kept while their total stays within
     DEFAULT_BRANCH_BOUND.  Past it a reached accept is refused, bounded by
     5 + 12 times that total (a row reads at most two sources); an unreached
-    one still gives the gap-0 tree.  A walk back from accept inside the
-    frontiers gives the cone and the pre-count of the nodes and edges the
-    square will store: two branches per cone row with one edge per source
-    it reads, the copy of at most all of them that the square adds, and
-    five for the leaves or the gap-0 tree.  It is at most about twice the
+    one still gives the gap-0 tree.  Each frontier is a function of the one
+    before, so the pass stops at a fixed point: every later step holds the
+    same set object, and only the total grows.  A walk back from accept
+    inside the frontiers gives the cone and the pre-count of the nodes and
+    edges the square will store: two branches per cone row with one edge
+    per source it reads, the copy of at most all of them that the square
+    adds, and five for the leaves or the gap-0 tree.  It is at most about twice the
     stored size.  Over DEFAULT_BRANCH_BOUND the system is refused.
     """
     # Each row's (source column, weight)s and each column's rows, from the blocks.
@@ -148,11 +150,18 @@ def system_tree(system: UnitarySystem) -> Node:
         sources_of[r], rows_of[c] = ((c, w),), (r,)
 
     frontiers, frontier, total = [], {system.start}, 0
-    for _ in range(system.t_bound):
+    for step in range(system.t_bound):
         total += len(frontier)
         if total <= DEFAULT_BRANCH_BOUND:  # past it only the count goes on
             frontiers.append(frontier)
-        frontier = {r for c in frontier for r in rows_of[c]}
+        following = {r for c in frontier for r in rows_of[c]}
+        if following == frontier:  # a fixed point: every later step has this set
+            left = system.t_bound - 1 - step
+            room = max(0, (DEFAULT_BRANCH_BOUND - total) // len(frontier))
+            frontiers += [frontier] * min(left, room)
+            total += left * len(frontier)
+            break
+        frontier = following
     reached = system.accept in frontier
     what = "system_tree stored nodes and edges (upper bound)"
     if reached and total > DEFAULT_BRANCH_BOUND:

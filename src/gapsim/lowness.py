@@ -146,11 +146,6 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
     return GapMachine(lambda _x: tree)
 
 
-def path_count(instance: LownessInstance, x: str) -> int:
-    """Largest leaf count of the machine's tree over all answer patterns."""
-    return _Unrolling(instance.machine, x, instance.oracle).path_count
-
-
 @dataclass(frozen=True)
 class QueryAudit:
     string: str

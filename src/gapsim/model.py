@@ -16,7 +16,8 @@ column c holds exactly one other entry, in some column c2; the inner
 product of c and c2 has a nonzero term on that row, so it needs a second
 term, and c2 meets c's other row too.  Conversely, blocks on disjoint rows
 give orthogonal columns.  Validation is this decomposition; the blocks are
-kept on the system, and evolve steps by them.
+kept on the system, and evolve steps by them.  A refused system's message
+names the first column pair whose inner product is wrong.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import AmplitudeError, ModelError, ParseError, StructuralError
 from .poly import eval_poly
@@ -36,22 +37,6 @@ Entry = tuple[int, int, int]  # (row, col, numerator), numerator nonzero
 Pair = tuple[int, int, int, int, int, int, int, int]  # (c1, c2, r1, r2, a, b, c, d)
 Single = tuple[int, int, int]  # (col, row, numerator)
 Blocks = tuple[tuple[Pair, ...], tuple[Single, ...]]
-
-
-@dataclass(frozen=True)
-class UnitaryReport:
-    """Outcome of an orthogonality check on an integer matrix."""
-
-    ok: bool
-    n: int
-    first_violation: tuple[int, int, int, int] | None = None  # (i, j, got, want)
-
-    @property
-    def message(self) -> str:
-        if self.ok:
-            return f"columns orthogonal with squared norm 25 ({self.n} configs)"
-        i, j, got, want = self.first_violation
-        return f"inner product of columns ({i},{j}) is {got}, expected {want}"
 
 
 def _gram_first_violation(
@@ -120,24 +105,6 @@ def column_blocks(n: int, entries: Iterable[Entry]) -> Blocks | None:
         else:
             return None
     return tuple(pairs), tuple(singles)
-
-
-def validate_unitary(matrix: Sequence[Sequence[int]]) -> UnitaryReport:
-    """Check V^T V = 25 I exactly for a dense integer matrix.
-
-    Raises StructuralError if the matrix is not square.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise StructuralError("transition matrix must be square")
-    entries = [
-        (r, c, w)
-        for r, row in enumerate(matrix)
-        for c, w in enumerate(row)
-        if w != 0
-    ]
-    violation = _gram_first_violation(n, entries)
-    return UnitaryReport(ok=violation is None, n=n, first_violation=violation)
 
 
 @dataclass(frozen=True)
@@ -209,9 +176,11 @@ def _checked_system(
             raise AmplitudeError(f"numerator {w} at ({r},{c}) not in the allowed set")
     blocks = column_blocks(n_configs, ordered)
     if blocks is None:
-        violation = _gram_first_violation(n_configs, ordered)
-        report = UnitaryReport(ok=False, n=n_configs, first_violation=violation)
-        raise ModelError(f"not norm-preserving: {report.message}")
+        i, j, got, want = _gram_first_violation(n_configs, ordered)
+        raise ModelError(
+            f"not norm-preserving: inner product of columns ({i},{j}) is {got}, "
+            f"expected {want}"
+        )
     return UnitarySystem(n_configs, ordered, start, accept, t, blocks)
 
 

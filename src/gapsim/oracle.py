@@ -2,12 +2,14 @@
 
 Systems here consult a finite 0/1 assignment: selected configurations carry
 an alternative transition column used at the steps where they query a
-string whose bit is 1.  Everything is verified exhaustively at desk scale
-with exact rational arithmetic.
+string whose bit is 1.  Tower conditions check their lengths against
+`tower`, the one tower function.  Everything is verified exhaustively at
+desk scale with exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,16 +73,6 @@ def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
         yield {y: (mask >> i) & 1 for i, y in enumerate(names)}
 
 
-def tower_values(limit: int) -> list[int]:
-    """All tower values up to limit (limit stays far below the budget here)."""
-    values = []
-    v = 2
-    while v <= limit:
-        values.append(v)
-        v = 1 << v
-    return values
-
-
 @dataclass(frozen=True)
 class OracleAssignment:
     """Total 0/1 assignment on all strings up to a maximum length."""
@@ -114,7 +106,9 @@ class TowerCondition:
     """Partial assignment with one string set at each acceptable length.
 
     The domain is closed by length; acceptable lengths must be tower
-    values; every length-covered string outside `ones` is 0.
+    values, checked against `tower` up to the first value past the largest
+    length, so a length whose successor is over tower's budget raises its
+    ResourceError; every length-covered string outside `ones` is 0.
     """
 
     acceptable_lengths: frozenset[int]
@@ -122,8 +116,9 @@ class TowerCondition:
     ones: frozenset[str]
 
     def __post_init__(self) -> None:
-        towers = set(tower_values(max(self.acceptable_lengths, default=2)))
-        bad = self.acceptable_lengths - towers
+        top = max(self.acceptable_lengths, default=2)
+        towers = itertools.takewhile(lambda v: v <= top, map(tower, itertools.count()))
+        bad = self.acceptable_lengths - set(towers)
         if bad:
             raise ModelError(f"lengths {sorted(bad)} are not tower values")
         per_length: dict[int, int] = {}
@@ -140,9 +135,6 @@ class TowerCondition:
                     f"length {length} has {count} strings set, expected exactly one"
                 )
 
-    def defined_on_length(self, n: int) -> bool:
-        return n in self.domain_lengths
-
     def value(self, y: str) -> int:
         if len(y) not in self.domain_lengths:
             raise DomainError(f"condition undefined on length {len(y)}")
@@ -156,19 +148,6 @@ class TowerCondition:
             universe_length,
             frozenset(y for y in self.ones if len(y) <= universe_length),
         )
-
-
-def l_member(x_like: TowerCondition | OracleAssignment, n: int) -> bool:
-    """Whether some witness w of length n-1 has w0 set to 1."""
-    if isinstance(x_like, TowerCondition):
-        if not x_like.defined_on_length(n):
-            raise DomainError(f"condition undefined on length {n}")
-    else:
-        if n > x_like.universe_length:
-            raise DomainError(f"assignment undefined on length {n}")
-    if n < 1:
-        return False
-    return any(x_like.value(w + "0") == 1 for w in strings_of_length(n - 1))
 
 
 @dataclass(frozen=True)
@@ -383,21 +362,6 @@ def query_magnitudes(
 ) -> dict[str, Fraction]:
     """Cumulative squared amplitude each string is queried with across the run."""
     return _magnitudes(system, _run(system, oracle.value)[1])
-
-
-def sensitive_set(
-    system: OracleQuerySystem,
-    oracle: OracleAssignment,
-    x: str,
-    params: SensitivityParams,
-) -> frozenset[str]:
-    """Strings whose query magnitude exceeds epsilon**2 / (4 p**2).
-
-    Flipping any single string outside this set moves the acceptance
-    probability by at most epsilon; the flip-stability report checks that
-    exhaustively.
-    """
-    return _sensitive(query_magnitudes(system, oracle, x), params)
 
 
 @dataclass(frozen=True)

@@ -108,11 +108,6 @@ def _distinct(root: Node) -> list[Node]:
     return list(seen.values())
 
 
-def distinct_size(root: Node) -> int:
-    """Number of distinct nodes in the representation."""
-    return len(_distinct(root))
-
-
 def stored_size(root: Node) -> int:
     """Distinct nodes plus stored child edges: the memory a tree holds."""
     return sum(

@@ -29,6 +29,14 @@ def test_equal_signed_trees_are_one_object():
             assert corpus._signed_tree(value, noise) is corpus._signed_tree(value, noise)
 
 
+def test_lowness_finishes_and_gap_machines_share_signed_trees():
+    # The cache key is exactly (value, noise), however the call is written.
+    named = {name: instance for name, instance, _ in corpus.lowness_corpus()}
+    from_finish = named["no_query"].machine.finish("00", ())  # even parity: gap 2
+    from_machine = corpus._machine(lambda _x: 2).evaluator("")  # length 0: noise 0
+    assert from_finish is from_machine is corpus._signed_tree(2, 0)
+
+
 def _closures() -> dict:
     """Gap-tree JSON and counts of both combinators over every corpus machine, q <= 3."""
     built = {}

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,6 @@ from gapsim.corpus import (
 from gapsim.errors import BoundsError, ParseError, ResourceError
 from gapsim.evolve import (
     accept_probability,
-    classify_bqp,
     evolve,
     float_check,
     path_sum,
@@ -89,13 +89,15 @@ def test_path_sum_trivial_lengths():
     assert path_sum(ROTATION, 1).entries == (3, 4)
 
 
-def test_path_sum_cap():
+def test_path_sum_cap(monkeypatch):
     system = rotation_system(BLOCK_REFLECT, 0, 1, 10)
+    assert list(inspect.signature(path_sum).parameters) == ["system", "t"]  # no cap keyword
+    monkeypatch.setenv("GAPSIM_MAX_PATHS", "100")
     with pytest.raises(
         ResourceError,
         match=r"^101 paths exceed the cap 100 \(raise GAPSIM_MAX_PATHS\)$",
     ):
-        path_sum(system, 10, cap=100)
+        path_sum(system, 10)
 
 
 def test_path_cap_env_override(monkeypatch):
@@ -146,20 +148,20 @@ def test_float_check_agreement(name, system):
 
 def test_classify_flags_leaky_promise():
     family, language = leaky_family()
-    report = classify_bqp(family, ["", "1", "11"], language)
-    by_input = {row.x: row for row in report.rows}
+    prob = {x: accept_probability(family.system(x)).as_fraction() for x in ["", "1", "11"]}
     # members land at 16/25, strictly between the thresholds
-    assert by_input[""].category == "violation"
-    assert by_input["11"].category == "violation"
-    assert by_input["1"].category == "reject" and by_input["1"].consistent
-    assert not report.ok
+    assert language("") and Fraction(1, 3) < prob[""] < Fraction(2, 3)
+    assert language("11") and Fraction(1, 3) < prob["11"] < Fraction(2, 3)
+    assert not language("1") and prob["1"] <= Fraction(1, 3)
 
 
 def test_classify_accepts_zero_error():
     family, language = zero_error_family()
-    report = classify_bqp(family, ["", "0", "1", "01", "11"], language)
-    assert report.ok
-    assert {row.category for row in report.rows} == {"accept", "reject"}
+    inputs = ["", "0", "1", "01", "11"]
+    assert {language(x) for x in inputs} == {True, False}
+    for x in inputs:
+        prob = accept_probability(family.system(x)).as_fraction()
+        assert prob >= Fraction(2, 3) if language(x) else prob <= Fraction(1, 3)
 
 
 # --- the step kernel against a dict-scatter loop that shares no code with it

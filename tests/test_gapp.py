@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +42,7 @@ from gapsim.gapp import (
 )
 from gapsim.model import make_system
 from gapsim.strings import index_string, pair, strings_up_to, unpair
-from gapsim.trees import ACCEPT, REJECT, Branch, distinct_size, gap, stored_size
+from gapsim.trees import ACCEPT, REJECT, Branch, _distinct, gap, stored_size
 
 
 def constant_machine(value):
@@ -208,7 +211,7 @@ def test_system_tree_gap_is_the_squared_amplitude(system):
 @settings(deadline=None, max_examples=60)
 @given(system=pb_systems)
 def test_system_tree_stays_inside_the_corridor(system):
-    size = distinct_size(system_tree(system))  # a failing assert must not repr the DAG
+    size = len(_distinct(system_tree(system)))  # a failing assert must not repr the DAG
     assert size <= 4 * corridor_pairs(system) + 3
 
 
@@ -278,7 +281,7 @@ def same_dag(a, b, matched):
 def test_system_tree_is_the_forward_pass_dag(system):
     cone, forward = system_tree(system), forward_pass_tree(system)
     assert same_dag(cone, forward, set())  # a failing assert must not repr the DAG
-    assert distinct_size(cone) == distinct_size(forward)
+    assert len(_distinct(cone)) == len(_distinct(forward))
     assert stored_size(cone) == stored_size(forward)
 
 
@@ -313,7 +316,7 @@ def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
 def test_system_tree_of_an_unreached_accept_is_tiny():
     ident = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 6)
     tree = system_tree(ident)
-    size, value = distinct_size(tree), gap(tree)
+    size, value = len(_distinct(tree)), gap(tree)
     assert corridor_pairs(ident) == 0 and size == 3 and value == 0
 
 
@@ -327,6 +330,45 @@ def test_system_tree_caps_the_forward_frontiers(monkeypatch):
     refusal = r"^system_tree stored nodes and edges \(upper bound\) 185 "
     with pytest.raises(ResourceError, match=refusal):
         system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 7))
+
+
+_FIXED_POINT_SCRIPT = """
+from gapsim.corpus import BLOCK_REFLECT, identity_system, rotation_system
+from gapsim.errors import ResourceError
+from gapsim.gapp import system_tree
+from gapsim.trees import gap, stored_size
+
+for t in (10**6, 10**15):
+    try:
+        system_tree(rotation_system(BLOCK_REFLECT, 0, 1, t))
+    except ResourceError as exc:
+        print(exc)
+tree = system_tree(identity_system(2, 0, 1, 10**15))
+print(gap(tree), stored_size(tree))
+"""
+
+
+def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
+    # Frontiers {0}, then {0, 1} for good: the refusal is 5 + 12 * (2t - 1 + 2),
+    # and an accept the identity never reaches still gives the 5-node gap-0
+    # tree.  Walking t steps would not finish inside the timeout.
+    src = os.path.dirname(os.path.dirname(gapp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FIXED_POINT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    refusal = "system_tree stored nodes and edges (upper bound) {} exceeds branch_bound "
+    refusal += "1048576 (raise gapp.DEFAULT_BRANCH_BOUND)"
+    assert done.stdout.splitlines() == [
+        refusal.format(24000017),
+        refusal.format(24000000000000017),
+        "0 5",
+    ]
 
 
 def test_branch_repr_does_not_unfold_the_dag():

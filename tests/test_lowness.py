@@ -16,12 +16,17 @@ from gapsim.lowness import (
     load_instance_bundle,
     machine_from_tables,
     near_extreme_instance,
-    path_count,
     true_gap,
     validate_instance,
     verify_sign_preservation,
 )
 from gapsim.trees import ACCEPT, REJECT, Branch, gap, unfolded_leaves
+
+
+def largest_finish(instance, x):
+    """Largest unfolded finish tree over every answer tuple, counted here."""
+    answers = itertools.product((True, False), repeat=instance.machine.query_count)
+    return max(unfolded_leaves(instance.machine.finish(x, a)) for a in answers)
 
 
 def single_query_machine(yes_gap=1, no_gap=-1):
@@ -151,7 +156,8 @@ def test_path_count_is_max_over_answer_patterns():
         {"1": Branch((ACCEPT,) * 5), "0": ACCEPT},
     )
     instance = near_extreme_instance(machine, frozenset(), (2, 4), (0, 4))
-    assert path_count(instance, "x") == 5
+    (row,) = verify_sign_preservation(instance, ["01"]).rows
+    assert row.path_count == largest_finish(instance, "01") == 5
 
 
 def test_incomplete_tables_rejected():
@@ -269,5 +275,5 @@ def test_inlining_matches_the_weighted_recursion(drawn):
         assert gap_of(inline_construction(instance, x), x) == weighted("")
         assert row.inlined_gap == weighted("")
         assert row.true_gap == true_gap(instance, x)
-        assert row.path_count == path_count(instance, x)
+        assert row.path_count == largest_finish(instance, x)
         assert row.path_count == max(unfolded_leaves(t) for t in finish.values())

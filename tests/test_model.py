@@ -13,7 +13,6 @@ from gapsim.model import (
     build_system,
     column_blocks,
     make_system,
-    validate_unitary,
 )
 
 ROTATION_DOC = {
@@ -26,32 +25,30 @@ ROTATION_DOC = {
 
 
 def test_reflection_block_passes():
-    report = validate_unitary([[3, 4], [4, -3]])
-    assert report.ok
+    system = make_system(2, [(0, 0, 3), (0, 1, 4), (1, 0, 4), (1, 1, -3)], 0, 1, 1)
+    assert system.blocks == (((0, 1, 0, 1, 3, 4, 4, -3),), ())
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_scaled_identity_passes(n):
-    matrix = [[5 if i == j else 0 for j in range(n)] for i in range(n)]
-    assert validate_unitary(matrix).ok
+    system = make_system(n, [(i, i, 5) for i in range(n)], 0, 0, 1)
+    assert system.blocks == ((), tuple((i, i, 5) for i in range(n)))
 
 
 def test_symmetric_failure_reports_location():
-    report = validate_unitary([[3, 4], [4, 3]])
-    assert not report.ok
-    assert report.first_violation == (0, 1, 24, 0)
-    assert "24" in report.message
-
-
-def test_non_square_is_structural():
-    with pytest.raises(StructuralError):
-        validate_unitary([[3, 4, 0], [4, -3, 0]])
+    with pytest.raises(
+        ModelError,
+        match=r"^not norm-preserving: inner product of columns \(0,1\) is 24, expected 0$",
+    ):
+        make_system(2, [(0, 0, 3), (0, 1, 4), (1, 0, 4), (1, 1, 3)], 0, 1, 1)
 
 
 def test_zero_column_is_reported_on_diagonal():
-    report = validate_unitary([[5, 0], [0, 0]])
-    assert not report.ok
-    assert report.first_violation == (1, 1, 0, 25)
+    with pytest.raises(
+        ModelError,
+        match=r"^not norm-preserving: inner product of columns \(1,1\) is 0, expected 25$",
+    ):
+        make_system(2, [(0, 0, 5)], 0, 1, 1)
 
 
 def test_build_rotation_file():

@@ -34,10 +34,8 @@ from gapsim.oracle import (
     TowerCondition,
     acceptance_prob_rel,
     categorical_check,
-    l_member,
     query_magnitudes,
     rerelativized_decide,
-    sensitive_set,
     tower,
     verify_flip_stability,
 )
@@ -55,6 +53,21 @@ def test_tower_values():
     assert tower(2) == 16
     assert tower(3) == 65536
     assert tower(4) == 2**65536
+    for length in (2, 4, 16, 65536):
+        TowerCondition(frozenset({length}), frozenset(), frozenset())
+    for length in (0, 1, 3, 5, 15, 17, 65535, 65537):
+        with pytest.raises(ModelError, match=rf"^lengths \[{length}\] are not tower values$"):
+            TowerCondition(frozenset({length}), frozenset(), frozenset())
+
+
+def test_condition_past_the_tower_budget_is_refused_by_tower():
+    # Checking 2**65536 needs tower(5), whose exponent is over the budget.
+    with pytest.raises(
+        ResourceError,
+        match=r"^tower\(5\) needs an exponent of 2\*\*65536, above 1048576 "
+        r"\(raise oracle\._TOWER_EXPONENT_BUDGET\)$",
+    ):
+        TowerCondition(frozenset({2**65536}), frozenset(), frozenset())
 
 
 def test_tower_budget_and_domain():
@@ -102,19 +115,6 @@ def test_condition_values_and_domain():
         condition.to_assignment(4)
 
 
-def test_l_member_examples():
-    domain = frozenset({0, 1, 2})
-    with_00 = TowerCondition(frozenset({2}), domain, frozenset({"00"}))
-    assert l_member(with_00, 2)
-    with pytest.raises(DomainError):
-        l_member(with_00, 3)
-    empty = OracleAssignment(2, frozenset())
-    assert not l_member(empty, 2)
-    with_01 = TowerCondition(frozenset({2}), domain, frozenset({"01"}))
-    assert not l_member(with_01, 2)  # witness must end in 0
-    assert not l_member(with_00, 0)
-
-
 def test_oracle_free_probability_matches_plain():
     system = oracle_free_system()
     inst = system.instance("")
@@ -141,12 +141,12 @@ def test_magnitudes_and_sensitive_sets():
     free = oracle_free_system()
     oracle3 = OracleAssignment(3, frozenset())
     assert query_magnitudes(free, oracle3, "") == {}
-    assert sensitive_set(free, oracle3, "", params_for(free)) == frozenset()
+    assert verify_flip_stability(free, oracle3, "", params_for(free)).sensitive == frozenset()
 
     route = classical_route_system("101")
     mags = query_magnitudes(route, oracle3, "")
     assert mags == {"101": Fraction(1)}
-    assert sensitive_set(route, oracle3, "", params_for(route)) == {"101"}
+    assert verify_flip_stability(route, oracle3, "", params_for(route)).sensitive == {"101"}
 
 
 def test_split_magnitude_is_fractional():
@@ -190,8 +190,8 @@ def test_deep_chain_query_escapes_sensitive_set():
     mags = query_magnitudes(system, oracle, "")
     assert mags["110"] == Fraction(9, 25) ** 11
     assert mags["110"] > 0
-    assert "110" not in sensitive_set(system, oracle, "", params)
     report = verify_flip_stability(system, oracle, "", params)
+    assert "110" not in report.sensitive
     assert report.ok
 
 

@@ -19,7 +19,7 @@ from gapsim.trees import (
     REJECT,
     Branch,
     Leaf,
-    distinct_size,
+    _distinct,
     gap,
     negated,
     substituted,
@@ -67,7 +67,7 @@ def test_shared_subtrees_count_with_multiplicity():
     assert gap(tree) == 6
     assert unfolded_leaves(tree) == 6
     assert json_nodes(tree_to_json(tree)) == 1 + 3 * 3
-    assert distinct_size(tree) == 3  # root, inner, shared leaf
+    assert len(_distinct(tree)) == 3  # root, inner, shared leaf
 
 
 def _inline_over_bound():
