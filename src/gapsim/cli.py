@@ -12,7 +12,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -44,7 +43,7 @@ def _decimal(value: int) -> str:
 
 def _canonical(value):
     """JSON-ready form: exact ints as strings, rationals as pairs, floats at 12 digits."""
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return _decimal(value)
@@ -56,11 +55,8 @@ def _canonical(value):
         return value
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_canonical(v) for v in items]
-    if dataclasses.is_dataclass(value):
-        return _canonical(dataclasses.asdict(value))
+    if isinstance(value, list):
+        return [_canonical(v) for v in value]
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -79,20 +75,6 @@ def _write_report(args, command: str, input_paths: list, results, pass_fail: dic
         except OSError as exc:
             raise ParseError(f"{args.json_out}: cannot write ({exc.strerror})") from exc
     sys.stdout.write(text)
-
-
-def _parse_epsilon(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            epsilon = Fraction(int(num), int(den))
-        else:
-            epsilon = Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad epsilon {text!r}") from exc
-    if not 0 < epsilon < Fraction(1, 6):
-        raise ParseError(f"epsilon {text!r} must lie strictly between 0 and 1/6")
-    return epsilon
 
 
 def cmd_simulate(args) -> int:
@@ -157,15 +139,6 @@ def cmd_lowness(args) -> int:
     return 0 if ok else FAIL_EXIT
 
 
-def cmd_bbbv(args) -> int:
-    if args.epsilon is not None:
-        ok, results = suites.run_bbbv(epsilons=(_parse_epsilon(args.epsilon),))
-    else:
-        ok, results = suites.run_bbbv()
-    _write_report(args, "bbbv", [], results, {"flip_stability": ok})
-    return 0 if ok else FAIL_EXIT
-
-
 def cmd_verify(args) -> int:
     if args.suite not in suites.SUITES:
         sys.stderr.write(
@@ -215,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", metavar="PATH", required=True, help="instance bundle file")
     common(p)
     p.set_defaults(handler=cmd_lowness)
-
-    p = sub.add_parser("bbbv", help="single-flip stability of query systems")
-    p.add_argument("--epsilon", metavar="NUM/DEN", help="perturbation bound in (0, 1/6)")
-    common(p)
-    p.set_defaults(handler=cmd_bbbv)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")

@@ -244,8 +244,9 @@ def parity_language(x: str) -> bool:
     return x.count("1") % 2 == 0
 
 
-def zero_error_family(t: int = 3) -> tuple[MachineFamily, Callable[[str], bool]]:
-    """Probability exactly 1 on even-parity inputs, exactly 0 otherwise."""
+def zero_error_family() -> tuple[MachineFamily, Callable[[str], bool]]:
+    """Probability exactly 1 on even-parity inputs, exactly 0 otherwise, in 3 steps."""
+    t = 3
 
     def builder(x: str, m: int) -> UnitarySystem:
         return _accepting_system(t) if parity_language(x) else _rejecting_system(t)
@@ -448,25 +449,25 @@ def oracle_free_system() -> OracleQuerySystem:
     return d.query_system(c0, c1, 2, 3)
 
 
-def classical_route_system(query: str, accept_on: int = 1, t: int = 2) -> OracleQuerySystem:
-    """One full-amplitude query routed straight to accept or reject."""
+def classical_route_system(query: str, accept_on: int = 1) -> OracleQuerySystem:
+    """One full-amplitude query routed straight to accept or reject in 2 steps."""
     d = Draft()
     s, sp = d.cfg("s"), d.cfg("s_p")
     hit, miss = d.cfg("hit"), d.cfg("miss")
     rows = (miss, hit) if accept_on == 1 else (hit, miss)
     d.cond_swap(s, sp, *rows, query, 0)
-    acc = d.delay_chain(hit, "acc", t - 1)
-    d.delay_chain(miss, "sink", t - 1)
-    return d.query_system(s, acc, t, max(3, len(query)))
+    acc = d.delay_chain(hit, "acc", 1)
+    d.delay_chain(miss, "sink", 1)
+    return d.query_system(s, acc, 2, max(3, len(query)))
 
 
-def phase_split_system(query: str, matrix=BLOCK_REFLECT) -> OracleQuerySystem:
+def phase_split_system(query: str) -> OracleQuerySystem:
     """Split, phase-query on the lighter arm, recombine: bit 1 costs 1 - 7/25."""
     d = Draft()
     s, sp = d.cfg("s"), d.cfg("s_p")
     c1, c2 = d.cfg("c1"), d.cfg("c2")
     acc, w = d.cfg("acc"), d.cfg("w")
-    d.block(s, sp, c1, c2, matrix)
+    d.block(s, sp, c1, c2)
     d.block(c1, c2, acc, w, ((3, 4), (-4, 3)))
     d.cond_phase(c1, query, 1)
     return d.query_system(s, acc, 2, 3)

@@ -140,7 +140,7 @@ def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
                 )
             totals[config] += weight
             continue
-        for r, w in system.column(config):
+        for r, w in system.columns[config]:
             stack.append((r, depth + 1, weight * w))
     return AmplitudeVector(tuple(totals), t)
 

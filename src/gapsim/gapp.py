@@ -249,7 +249,6 @@ class CheckRow:
     member: bool
     value: int
     ok: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -267,12 +266,7 @@ def check_pp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckRepo
     rows = []
     for x, member in labeled_inputs:
         value = gap_of(cert.f, x)
-        if value == 0:
-            rows.append(CheckRow(x, member, value, False, "gap 0 excluded"))
-        elif member:
-            rows.append(CheckRow(x, member, value, value > 0))
-        else:
-            rows.append(CheckRow(x, member, value, value < 0))
+        rows.append(CheckRow(x, member, value, value > 0 if member else value < 0))
     return CheckReport("pp", tuple(rows), all(r.ok for r in rows))
 
 
@@ -282,10 +276,7 @@ def check_lwpp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckRe
     for x, member in labeled_inputs:
         value = gap_of(cert.f, x)
         target = cert.g_value(len(x))
-        if member:
-            rows.append(CheckRow(x, member, value, value == target, f"target {target}"))
-        else:
-            rows.append(CheckRow(x, member, value, value == 0))
+        rows.append(CheckRow(x, member, value, value == (target if member else 0)))
     return CheckReport("lwpp", tuple(rows), all(r.ok for r in rows))
 
 
@@ -364,7 +355,7 @@ def bqp_to_awpp(
     family: MachineFamily,
     q: Sequence[int],
     labeled_inputs: Sequence[tuple[str, bool]],
-    paddings: Sequence[int] | None = None,
+    paddings: Sequence[int],
 ) -> ClassCertificate:
     """Certificate with f the squared-amplitude machine and g(m) = 5**(2 t(m)).
 
@@ -373,8 +364,6 @@ def bqp_to_awpp(
     padding.  A violating (x, m) refuses the certificate as the witness.
     """
     q = tuple(q)
-    if paddings is None:
-        paddings = [max((len(x) for x, _ in labeled_inputs), default=0)]
     for x, member in labeled_inputs:
         for m in paddings:
             if m < len(x):

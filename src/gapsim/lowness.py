@@ -70,10 +70,6 @@ class LownessInstance:
     machine: OracleGapMachine
     oracle: frozenset[str]
     approximator: ClassCertificate
-    q_coeffs: tuple[int, ...]
-
-    def q_value(self, n: int) -> int:
-        return eval_poly(self.q_coeffs, n)
 
 
 def true_gap(instance: LownessInstance, x: str) -> int:
@@ -152,7 +148,6 @@ class QueryAudit:
     member: bool
     f_value: int
     tally: int
-    majority_correct: bool  # approximator on the right side of g/2
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ def verify_sign_preservation(
     rows = []
     for x in inputs:
         n = len(x)
-        q = instance.q_value(n)
+        q = instance.approximator.q_value(n)
         g = instance.approximator.g_value(n)
         k = instance.machine.query_count
         run = _Unrolling(instance.machine, x, instance.oracle)
@@ -218,7 +213,6 @@ def verify_sign_preservation(
                     member=member,
                     f_value=f_value,
                     tally=g,
-                    majority_correct=(2 * f_value >= g) == member,
                 )
             )
         error_mass = abs(igap - main_weight * tgap)
@@ -282,7 +276,7 @@ def near_extreme_instance(
 ) -> LownessInstance:
     """Instance whose approximator is the near-extreme table for the oracle set."""
     cert = near_extreme_certificate(oracle, g_pow2, q_coeffs, member_value)
-    return LownessInstance(machine, oracle, cert, tuple(q_coeffs))
+    return LownessInstance(machine, oracle, cert)
 
 
 def machine_from_tables(
@@ -334,12 +328,16 @@ def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
         )
         cert = doc["certificate"]
         if cert["style"] != "near-extreme":
-            raise ParseError(f"unknown certificate style {cert['style']!r}")
+            raise ParseError(f"{path}: unknown certificate style {cert['style']!r}")
         inputs = _binary_strings(path, "inputs", doc["inputs"])
+        g_pow2 = _exponents(path, "g_pow2", cert["g_pow2"], inputs)
+        for x in inputs:  # the table's member value g - 1 must be positive
+            if eval_poly(g_pow2, len(x)) == 0:
+                raise ParseError(f"{path}: log2 g is 0 at input {x!r}; it must be at least 1")
         instance = near_extreme_instance(
             machine,
             frozenset(_binary_strings(path, "oracle", doc["oracle"])),
-            _exponents(path, "g_pow2", cert["g_pow2"], inputs),
+            g_pow2,
             _exponents(path, "q", doc["q"], inputs),
         )
         return instance, inputs
@@ -379,7 +377,7 @@ def validate_instance(
     """Check the declared budget and the approximator promise on reachable queries."""
     for x in inputs:
         run = _Unrolling(instance.machine, x, instance.oracle)
-        if run.path_count**2 >= (1 << instance.q_value(len(x))):
+        if run.path_count**2 >= (1 << instance.approximator.q_value(len(x))):
             return False, f"path count of {x!r} reaches 2**(q/2)"
         labeled = [(run.queries[run.answers[:i]], a) for i, a in enumerate(run.answers)]
         if not check_awpp(instance.approximator, labeled, len(x)).ok:

@@ -126,9 +126,6 @@ class UnitarySystem:
             cols[c].append((r, w))
         return tuple(map(tuple, cols))
 
-    def column(self, c: int) -> tuple[tuple[int, int], ...]:
-        return self.columns[c]
-
     def to_file_dict(self) -> dict:
         """Machine-file form of this system."""
         return {

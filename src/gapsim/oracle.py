@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from .errors import (
     AmplitudeError,
@@ -33,7 +33,7 @@ from .model import (
     _gram_first_violation,
     column_blocks,
 )
-from .strings import strings_of_length
+from .strings import strings_of_length, strings_up_to
 
 _TOWER_EXPONENT_BUDGET = 1 << 20
 MAX_MIXED_STRINGS = 12  # exhaustive checks visit 2**12 bit assignments at most
@@ -95,10 +95,6 @@ class OracleAssignment:
             raise OracleError(f"{y!r} outside the assignment's universe")
         ones = self.ones ^ {y}
         return OracleAssignment(self.universe_length, frozenset(ones))
-
-    def strings(self) -> Iterable[str]:
-        for length in range(self.universe_length + 1):
-            yield from strings_of_length(length)
 
 
 @dataclass(frozen=True)
@@ -367,7 +363,6 @@ def query_magnitudes(
 @dataclass(frozen=True)
 class FlipRow:
     string: str
-    in_sensitive_set: bool
     deviation: Fraction
 
 
@@ -393,12 +388,11 @@ def verify_flip_stability(
     sensitive = _sensitive(_magnitudes(system, vectors), params)
     rows = []
     worst = Fraction(0)
-    for y in oracle.strings():
+    for y in strings_up_to(oracle.universe_length):
         deviation = abs(_run(system, oracle.flipped(y).value)[0].as_fraction() - base)
-        member = y in sensitive
-        if not member:
+        if y not in sensitive:
             worst = max(worst, deviation)
-        rows.append(FlipRow(y, member, deviation))
+        rows.append(FlipRow(y, deviation))
     ok = worst <= params.epsilon and len(sensitive) <= params.bound
     return FlipReport(
         rows=tuple(rows),
@@ -432,7 +426,6 @@ class DeciderResult:
     accept: bool
     query_log: tuple[str, ...]
     sensitive: frozenset[str]
-    assumed_probability: Fraction
     found_long_string: str | None
     probe_budget: int
 
@@ -473,10 +466,9 @@ def rerelativized_decide(
 
     assumed = OracleAssignment(system.universe_length, frozenset(known_ones))
     prob, vectors = _run(system, assumed.value)
-    assumed_prob = prob.as_fraction()
+    decision_prob = prob.as_fraction()
     sensitive: frozenset[str] = frozenset()
     found: str | None = None
-    decision_prob = assumed_prob
 
     if long_lengths:
         long_length = long_lengths[0]
@@ -505,7 +497,6 @@ def rerelativized_decide(
         accept=decision_prob >= BQP_ACCEPT,
         query_log=tuple(query_log),
         sensitive=sensitive,
-        assumed_probability=assumed_prob,
         found_long_string=found,
         probe_budget=params.bound + total_short,
     )

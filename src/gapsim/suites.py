@@ -222,7 +222,7 @@ def run_lwpp(_corpus_dir: str | None = None) -> tuple[bool, dict]:
     return ok, results
 
 
-def run_lowness(corpus_dir: str | None = None) -> tuple[bool, dict]:
+def run_lowness(_corpus_dir: str | None = None) -> tuple[bool, dict]:
     """Sign preservation on the valid instances; a forced flip on the adversarial one."""
     rows = []
     ok = True
@@ -255,18 +255,15 @@ def run_lowness(corpus_dir: str | None = None) -> tuple[bool, dict]:
     }
 
 
-def run_bbbv(
-    _corpus_dir: str | None = None,
-    epsilons: tuple[Fraction, ...] = (Fraction(1, 7), Fraction(1, 10)),
-) -> tuple[bool, dict]:
-    """Exhaustive single-flip stability over every corpus system and epsilon."""
+def run_bbbv(_corpus_dir: str | None = None) -> tuple[bool, dict]:
+    """Exhaustive single-flip stability over every corpus system at epsilon 1/7 and 1/10."""
     rows = []
     ok = True
     count = 0
     for name, system, ones in corpus.flip_stability_corpus():
         count += 1
         assignment = OracleAssignment(system.universe_length, ones)
-        for eps in epsilons:
+        for eps in (Fraction(1, 7), Fraction(1, 10)):
             params = SensitivityParams(eps, system.p(0))
             report = verify_flip_stability(system, assignment, "", params)
             rows.append(

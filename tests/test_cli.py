@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gapsim.cli import main
-from gapsim.corpus import BLOCK_REFLECT, rotation_system, write_corpus
+from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 BUNDLE = CORPUS / "lowness" / "fixed_query.json"
@@ -117,16 +117,19 @@ def test_lowness_bundle(tmp_path, capsys):
     assert report["results"]["instance_valid"] is True
 
 
-def test_bbbv_epsilon_flag(capsys):
-    code, out, _ = run(capsys, "bbbv", "--epsilon", "1/10")
+def test_verify_bbbv_checks_each_system_at_both_epsilons(capsys):
+    code, out, _ = run(capsys, "verify", "bbbv")
     assert code == 0
-    rows = json.loads(out)["results"]["rows"]
-    assert all(row["epsilon"] == "1/10" for row in rows)
+    epsilons = {name: set() for name, _, _ in flip_stability_corpus()}
+    for row in json.loads(out)["results"]["rows"]:
+        epsilons[row["system"]].add(row["epsilon"])
+    assert epsilons == {name: {"1/7", "1/10"} for name in epsilons}
 
 
-def test_bad_epsilon_exits_2(capsys):
-    code, _, err = run(capsys, "bbbv", "--epsilon", "one-seventh")
-    assert code == 2
+def test_bbbv_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bbbv"])
+    assert exc.value.code == 2
 
 
 def _bundle_with(tmp_path, **fields):
@@ -221,9 +224,8 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={"": "00", "junk": "1"})), {}),
         (lambda tmp: _lowness(tmp, g_pow2=[100000]), {}),
         (lambda tmp: _lowness(tmp, q=[100000]), {}),
-        (lambda tmp: ["bbbv", "--epsilon", "1/5"], {}),
-        (lambda tmp: ["bbbv", "--epsilon", "0"], {}),
-        (lambda tmp: ["bbbv", "--epsilon", ""], {}),
+        (lambda tmp: _lowness(tmp, g_pow2=[0]), {}),
+        (lambda tmp: _lowness(tmp, certificate={"style": "far-extreme", "g_pow2": [2]}), {}),
         (lambda tmp: ["gap-eval", str(PARITY_TREE), "--input", "0a"], {}),
         *[
             (lambda tmp, suite=suite: ["verify", suite, "--corpus", str(tmp)], {})
@@ -241,7 +243,7 @@ def _file(tmp_path, text):
         "string_oracle", "negative_query_count", "deep_bundle_tree", "non_binary_query",
         "string_queries", "list_trees", "incomplete_tables", "huge_query_count",
         "missing_query", "junk_query_key", "tally_above_cap", "q_above_cap",
-        "epsilon_above_sixth", "epsilon_zero", "epsilon_empty", "non_binary_gap_input",
+        "tally_of_one", "unknown_certificate_style", "non_binary_gap_input",
         *[f"corpus_ignored_by_{suite}" for suite in CORPUS_BLIND_SUITES],
         *[f"missing_corpus_dir_{suite}" for suite in CORPUS_SUITES],
     ],
@@ -249,10 +251,13 @@ def _file(tmp_path, text):
 def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    code, out, err = run(capsys, *make_argv(tmp_path))
+    argv = make_argv(tmp_path)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
+    if argv[0] == "lowness":
+        assert err.startswith(f"error: {argv[2]}: ")
 
 
 def test_oversized_tree_file_exits_1_with_one_line(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_round_trip_on_corpus(name, system):
 
 
 def _successors(system):
-    return {c: [r for r, _ in system.column(c)] for c in range(system.n_configs)}
+    return {c: [r for r, _ in system.columns[c]] for c in range(system.n_configs)}
 
 
 def pb_system(seed, n, t, banded, accept_reachable):
@@ -466,7 +466,7 @@ def test_bqp_to_awpp_zero_error_any_q():
 
 
 def test_bqp_to_awpp_tally_value():
-    family, language = zero_error_family(t=3)
+    family, language = zero_error_family()
     cert = bqp_to_awpp(family, (1,), [("", True)], paddings=[2])
     assert cert.g_value(2) == 15625  # 5**(2*3)
 

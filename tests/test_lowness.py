@@ -102,7 +102,7 @@ def test_inline_quantum_approximator():
         finish=lambda _x, answers: ACCEPT if answers[0] else REJECT,
     )
     oracle = frozenset(y for y, member in labeled if member)
-    instance = LownessInstance(machine, oracle, cert, (0, 1))
+    instance = LownessInstance(machine, oracle, cert)
     inputs = [y for y, _ in labeled]
     assert validate_instance(instance, inputs) == (True, "ok")
     report = verify_sign_preservation(instance, inputs)

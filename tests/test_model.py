@@ -244,7 +244,7 @@ def test_column_blocks_exactly_when_gram_is_scaled_identity(case):
 def test_family_checks_time_bound():
     from gapsim.corpus import zero_error_family
 
-    family, _ = zero_error_family(t=3)
+    family, _ = zero_error_family()
     assert family.system("01", 5).t_bound == 3
     bad = MachineFamily(family.builder, (4,))
     with pytest.raises(ModelError):

@@ -278,7 +278,7 @@ def test_runs_leave_the_shared_column_map_untouched():
     step, slots = next(iter(inst.query_slots.items()))
     unset, patched = (inst._blocks_at(step, lambda _y: bit) for bit in (0, 1))
     for c in slots:
-        assert _column_in(unset, c) == sorted(inst.system.column(c))
+        assert _column_in(unset, c) == sorted(inst.system.columns[c])
         assert _column_in(patched, c) == sorted(inst.alt_columns[c])
 
 
@@ -306,7 +306,7 @@ def test_step_block_cache_reads_every_bit_and_splits_on_slots():
         reachable = {
             r
             for c in reachable
-            for col in (system.system.column(c), alts.get(c, ()))
+            for col in (system.system.columns[c], alts.get(c, ()))
             for r, _ in col
         }
 

@@ -32,7 +32,6 @@ def _commands() -> list[tuple[str, ...]]:
     return [
         *[("verify", suite) for suite in SUITES],
         *[("verify", suite, "--corpus", "corpus") for suite in ("unitarity", "closure", "gaplem")],
-        ("bbbv", "--epsilon", "1/10"),
         *[("simulate", path) for path in shipped("machines")],
         *[
             ("gap-eval", path, "--input", x)

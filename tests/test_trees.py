@@ -74,7 +74,7 @@ def _inline_over_bound():
     huge = Branch((ACCEPT,) * (1 << 19))  # the approximator tree, copied twice per query
     machine = machine_from_tables(1, {"": "0"}, {"1": ACCEPT, "0": REJECT})
     cert = ClassCertificate("awpp", GapMachine(lambda _z: huge), g=lambda _m: 2, q_coeffs=(0,))
-    instance = LownessInstance(machine, frozenset(), cert, (0,))
+    instance = LownessInstance(machine, frozenset(), cert)
     return lambda: inline_construction(instance, "")
 
 
