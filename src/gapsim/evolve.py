@@ -25,14 +25,9 @@ BQP_REJECT = Fraction(1, 3)
 
 @dataclass(frozen=True)
 class AmplitudeVector:
-    """Integer amplitude vector; semantic amplitude of C_i is entries[i] / 5**steps."""
+    """Integer amplitude vector after t steps; the amplitude of C_i is entries[i] / 5**t."""
 
     entries: tuple[int, ...]
-    steps: int
-
-    @property
-    def norm_squared(self) -> int:
-        return sum(e * e for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ def evolve(system: UnitarySystem, t: int) -> AmplitudeVector:
         raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
     for current in trajectory(system, t, lambda _step: system.blocks):
         pass
-    return AmplitudeVector(tuple(current), t)
+    return AmplitudeVector(tuple(current))
 
 
 def accept_probability(system: UnitarySystem) -> ExactProbability:
@@ -142,7 +137,7 @@ def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
             continue
         for r, w in system.columns[config]:
             stack.append((r, depth + 1, weight * w))
-    return AmplitudeVector(tuple(totals), t)
+    return AmplitudeVector(tuple(totals))
 
 
 def float_check(system: UnitarySystem) -> float:

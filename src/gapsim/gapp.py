@@ -73,11 +73,13 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         bound = eval_poly(q, len(x))
         if bound < 0:
             raise StructuralError("negative branching length")
-        if (1 << (bound + 1)) - 1 > machine.branch_bound:
-            raise bound_error("exp_sum branches", f"2**{bound + 1} - 1", machine)
-        a = string_to_num(x)  # y runs over the strings numbered 1 .. 2**(bound+1) - 1
+        # Bit lengths first, so a huge bound is refused before 2**bound is built.
+        width = bound + 1
+        if width > machine.branch_bound.bit_length() or (1 << width) - 1 > machine.branch_bound:
+            raise bound_error("exp_sum branches", f"2**{width} - 1", machine)
+        a = string_to_num(x)  # y runs over the strings numbered 1 .. 2**width - 1
         return Branch(
-            tuple(machine.evaluator(pair_of_nums(a, b)) for b in range(1, 1 << (bound + 1)))
+            tuple(machine.evaluator(pair_of_nums(a, b)) for b in range(1, 1 << width))
         )
 
     return GapMachine(evaluator, machine.branch_bound)
@@ -246,15 +248,26 @@ class ClassCertificate:
 @dataclass(frozen=True)
 class CheckRow:
     x: str
-    member: bool
     value: int
     ok: bool
 
 
 @dataclass(frozen=True)
+class AwppRow:
+    x: str
+    value: int
+    tally: int
+    threshold_ok: bool
+    in_range: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.threshold_ok and self.in_range
+
+
+@dataclass(frozen=True)
 class CheckReport:
-    kind: str
-    rows: tuple[CheckRow, ...]
+    rows: tuple[CheckRow | AwppRow, ...]
     ok: bool
 
 
@@ -266,8 +279,8 @@ def check_pp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckRepo
     rows = []
     for x, member in labeled_inputs:
         value = gap_of(cert.f, x)
-        rows.append(CheckRow(x, member, value, value > 0 if member else value < 0))
-    return CheckReport("pp", tuple(rows), all(r.ok for r in rows))
+        rows.append(CheckRow(x, value, value > 0 if member else value < 0))
+    return CheckReport(tuple(rows), all(r.ok for r in rows))
 
 
 def check_lwpp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckReport:
@@ -276,41 +289,18 @@ def check_lwpp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckRe
     for x, member in labeled_inputs:
         value = gap_of(cert.f, x)
         target = cert.g_value(len(x))
-        rows.append(CheckRow(x, member, value, value == (target if member else 0)))
-    return CheckReport("lwpp", tuple(rows), all(r.ok for r in rows))
-
-
-@dataclass(frozen=True)
-class AwppRow:
-    x: str
-    member: bool
-    value: int
-    tally: int
-    threshold_ok: bool
-    in_range: bool
-    strict_interior: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.threshold_ok and self.in_range
-
-
-@dataclass(frozen=True)
-class AwppReport:
-    rows: tuple[AwppRow, ...]
-    m: int
-    ok: bool
+        rows.append(CheckRow(x, value, value == (target if member else 0)))
+    return CheckReport(tuple(rows), all(r.ok for r in rows))
 
 
 def check_awpp(
     cert: ClassCertificate, labeled_inputs: LabeledInputs, m: int
-) -> AwppReport:
+) -> CheckReport:
     """Amplified-threshold check at padding m, cleared-denominator integers.
 
     Members need 2**q * f >= (2**q - 1) * g, non-members 2**q * f <= g, and
     every value must lie in [0, g].  The closed interval admits the exact
-    0 and g endpoints reached by error-free machines; whether the open
-    interval 0 < f < g also held is reported per row as strict_interior.
+    0 and g endpoints reached by error-free machines.
     """
     rows = []
     for x, member in labeled_inputs:
@@ -323,32 +313,17 @@ def check_awpp(
             threshold_ok = scale * value >= (scale - 1) * g
         else:
             threshold_ok = scale * value <= g
-        rows.append(
-            AwppRow(
-                x=x,
-                member=member,
-                value=value,
-                tally=g,
-                threshold_ok=threshold_ok,
-                in_range=0 <= value <= g,
-                strict_interior=0 < value < g,
-            )
-        )
-    return AwppReport(tuple(rows), m, all(r.ok for r in rows))
+        rows.append(AwppRow(x, value, g, threshold_ok, 0 <= value <= g))
+    return CheckReport(tuple(rows), all(r.ok for r in rows))
 
 
-def check_ceqp(
-    subject: GapMachine | MachineFamily, labeled_inputs: LabeledInputs
-) -> CheckReport:
-    """Exact-zero characterization: in the language iff the value is zero."""
+def check_ceqp(machine: GapMachine, labeled_inputs: LabeledInputs) -> CheckReport:
+    """Exact-zero characterization: in the language iff the gap is zero."""
     rows = []
     for x, member in labeled_inputs:
-        if isinstance(subject, MachineFamily):
-            value = accept_probability(subject.system(x)).numerator
-        else:
-            value = gap_of(subject, x)
-        rows.append(CheckRow(x, member, value, (value == 0) == member))
-    return CheckReport("ceqp", tuple(rows), all(r.ok for r in rows))
+        value = gap_of(machine, x)
+        rows.append(CheckRow(x, value, (value == 0) == member))
+    return CheckReport(tuple(rows), all(r.ok for r in rows))
 
 
 def bqp_to_awpp(

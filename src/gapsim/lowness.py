@@ -143,14 +143,6 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
 
 
 @dataclass(frozen=True)
-class QueryAudit:
-    string: str
-    member: bool
-    f_value: int
-    tally: int
-
-
-@dataclass(frozen=True)
 class SignRow:
     x: str
     true_gap: int
@@ -158,9 +150,7 @@ class SignRow:
     sign_ok: bool
     path_count: int
     paths_within_budget: bool  # path_count**2 < 2**q(len(x))
-    queries: tuple[QueryAudit, ...]
-    main_weight: int  # product of correct-answer weights
-    error_mass: int  # |inlined - main_weight * true|
+    error_mass: int  # |inlined - w * true|, w the product of correct-answer weights
     error_budget: Fraction  # (2**k - 1) * paths * g**k / 2**q
     error_within_budget: bool
 
@@ -202,19 +192,10 @@ def verify_sign_preservation(
         tree, f_trees = run.inlined(instance.approximator, n)
         tgap = trees.gap(run.finishes[run.answers])
         igap = trees.gap(tree)
-        audits = []
         main_weight = 1
         for i, member in enumerate(run.answers):
             f_value = trees.gap(f_trees[run.answers[:i]])
             main_weight *= f_value if member else g - f_value
-            audits.append(
-                QueryAudit(
-                    string=run.queries[run.answers[:i]],
-                    member=member,
-                    f_value=f_value,
-                    tally=g,
-                )
-            )
         error_mass = abs(igap - main_weight * tgap)
         budget = Fraction(((1 << k) - 1) * run.path_count * g**k, 1 << q)
         rows.append(
@@ -225,46 +206,12 @@ def verify_sign_preservation(
                 sign_ok=_sign(igap) == _sign(tgap),
                 path_count=run.path_count,
                 paths_within_budget=run.path_count**2 < (1 << q),
-                queries=tuple(audits),
-                main_weight=main_weight,
                 error_mass=error_mass,
                 error_budget=budget,
                 error_within_budget=Fraction(error_mass) <= budget,
             )
         )
     return SignReport(tuple(rows), all(r.ok for r in rows))
-
-
-def near_extreme_certificate(
-    members: frozenset[str],
-    g_pow2: Sequence[int],
-    q_coeffs: Sequence[int],
-    member_value: Callable[[int], int] | None = None,
-) -> ClassCertificate:
-    """Table approximator: value g(m) - 1 on members, 1 elsewhere, g(m) = 2**poly(m).
-
-    member_value overrides the member row, which is how the adversarial
-    suite weakens the approximation while keeping the same shape.
-    """
-    g_pow2 = tuple(g_pow2)
-
-    def g(m: int) -> int:
-        return 1 << eval_poly(g_pow2, m)
-
-    def evaluator(z: str) -> Node:
-        y, padding = unpair(z)
-        m = len(padding)
-        if y in members:
-            value = (g(m) - 1) if member_value is None else member_value(g(m))
-        else:
-            value = 1
-        if value < 1:
-            raise ModelError(f"table value {value} must be positive")
-        return Branch((trees.ACCEPT,), (value,))
-
-    return ClassCertificate(
-        kind="awpp", f=GapMachine(evaluator), g=g, q_coeffs=tuple(q_coeffs)
-    )
 
 
 def near_extreme_instance(
@@ -274,8 +221,32 @@ def near_extreme_instance(
     q_coeffs: Sequence[int],
     member_value: Callable[[int], int] | None = None,
 ) -> LownessInstance:
-    """Instance whose approximator is the near-extreme table for the oracle set."""
-    cert = near_extreme_certificate(oracle, g_pow2, q_coeffs, member_value)
+    """Instance whose approximator is the near-extreme table for the oracle set.
+
+    The table has value g(m) - 1 on members of the oracle and 1 elsewhere,
+    with g(m) = 2**poly(m).  member_value overrides the member row, which
+    is how the adversarial suite weakens the approximation while keeping
+    the same shape.
+    """
+    g_pow2 = tuple(g_pow2)
+
+    def g(m: int) -> int:
+        return 1 << eval_poly(g_pow2, m)
+
+    def evaluator(z: str) -> Node:
+        y, padding = unpair(z)
+        m = len(padding)
+        if y in oracle:
+            value = (g(m) - 1) if member_value is None else member_value(g(m))
+        else:
+            value = 1
+        if value < 1:
+            raise ModelError(f"table value {value} must be positive")
+        return Branch((trees.ACCEPT,), (value,))
+
+    cert = ClassCertificate(
+        kind="awpp", f=GapMachine(evaluator), g=g, q_coeffs=tuple(q_coeffs)
+    )
     return LownessInstance(machine, oracle, cert)
 
 

@@ -143,13 +143,12 @@ def make_system(
     start: int,
     accept: int,
     t: int,
-    max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> UnitarySystem:
     """Build and validate a system from already-typed fields, entries in any order."""
     ordered = tuple(sorted((int(r), int(c), int(w)) for r, c, w in entries))
     if len({(r, c) for r, c, _ in ordered}) != len(ordered):
         raise StructuralError("duplicate matrix entries")
-    return _checked_system(n_configs, ordered, start, accept, t, max_configs)
+    return _checked_system(n_configs, ordered, start, accept, t, DEFAULT_MAX_CONFIGS)
 
 
 def _checked_system(

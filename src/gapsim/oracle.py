@@ -346,16 +346,12 @@ def _sensitive(
     return result
 
 
-def acceptance_prob_rel(
-    system: OracleQuerySystem, oracle: OracleAssignment, x: str
-) -> ExactProbability:
+def acceptance_prob_rel(system: OracleQuerySystem, oracle: OracleAssignment) -> ExactProbability:
     """Exact acceptance probability of the oracle-instantiated run."""
     return _run(system, oracle.value)[0]
 
 
-def query_magnitudes(
-    system: OracleQuerySystem, oracle: OracleAssignment, x: str
-) -> dict[str, Fraction]:
+def query_magnitudes(system: OracleQuerySystem, oracle: OracleAssignment) -> dict[str, Fraction]:
     """Cumulative squared amplitude each string is queried with across the run."""
     return _magnitudes(system, _run(system, oracle.value)[1])
 
@@ -372,7 +368,6 @@ class FlipReport:
     sensitive: frozenset[str]
     size_bound: int
     max_outside_deviation: Fraction
-    epsilon: Fraction
     ok: bool
 
 
@@ -399,7 +394,6 @@ def verify_flip_stability(
         sensitive=sensitive,
         size_bound=params.bound,
         max_outside_deviation=worst,
-        epsilon=params.epsilon,
         ok=ok,
     )
 

@@ -295,7 +295,7 @@ def run_rerelativize(_corpus_dir: str | None = None) -> tuple[bool, dict]:
             # Every input runs the same machine, so one exhaustive run is the
             # truth for all of them.
             assignment = condition.to_assignment(system.universe_length)
-            truth = acceptance_prob_rel(system, assignment, "").as_fraction() >= Fraction(2, 3)
+            truth = acceptance_prob_rel(system, assignment).as_fraction() >= Fraction(2, 3)
             for x in inputs:
                 result = rerelativized_decide(system, condition, x, params[name])
                 frugal = len(result.query_log) <= result.probe_budget

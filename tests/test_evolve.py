@@ -51,7 +51,7 @@ def test_evolve_two_steps_is_scaled_identity():
 
 def test_evolve_zero_steps():
     vec = evolve(ROTATION, 0)
-    assert vec.entries == (1, 0) and vec.steps == 0
+    assert vec.entries == (1, 0)
 
 
 def test_evolve_bounds():
@@ -120,7 +120,7 @@ def test_path_sum_matches_evolve(name, system):
 @pytest.mark.parametrize("name,system", corpus, ids=corpus_ids)
 def test_norm_conserved_every_step(name, system):
     for t in range(system.t_bound + 1):
-        assert evolve(system, t).norm_squared == 25**t
+        assert sum(e * e for e in evolve(system, t).entries) == 25**t
 
 
 @settings(deadline=None)
@@ -131,7 +131,7 @@ def test_norm_conserved_every_step(name, system):
 def test_norm_conserved_random(index, t):
     system = corpus[index][1]
     t = min(t, system.t_bound)
-    assert evolve(system, t).norm_squared == 25**t
+    assert sum(e * e for e in evolve(system, t).entries) == 25**t
 
 
 def test_float_check_values():

@@ -438,7 +438,7 @@ def test_check_awpp_strictness_on_members():
     cert = awpp_table_cert({"0": 0})
     report = check_awpp(cert, [("0", True)], m=1)
     assert not report.ok
-    assert not report.rows[0].strict_interior
+    assert report.rows[0].value == 0
 
 
 def test_check_awpp_range():

@@ -20,6 +20,7 @@ from gapsim.lowness import (
     validate_instance,
     verify_sign_preservation,
 )
+from gapsim.strings import pair
 from gapsim.trees import ACCEPT, REJECT, Branch, gap, unfolded_leaves
 
 
@@ -88,7 +89,15 @@ def test_sign_preserved_exhaustively_on_corpus():
         assert report.ok, f"{name} flipped: {report.flips()}"
         for row in report.rows:
             assert row.error_within_budget
-            assert row.error_mass < abs(row.main_weight * row.true_gap)
+            # The weight of the true answer path, from the approximator's own gaps.
+            n = len(row.x)
+            g = instance.approximator.g_value(n)
+            queries, answers = instance.machine.answer_trace(row.x, instance.oracle.__contains__)
+            weight = 1
+            for y, member in zip(queries, answers):
+                f = gap_of(instance.approximator.f, pair(y, "1" * n))
+                weight *= f if member else g - f
+            assert row.error_mass < abs(weight * row.true_gap)
 
 
 def test_inline_quantum_approximator():
@@ -108,7 +117,7 @@ def test_inline_quantum_approximator():
     report = verify_sign_preservation(instance, inputs)
     assert report.ok
     for row in report.rows:
-        assert row.queries[0].tally == 5**44
+        assert cert.g_value(len(row.x)) == 5**44
         assert row.error_within_budget
 
 

@@ -112,9 +112,10 @@ def test_non_canonical_files_rejected(mangle):
 
 
 def test_config_cap():
-    entries = [(i, i, 5) for i in range(10)]
-    with pytest.raises(ModelError):
-        make_system(10, entries, 0, 0, 1, max_configs=9)
+    entries = [[i, i, 5] for i in range(10)]
+    doc = {"n_configs": 10, "entries": entries, "start": 0, "accept": 0, "t": 1}
+    with pytest.raises(ModelError, match="10 configurations exceed the limit of 9"):
+        build_system(doc, max_configs=9)
 
 
 corpus_systems = unitary_corpus()

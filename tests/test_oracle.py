@@ -119,7 +119,7 @@ def test_oracle_free_probability_matches_plain():
     system = oracle_free_system()
     inst = system.instance("")
     for ones in (frozenset(), frozenset({"0", "111"})):
-        rel = acceptance_prob_rel(system, OracleAssignment(3, ones), "")
+        rel = acceptance_prob_rel(system, OracleAssignment(3, ones))
         assert rel == accept_probability(inst.system)
 
 
@@ -127,31 +127,31 @@ def test_classical_query_decides():
     system = classical_route_system("101")
     hit = OracleAssignment(3, frozenset({"101"}))
     miss = OracleAssignment(3, frozenset())
-    assert acceptance_prob_rel(system, hit, "").is_one()
-    assert acceptance_prob_rel(system, miss, "").is_zero()
+    assert acceptance_prob_rel(system, hit).is_one()
+    assert acceptance_prob_rel(system, miss).is_zero()
 
 
 def test_assignment_must_cover_queries():
     system = classical_route_system("101")
     with pytest.raises(OracleError):
-        acceptance_prob_rel(system, OracleAssignment(2, frozenset()), "")
+        acceptance_prob_rel(system, OracleAssignment(2, frozenset()))
 
 
 def test_magnitudes_and_sensitive_sets():
     free = oracle_free_system()
     oracle3 = OracleAssignment(3, frozenset())
-    assert query_magnitudes(free, oracle3, "") == {}
+    assert query_magnitudes(free, oracle3) == {}
     assert verify_flip_stability(free, oracle3, "", params_for(free)).sensitive == frozenset()
 
     route = classical_route_system("101")
-    mags = query_magnitudes(route, oracle3, "")
+    mags = query_magnitudes(route, oracle3)
     assert mags == {"101": Fraction(1)}
     assert verify_flip_stability(route, oracle3, "", params_for(route)).sensitive == {"101"}
 
 
 def test_split_magnitude_is_fractional():
     system = phase_split_system("00")
-    mags = query_magnitudes(system, OracleAssignment(3, frozenset()), "")
+    mags = query_magnitudes(system, OracleAssignment(3, frozenset()))
     assert mags == {"00": Fraction(9, 25)}
 
 
@@ -187,7 +187,7 @@ def test_deep_chain_query_escapes_sensitive_set():
     system = deep_chain_system(11, "110")
     oracle = OracleAssignment(3, frozenset())
     params = params_for(system)
-    mags = query_magnitudes(system, oracle, "")
+    mags = query_magnitudes(system, oracle)
     assert mags["110"] == Fraction(9, 25) ** 11
     assert mags["110"] > 0
     report = verify_flip_stability(system, oracle, "", params)
@@ -209,7 +209,7 @@ def test_four_way_system_is_not_categorical():
         categorical_check(system, "")
     witness = info.value.witness
     oracle = OracleAssignment(3, frozenset(witness))
-    prob = acceptance_prob_rel(system, oracle, "").as_fraction()
+    prob = acceptance_prob_rel(system, oracle).as_fraction()
     assert Fraction(1, 3) < prob < Fraction(2, 3)
 
 
@@ -228,7 +228,7 @@ def test_decider_matches_truth_and_stays_frugal():
         frozenset({2}), frozenset({0, 1, 2, 3}), frozenset({"10"})
     )
     result = rerelativized_decide(system, condition, "", params_for(system))
-    truth = acceptance_prob_rel(system, assignment_from(condition, system), "")
+    truth = acceptance_prob_rel(system, assignment_from(condition, system))
     assert result.accept == (truth.as_fraction() >= Fraction(2, 3))
     assert len(result.query_log) <= result.probe_budget
 
@@ -251,9 +251,7 @@ def test_decider_every_long_placement():
             result = rerelativized_decide(
                 system, condition, "0", params_for(system, "0"), check_categorical=False
             )
-            truth = acceptance_prob_rel(
-                system, assignment_from(condition, system), "0"
-            ).as_fraction()
+            truth = acceptance_prob_rel(system, assignment_from(condition, system)).as_fraction()
             assert result.accept == (truth >= Fraction(2, 3)), (name, cond_name)
 
 
@@ -272,8 +270,8 @@ def test_runs_leave_the_shared_column_map_untouched():
     inst = system.instance("")
     before = inst.system.blocks
     all_set = OracleAssignment(system.universe_length, inst.queried_strings())
-    acceptance_prob_rel(system, all_set, "")
-    query_magnitudes(system, all_set, "")
+    acceptance_prob_rel(system, all_set)
+    query_magnitudes(system, all_set)
     assert inst.system.blocks is before
     step, slots = next(iter(inst.query_slots.items()))
     unset, patched = (inst._blocks_at(step, lambda _y: bit) for bit in (0, 1))
@@ -285,10 +283,10 @@ def test_runs_leave_the_shared_column_map_untouched():
 def test_step_block_cache_reads_every_bit_and_splits_on_slots():
     system = deep_chain_system(11, "110")
     oracle = OracleAssignment(3, frozenset({"110"}))
-    first = acceptance_prob_rel(system, oracle, "")
+    first = acceptance_prob_rel(system, oracle)
     with pytest.raises(OracleError):  # a second run still reads the uncovered bit
-        acceptance_prob_rel(system, OracleAssignment(2, frozenset()), "")
-    assert acceptance_prob_rel(system, oracle, "") == first
+        acceptance_prob_rel(system, OracleAssignment(2, frozenset()))
+    assert acceptance_prob_rel(system, oracle) == first
     reachable = {system.system.start}
     for step, (shared, _reads, patterns) in enumerate(system._step_blocks):
         slots = system.query_slots.get(step, {})

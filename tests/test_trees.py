@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +124,18 @@ def test_builders_refuse_before_allocating(make, message, monkeypatch):
     with pytest.raises(ResourceError, match=message):
         build()
     assert built == []
+
+
+def test_exp_sum_refuses_a_huge_bound_without_allocating():
+    machine = exp_sum(GapMachine(lambda _z: ACCEPT), (10**8,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=r"^exp_sum branches 2\*\*100000001 - 1 exceeds"):
+            machine.evaluator("")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2**(10**8) alone would take 12.5 MB
 
 
 def recursive_counts(node):
