@@ -23,7 +23,7 @@ from .evolve import accept_probability
 from .model import MachineFamily, UnitarySystem, load_json_object, load_system
 from .poly import eval_poly
 from .strings import index_string, pair, pair_of_nums, string_to_num, unpair
-from .trees import ACCEPT, REJECT, Branch, Node
+from .trees import ACCEPT, REJECT, Branch, Node, Product
 
 DEFAULT_BRANCH_BOUND = 1 << 20
 
@@ -59,10 +59,8 @@ def gap_of(machine: GapMachine, x: str) -> int:
 
 
 def negate(machine: GapMachine) -> GapMachine:
-    """Machine with every leaf label swapped, so gaps change sign."""
-    return GapMachine(
-        lambda x: trees.negated(machine.evaluator(x)), machine.branch_bound
-    )
+    """Machine whose tree is the product with one reject leaf, so gaps change sign."""
+    return GapMachine(lambda x: Product(machine.evaluator(x), REJECT), machine.branch_bound)
 
 
 def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
@@ -88,9 +86,9 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
 def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
     """Sequential composition computing the product over y = 0 .. q(len(x)).
 
-    Numbers index binary strings canonically.  Each factor is spliced into
-    the leaves of the running tree, with the reject side negated so leaf
-    label parity tracks the sign of the partial product.
+    Numbers index binary strings canonically.  The running tree and each
+    factor become one product node, so the factors are shared, not copied,
+    and the tree stores one node and two edges per factor past the first.
     """
     q = tuple(q)
 
@@ -105,7 +103,7 @@ def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         ]
         result = factors[0]
         for factor in factors[1:]:
-            result = trees.substituted(result, factor, trees.negated(factor))
+            result = Product(result, factor)
         return result
 
     return GapMachine(evaluator, machine.branch_bound)
@@ -126,21 +124,23 @@ def system_tree(system: UnitarySystem) -> Node:
     reaches accept through the row), the source's pair swapped when w < 0.
     Rows off the cone were never under the root, so the DAG is the one a
     forward pass over every reached row would leave there.  The square is
-    the signed product of two copies of the accept entry's path sum; an
+    one product node over the accept row's positive subtree, read twice; an
     unreached accept gives gap 0 and builds nothing.
 
     Before any node is built, the forward frontiers from start are taken
     from the blocks alone and kept while their total stays within
     DEFAULT_BRANCH_BOUND.  Past it a reached accept is refused, bounded by
-    5 + 12 times that total (a row reads at most two sources); an unreached
+    5 + 6 times that total (a row reads at most two sources); an unreached
     one still gives the gap-0 tree.  Each frontier is a function of the one
     before, so the pass stops at a fixed point: every later step holds the
     same set object, and only the total grows.  A walk back from accept
     inside the frontiers gives the cone and the pre-count of the nodes and
     edges the square will store: two branches per cone row with one edge
-    per source it reads, the copy of at most all of them that the square
-    adds, and five for the leaves or the gap-0 tree.  It is at most about twice the
-    stored size.  Over DEFAULT_BRANCH_BOUND the system is refused.
+    per source it reads, and five for the product node and the leaves or
+    for the gap-0 tree.  It also counts the branches near the accept row
+    that the square reads on one sign only, so it is an upper bound a few
+    percent over the stored size.  Over DEFAULT_BRANCH_BOUND the system is
+    refused.
     """
     # Each row's (source column, weight)s and each column's rows, from the blocks.
     pairs, singles = system.blocks
@@ -167,12 +167,12 @@ def system_tree(system: UnitarySystem) -> Node:
     reached = system.accept in frontier
     what = "system_tree stored nodes and edges (upper bound)"
     if reached and total > DEFAULT_BRANCH_BOUND:
-        raise bound_error(what, 5 + 12 * (total + len(frontier)))
+        raise bound_error(what, 5 + 6 * (total + len(frontier)))
     cone, cones, costs = {system.accept}, [], []
     for before in reversed(frontiers) if reached else ():
         cones.append(cone)
         read = [c for r in cone for c, _ in sources_of[r] if c in before]
-        costs.append(4 * (len(cone) + len(read)))
+        costs.append(2 * (len(cone) + len(read)))
         cone = set(read)
     for stored in itertools.accumulate(reversed(costs), initial=5):
         if stored > DEFAULT_BRANCH_BOUND:
@@ -197,8 +197,8 @@ def system_tree(system: UnitarySystem) -> Node:
                 weights = tuple(ws)
                 pushed[r] = (Branch(tuple(same), weights), Branch(tuple(flipped), weights))
             layer = pushed
-        pos, neg = layer[system.accept]
-        return trees.substituted(pos, pos, neg)
+        pos, _ = layer[system.accept]
+        return Product(pos, pos)
     finally:
         if paused:
             gc.enable()
@@ -394,11 +394,20 @@ def _decoded(node) -> Node:
     raise ParseError(f"bad tree node {node!r}")
 
 
-def tree_to_json(node: Node):
+def tree_to_json(node: Node, on_accept="accept", on_reject="reject"):
+    """Nested-array unfolding; a product writes left over right and right negated."""
     if isinstance(node, trees.Leaf):
-        return "accept" if node.accepting else "reject"
+        return on_accept if node.accepting else on_reject
+    if isinstance(node, Product):
+        right = node.right
+        return tree_to_json(
+            node.left,
+            tree_to_json(right, on_accept, on_reject),
+            tree_to_json(right, on_reject, on_accept),
+        )
     weights = node.weights or (1,) * len(node.children)
-    return [doc for child, w in zip(node.children, weights) for doc in [tree_to_json(child)] * w]
+    docs = [tree_to_json(child, on_accept, on_reject) for child in node.children]
+    return [doc for doc, w in zip(docs, weights) for _ in range(w)]
 
 
 def load_gap_machine(path: str) -> GapMachine:

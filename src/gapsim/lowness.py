@@ -27,7 +27,7 @@ from .gapp import (
 from .model import load_json_object
 from .poly import eval_poly
 from .strings import is_binary, pair, unpair
-from .trees import Branch, Node
+from .trees import REJECT, Branch, Node, Product
 
 Answers = tuple[bool, ...]
 
@@ -108,7 +108,7 @@ class _Unrolling:
         for a, y in reversed(self.queries.items()):
             f_trees[a] = approximator.f.evaluator(pair(y, "1" * m))
             below = bound[a + (True,)] + bound[a + (False,)]
-            bound[a] = 2 * (trees.stored_size(f_trees[a]) + below) + 6
+            bound[a] = trees.stored_size(f_trees[a]) + below + 16
         if bound[()] > DEFAULT_BRANCH_BOUND:
             raise bound_error(
                 "inline_construction stored nodes and edges (upper bound)", bound[()]
@@ -116,9 +116,8 @@ class _Unrolling:
         built = dict(self.finishes)
         for a, f_tree in f_trees.items():  # deepest prefixes first
             t_yes, t_no = built[a + (True,)], built[a + (False,)]
-            yes_part = trees.substituted(f_tree, t_yes, trees.negated(t_yes))
-            no_correction = trees.substituted(f_tree, trees.negated(t_no), t_no)
-            built[a] = Branch((yes_part, Branch((t_no,), (g,)), no_correction))
+            no_correction = Product(f_tree, Product(t_no, REJECT))
+            built[a] = Branch((Product(f_tree, t_yes), Branch((t_no,), (g,)), no_correction))
         return built[()], f_trees
 
 
@@ -127,15 +126,16 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
 
     A query for y with continuations T_yes and T_no becomes three branches
     whose gaps add to f(y) * gap(T_yes) + (g - f(y)) * gap(T_no): the
-    approximator tree feeding T_yes (rejects negated), one branch repeating
-    T_no g times, and the approximator tree feeding negated T_no.  Correct
-    answers thus carry weight at least (1 - 2**-q) g and wrong ones at most
-    2**-q g.
+    approximator tree times T_yes, one branch repeating T_no g times, and
+    the approximator tree times negated T_no, each product one node.
+    Correct answers thus carry weight at least (1 - 2**-q) g and wrong ones
+    at most 2**-q g.
 
-    The machine is unrolled once.  A query node stores at most two copies of
-    its approximator tree, its continuations and one negated copy of each,
-    and six more nodes and edges; a first bottom-up pass bounds the stored
-    size from theirs and refuses over DEFAULT_BRANCH_BOUND before any node.
+    The machine is unrolled once, and nothing is copied: a query node adds
+    16 nodes and edges to its one approximator tree and its continuations
+    (three products, the g-branch, the outer branch and the reject leaf);
+    a first bottom-up pass bounds the stored size from theirs and refuses
+    over DEFAULT_BRANCH_BOUND before any node.
     """
     run = _Unrolling(instance.machine, x, instance.oracle)
     tree, _ = run.inlined(instance.approximator, len(x))

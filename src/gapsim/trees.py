@@ -1,22 +1,23 @@
 """Finite computation trees with accept/reject leaves.
 
 Trees are immutable and may share subtrees: the in-memory object is a DAG
-whose unfolding is the computation tree, and a branch may weight its
-children, child i standing for `weights[i]` copies of itself, so g equal
-subtrees are one edge.  Every node stores the (accepting, rejecting) leaf
-counts of its unfolding when it is built, the weighted sum of its
-children's counts, so gaps are read, never recomputed.  The folds below
-are memoized on node identity and cost one visit per distinct node and
-stored edge.  Size caps live in the builders (gapp, lowness), which refuse
-a tree over its bound before allocating it.  Nodes built bottom-up hold no
-cycle, so gapp.system_tree pauses the garbage collector while it builds; the
-pause is process-global, and other threads run without the collector then.
+whose unfolding is the computation tree.  A branch may weight its children,
+child i standing for `weights[i]` copies of itself, so g equal subtrees are
+one edge.  A product node is GapP closure under products in one node: its
+unfolding is `left` with every accept leaf replaced by `right` and every
+reject leaf by `right` negated, so its gap is the product of theirs, and
+`Product(t, REJECT)` is t negated.  Every node stores the (accepting,
+rejecting) leaf counts of its unfolding when it is built, so gaps are read,
+never recomputed.  The walks below visit each distinct node once.  Size
+caps live in the builders (gapp, lowness), which refuse a tree over its
+bound before allocating it.  Nodes built bottom-up hold no cycle, so
+gapp.system_tree pauses the garbage collector while it builds; the pause is
+process-global, and other threads run without the collector then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -54,34 +55,27 @@ class Branch:
         return f"Branch(<{len(self.children)} children>, weights={self.weights})"
 
 
-Node = Leaf | Branch
+@dataclass(frozen=True, eq=False, slots=True)
+class Product:
+    """left with accept leaves replaced by right and reject leaves by right negated."""
+
+    left: Node
+    right: Node
+    counts: tuple[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        a1, r1 = self.left.counts
+        a2, r2 = self.right.counts
+        object.__setattr__(self, "counts", (a1 * a2 + r1 * r2, a1 * r2 + r1 * a2))
+
+    def __repr__(self) -> str:
+        return "Product(<left>, <right>)"
+
+
+Node = Leaf | Branch | Product
 
 ACCEPT = Leaf(True)
 REJECT = Leaf(False)
-
-
-def fold(
-    root: Node,
-    leaf_value: Callable[[Leaf], object],
-    combine: Callable[[Branch, list], object],
-):
-    """Bottom-up computation over distinct nodes; shared subtrees visited once."""
-    memo: dict[int, object] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, Leaf):
-            memo[id(node)] = leaf_value(node)
-        else:
-            missing = [c for c in node.children if id(c) not in memo]
-            if missing:
-                stack.append(node)
-                stack.extend(missing)
-                continue
-            memo[id(node)] = combine(node, [memo[id(c)] for c in node.children])
-    return memo[id(root)]
 
 
 def gap(root: Node, node_budget: int | None = None) -> int:
@@ -95,6 +89,14 @@ def gap(root: Node, node_budget: int | None = None) -> int:
     return acc - rej
 
 
+def _stored_children(node: Node) -> tuple:
+    if isinstance(node, Branch):
+        return node.children
+    if isinstance(node, Product):
+        return node.left, node.right
+    return ()
+
+
 def _distinct(root: Node) -> list[Node]:
     seen: dict[int, Node] = {}
     stack = [root]
@@ -103,42 +105,15 @@ def _distinct(root: Node) -> list[Node]:
         if id(node) in seen:
             continue
         seen[id(node)] = node
-        if isinstance(node, Branch):
-            stack.extend(node.children)
+        stack.extend(_stored_children(node))
     return list(seen.values())
 
 
 def stored_size(root: Node) -> int:
     """Distinct nodes plus stored child edges: the memory a tree holds."""
-    return sum(
-        1 + len(node.children) if isinstance(node, Branch) else 1
-        for node in _distinct(root)
-    )
+    return sum(1 + len(_stored_children(node)) for node in _distinct(root))
 
 
 def unfolded_leaves(root: Node) -> int:
     """Leaf count of the unfolded tree, with multiplicity."""
     return sum(root.counts)
-
-
-def rebuilt(root: Node, leaf_image: Callable[[Leaf], Node]) -> Node:
-    """Copy of the DAG with every leaf replaced; sharing and weights are preserved.
-
-    Subtrees whose leaves all map to themselves are reused unchanged.
-    """
-
-    def combine(node: Branch, kids: list) -> Node:
-        kids = tuple(kids)  # nodes compare by identity, so == is an `is` per child
-        return node if kids == node.children else Branch(kids, node.weights)
-
-    return fold(root, leaf_image, combine)
-
-
-def negated(root: Node) -> Node:
-    """Same tree with accept and reject leaves swapped."""
-    return rebuilt(root, lambda leaf: REJECT if leaf.accepting else ACCEPT)
-
-
-def substituted(root: Node, on_accept: Node, on_reject: Node) -> Node:
-    """Replace every accept leaf by on_accept and every reject leaf by on_reject."""
-    return rebuilt(root, lambda leaf: on_accept if leaf.accepting else on_reject)

@@ -257,8 +257,8 @@ def forward_pass_tree(system):
         layer = pushed
     if system.accept not in layer:
         return Branch((ACCEPT, REJECT))
-    pos, neg = layer[system.accept]
-    return trees.substituted(pos, pos, neg)
+    pos, _ = layer[system.accept]
+    return trees.Product(pos, pos)
 
 
 def same_dag(a, b, matched):
@@ -268,9 +268,16 @@ def same_dag(a, b, matched):
     leaves = isinstance(a, trees.Leaf), isinstance(b, trees.Leaf)
     if any(leaves):
         return all(leaves) and a.accepting == b.accepting
-    if a.weights != b.weights or len(a.children) != len(b.children):
+    products = isinstance(a, trees.Product), isinstance(b, trees.Product)
+    if any(products):
+        if not all(products):
+            return False
+        pairs = [(a.left, b.left), (a.right, b.right)]
+    elif a.weights != b.weights or len(a.children) != len(b.children):
         return False
-    if not all(same_dag(x, y, matched) for x, y in zip(a.children, b.children)):
+    else:
+        pairs = zip(a.children, b.children)
+    if not all(same_dag(x, y, matched) for x, y in pairs):
         return False
     matched.add((id(a), id(b)))
     return True
@@ -286,7 +293,7 @@ def test_system_tree_is_the_forward_pass_dag(system):
 
 
 def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
-    refused = rotation_system(BLOCK_REFLECT, 0, 1, 50000)
+    refused = rotation_system(BLOCK_REFLECT, 0, 1, 100000)
     small = rotation_system(BLOCK_REFLECT, 0, 1, 3)
 
     def out_of_memory(*_args):
@@ -299,7 +306,7 @@ def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
     system_tree(small)
     assert gc.isenabled()
     with monkeypatch.context() as patch:  # a failure while the collector is paused
-        patch.setattr(trees, "substituted", out_of_memory)
+        patch.setattr(gapp, "Product", out_of_memory)
         with pytest.raises(MemoryError):
             system_tree(small)
     assert gc.isenabled()
@@ -326,8 +333,8 @@ def test_system_tree_caps_the_forward_frontiers(monkeypatch):
     tree = system_tree(unreached)
     value, size = gap(tree), stored_size(tree)
     assert value == 0 and size == 5
-    # frontiers {0}, {0, 1} x 6 total 13 before the last one: 5 + 12 * (13 + 2)
-    refusal = r"^system_tree stored nodes and edges \(upper bound\) 185 "
+    # frontiers {0}, {0, 1} x 6 total 13 before the last one: 5 + 6 * (13 + 2)
+    refusal = r"^system_tree stored nodes and edges \(upper bound\) 95 "
     with pytest.raises(ResourceError, match=refusal):
         system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 7))
 
@@ -349,7 +356,7 @@ print(gap(tree), stored_size(tree))
 
 
 def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
-    # Frontiers {0}, then {0, 1} for good: the refusal is 5 + 12 * (2t - 1 + 2),
+    # Frontiers {0}, then {0, 1} for good: the refusal is 5 + 6 * (2t - 1 + 2),
     # and an accept the identity never reaches still gives the 5-node gap-0
     # tree.  Walking t steps would not finish inside the timeout.
     src = os.path.dirname(os.path.dirname(gapp.__file__))
@@ -365,8 +372,8 @@ def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
     refusal = "system_tree stored nodes and edges (upper bound) {} exceeds branch_bound "
     refusal += "1048576 (raise gapp.DEFAULT_BRANCH_BOUND)"
     assert done.stdout.splitlines() == [
-        refusal.format(24000017),
-        refusal.format(24000000000000017),
+        refusal.format(12000011),
+        refusal.format(12000000000000011),
         "0 5",
     ]
 
@@ -374,7 +381,9 @@ def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
 def test_branch_repr_does_not_unfold_the_dag():
     tree = system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 3))
     text = repr(tree)  # 936,746 characters when repr unfolds the DAG
-    assert len(text) < 100 and text.startswith("Branch(")
+    assert len(text) < 100 and text.startswith("Product(")
+    for child in (tree.left, tree.right):
+        assert len(repr(child)) < 100 and repr(child).startswith("Branch(")
 
 
 def test_family_certificates_compile_each_input_once():

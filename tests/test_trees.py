@@ -21,10 +21,10 @@ from gapsim.trees import (
     REJECT,
     Branch,
     Leaf,
+    Product,
     _distinct,
     gap,
-    negated,
-    substituted,
+    stored_size,
     unfolded_leaves,
 )
 
@@ -39,9 +39,13 @@ def weighted_branches(kids):
     )
 
 
-def tree_strategy(depth=4):
+def tree_strategy(max_leaves=25):
     leaf = st.sampled_from([ACCEPT, REJECT])
-    return st.recursive(leaf, weighted_branches, max_leaves=25)
+    return st.recursive(leaf, weighted_branches, max_leaves=max_leaves)
+
+
+# Small enough that the unfolding of a product of three stays cheap to list.
+small_trees = tree_strategy(max_leaves=6)
 
 
 def json_nodes(doc):
@@ -73,7 +77,7 @@ def test_shared_subtrees_count_with_multiplicity():
 
 
 def _inline_over_bound():
-    huge = Branch((ACCEPT,) * (1 << 19))  # the approximator tree, copied twice per query
+    huge = Branch((ACCEPT,) * (1 << 20))  # the approximator tree, shared by both products
     machine = machine_from_tables(1, {"": "0"}, {"1": ACCEPT, "0": REJECT})
     cert = ClassCertificate("awpp", GapMachine(lambda _z: huge), g=lambda _m: 2, q_coeffs=(0,))
     instance = LownessInstance(machine, frozenset(), cert)
@@ -90,9 +94,9 @@ BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
 @pytest.mark.parametrize(
     "make,message",
     [
-        (  # 5 for the leaves, 16 at the first step, 24 at each later one
-            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 50000)),
-            r"^system_tree stored nodes and edges \(upper bound\) 1048581 " + BOUND,
+        (  # 5 for the product and the leaves, 8 at the first step, 12 at each later one
+            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 100000)),
+            r"^system_tree stored nodes and edges \(upper bound\) 1048585 " + BOUND,
         ),
         (
             lambda: lambda: poly_product(_machine(4), (4,)).evaluator(""),
@@ -100,7 +104,7 @@ BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
         ),
         (
             _inline_over_bound,
-            "^inline_construction stored nodes and edges \\(upper bound\\) 1048590 " + BOUND,
+            "^inline_construction stored nodes and edges \\(upper bound\\) 1048596 " + BOUND,
         ),
         (
             lambda: lambda: tree_from_json(["accept"] * ((1 << 20) + 1)),
@@ -149,14 +153,78 @@ def recursive_counts(node):
     return acc, rej
 
 
-@given(tree_strategy(), tree_strategy())
-def test_stored_counts_match_a_recursive_count(tree, other):
-    for image in (tree, negated(tree), substituted(tree, other, negated(other))):
-        assert image.counts == recursive_counts(image)
+@given(tree_strategy())
+def test_stored_counts_match_a_recursive_count(tree):
+    assert tree.counts == recursive_counts(tree)
     assert gap(tree, 10) == gap(tree)  # the positional budget perfbench passes
 
 
-@given(weighted_branches(tree_strategy()), tree_strategy())
+def unfolding(node):
+    """The unfolded tree as nested lists of "accept" and "reject", by definition.
+
+    A branch lists child i weights[i] times; a product is its left unfolding
+    with each accept leaf replaced by the right unfolding and each reject
+    leaf by that unfolding with its labels swapped.
+    """
+    if isinstance(node, Leaf):
+        return "accept" if node.accepting else "reject"
+    if isinstance(node, Product):
+        right = unfolding(node.right)
+        swapped = relabeled(right, {"accept": "reject", "reject": "accept"})
+        return relabeled(unfolding(node.left), {"accept": right, "reject": swapped})
+    weights = node.weights or (1,) * len(node.children)
+    return [unfolding(child) for child, w in zip(node.children, weights) for _ in range(w)]
+
+
+def relabeled(doc, image):
+    return [relabeled(child, image) for child in doc] if isinstance(doc, list) else image[doc]
+
+
+def listed_counts(doc):
+    """(accept, reject) leaves of a nested-list tree, one leaf at a time."""
+    if not isinstance(doc, list):
+        return (1, 0) if doc == "accept" else (0, 1)
+    pairs = [listed_counts(child) for child in doc]
+    return sum(a for a, _ in pairs), sum(r for _, r in pairs)
+
+
+def negation(tree):
+    return Product(tree, REJECT)
+
+
+@given(small_trees, small_trees, small_trees)
+def test_products_match_their_unfolding(a, b, c):
+    for node in (
+        Product(a, b),
+        negation(a),
+        Product(Product(a, b), c),
+        Product(a, Product(b, negation(c))),
+    ):
+        doc = unfolding(node)
+        assert node.counts == listed_counts(doc)
+        assert tree_to_json(node) == doc
+
+
+@given(tree_strategy(), tree_strategy())
+def test_product_multiplies_gaps(a, b):
+    assert gap(Product(a, b)) == gap(a) * gap(b)
+
+
+@given(tree_strategy())
+def test_negation_flips_gap(tree):
+    assert gap(negation(tree)) == -gap(tree)
+    acc, rej = tree.counts
+    assert negation(tree).counts == (rej, acc)
+
+
+@given(small_trees)
+def test_double_negation_unfolds_to_the_tree(tree):
+    twice = negation(negation(tree))
+    assert twice.counts == tree.counts
+    assert unfolding(twice) == unfolding(tree)
+
+
+@given(weighted_branches(small_trees), small_trees)
 def test_weighted_branch_matches_its_expansion(weighted, other):
     weights = weighted.weights or (1,) * len(weighted.children)
     expanded = Branch(
@@ -164,16 +232,22 @@ def test_weighted_branch_matches_its_expansion(weighted, other):
     )
     for image in (
         lambda t: t,
-        negated,
-        lambda t: substituted(t, other, negated(other)),
-        lambda t: substituted(t, ACCEPT, Branch((ACCEPT, REJECT, ACCEPT))),
+        negation,
+        lambda t: Product(t, other),
+        lambda t: Product(other, Product(t, Branch((ACCEPT, REJECT, ACCEPT)))),
     ):
         assert image(weighted).counts == image(expanded).counts
-        assert gap(image(weighted)) == gap(image(expanded))
-        assert tree_to_json(image(weighted)) == tree_to_json(image(expanded))
-    assert negated(weighted).weights == weighted.weights
-    assert substituted(weighted, other, REJECT).weights == weighted.weights
+        assert tree_to_json(image(weighted)) == unfolding(image(expanded))
     assert tree_from_json(tree_to_json(weighted)).counts == weighted.counts
+
+
+def test_product_is_one_node_over_shared_factors():
+    factor = Branch((ACCEPT, REJECT, ACCEPT))
+    square = Product(factor, factor)
+    assert stored_size(square) == 3 + stored_size(factor)  # one node, two edges
+    assert len(_distinct(square)) == 1 + len(_distinct(factor))
+    assert gap(square) == 1 and unfolded_leaves(square) == 9
+    assert json_nodes(tree_to_json(square)) == 1 + 3 * 4
 
 
 def _listed_signed_tree(value, noise=0):
@@ -200,36 +274,5 @@ def test_deep_chain_no_recursion_limit():
     for _ in range(5000):
         tree = Branch((tree,))
     assert gap(tree) == 1
-    assert gap(negated(tree)) == -1
-
-
-@given(tree_strategy())
-def test_negation_flips_gap(tree):
-    assert gap(negated(tree)) == -gap(tree)
-    acc, rej = tree.counts
-    assert negated(tree).counts == (rej, acc)
-
-
-@given(tree_strategy(), tree_strategy())
-def test_substitution_multiplies_gaps(t1, t2):
-    # accept -> t2, reject -> negated t2 realizes the signed product
-    product = substituted(t1, t2, negated(t2))
-    assert gap(product) == gap(t1) * gap(t2)
-
-
-@given(tree_strategy())
-def test_substitution_identity(tree):
-    assert substituted(tree, ACCEPT, REJECT) is tree  # nothing changes, nothing is copied
-
-
-def test_partial_substitution_keeps_untouched_subtrees():
-    accepting = Branch((ACCEPT, ACCEPT), (3, 3))
-    mixed = Branch((ACCEPT, REJECT))
-    root = Branch((accepting, mixed, accepting), (2, 2, 2))
-    pair_of_accepts = Branch((ACCEPT, ACCEPT))
-    copy = substituted(root, ACCEPT, pair_of_accepts)  # only reject leaves change
-    assert copy is not root and copy.weights == (2, 2, 2)
-    assert copy.children[0] is accepting and copy.children[2] is accepting
-    assert copy.children[1] is not mixed
-    assert copy.children[1].children == (ACCEPT, pair_of_accepts)
-    assert gap(copy) == 2 * (6 + 3 + 6)
+    assert gap(negation(tree)) == -1
+    assert stored_size(negation(tree)) == 2 * 5000 + 1 + 1 + 3  # the walk is not recursive
