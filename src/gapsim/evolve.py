@@ -63,11 +63,15 @@ def trajectory(
     (pairs, singles) in the form of model.column_blocks: each pair maps its
     two inputs x, y to a*x + b*y on r1 and c*x + d*y on r2, each single
     maps x to w*x on its row, and a block whose inputs are all zero is
-    skipped.  Rows no block writes stay zero, so blocks whose inputs are
-    zero on every run may be left out.  Each row is the sum of at most two
-    products, so the order of the terms cannot change a float result.
-    Weights and `one` are scaled ints, or floats for the rounding witness.
-    Each yielded list is new and never modified.
+    skipped.  Rows no block writes stay zero, so a block may be left out
+    when its inputs are zero on every run, or when no entry the caller
+    reads depends on its outputs, at this step or through later ones.  A
+    row is never summed across blocks: each kept row is the same at most
+    two products of the same inputs, added in the same order, so neither
+    leaving blocks out nor their order can change a float result, and the
+    float witness stays bit for bit the same.  Weights and `one` are scaled
+    ints, or floats for the rounding witness.  Each yielded list is new and
+    never modified.
     """
     zero = one * 0
     current = [zero] * system.n_configs
@@ -91,18 +95,52 @@ def trajectory(
 
 
 def evolve(system: UnitarySystem, t: int) -> AmplitudeVector:
-    """Apply the scaled transition matrix t times to the start vector."""
+    """Apply the scaled transition matrix t times to the start vector.
+
+    Step k takes the blocks with a column within k steps of start, which
+    are all the blocks whose inputs can be nonzero, so every entry is exact.
+    """
     if t < 0 or t > system.t_bound:
         raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
-    for current in trajectory(system, t, lambda _step: system.blocks):
+    (pairs, singles), counts = system._cone_order[0]
+
+    def blocks_at(step: int) -> Blocks:
+        p, s = counts[min(step, len(counts) - 1)]
+        return pairs[:p], singles[:s]
+
+    for current in trajectory(system, t, blocks_at):
         pass
     return AmplitudeVector(tuple(current))
 
 
+def _accept_run(system: UnitarySystem, convert: Callable[[Blocks], Blocks], one):
+    """The full run's accept entry, stepping only the two-sided cone.
+
+    Step k takes the blocks with a column within k steps of start, or,
+    once they are fewer, the blocks whose rows reach accept within
+    t_bound - 1 - k steps.  Either set holds every block on a path from
+    start to accept at step k, which is all the accept entry reads.
+    convert maps the blocks of each walk to the weights of the run.
+    """
+    (ahead, ahead_counts), (behind, behind_counts) = system._cone_order
+    forward, backward = convert(ahead), convert(behind)
+    last = system.t_bound - 1
+
+    def blocks_at(step: int) -> Blocks:
+        p, s = ahead_counts[min(step, len(ahead_counts) - 1)]
+        q, r = behind_counts[min(last - step, len(behind_counts) - 1)]
+        if q + r < p + s:
+            return backward[0][:q], backward[1][:r]
+        return forward[0][:p], forward[1][:s]
+
+    for current in trajectory(system, system.t_bound, blocks_at, one):
+        pass
+    return current[system.accept]
+
+
 def accept_probability(system: UnitarySystem) -> ExactProbability:
     """Squared accept amplitude after the full run, over 5**(2 t_bound)."""
-    beta = evolve(system, system.t_bound)
-    amp = beta.entries[system.accept]
+    amp = _accept_run(system, lambda blocks: blocks, 1)
     return ExactProbability(amp * amp, 2 * system.t_bound)
 
 
@@ -146,14 +184,16 @@ def float_check(system: UnitarySystem) -> float:
     Agrees with accept_probability within 1e-9 for t <= 20 and up to 4096
     configurations; used as a rounding-error witness, never as truth.
     """
-    pairs, singles = system.blocks
-    scaled = (
+    return _accept_run(system, _scaled, 1.0) ** 2
+
+
+def _scaled(blocks: Blocks) -> Blocks:
+    """The blocks with every weight w as w / 5.0."""
+    pairs, singles = blocks
+    return (
         tuple(
             (c1, c2, r1, r2, a / 5.0, b / 5.0, c / 5.0, d / 5.0)
             for c1, c2, r1, r2, a, b, c, d in pairs
         ),
         tuple((c, r, w / 5.0) for c, r, w in singles),
     )
-    for current in trajectory(system, system.t_bound, lambda _step: scaled, 1.0):
-        pass
-    return current[system.accept] ** 2

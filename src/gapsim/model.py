@@ -107,6 +107,43 @@ def column_blocks(n: int, entries: Iterable[Entry]) -> Blocks | None:
     return tuple(pairs), tuple(singles)
 
 
+def _breadth_first(
+    block_of: list, seed: int, depth: int, forward: bool
+) -> tuple[Blocks, list[tuple[int, int]]]:
+    """Blocks within depth - 1 steps of seed in breadth-first order, with counts.
+
+    block_of[i] is the block that reads configuration i (forward) or writes
+    it (backward).  Forward, the walk enters a block through a column and
+    leaves through its rows; backward, through a row and leaves through its
+    columns.  The block entered through seed is at distance 0.  counts[d]
+    is the number of (pairs, singles) at distance at most d, so the blocks
+    at distance at most d are a prefix of each returned tuple.  The walk
+    stops early once no block is left to enter.
+    """
+    ordered: tuple[list, list] = ([], [])
+    counts: list[tuple[int, int]] = []
+    taken: set[int] = set()
+    layer = [seed]
+    for _ in range(depth):
+        following = []
+        for i in layer:
+            if i not in taken:
+                block = block_of[i]
+                single = len(block) == 3
+                width = 1 if single else 2
+                ins, outs = block[:width], block[width : 2 * width]
+                if not forward:
+                    ins, outs = outs, ins
+                taken.update(ins)
+                ordered[single].append(block)
+                following.extend(outs)
+        counts.append((len(ordered[0]), len(ordered[1])))
+        layer = [i for i in following if i not in taken]
+        if not layer:
+            break
+    return (tuple(ordered[0]), tuple(ordered[1])), counts
+
+
 @dataclass(frozen=True)
 class UnitarySystem:
     """Validated configuration system; immutable and safe to share across threads."""
@@ -125,6 +162,24 @@ class UnitarySystem:
         for r, c, w in self.entries:
             cols[c].append((r, w))
         return tuple(map(tuple, cols))
+
+    @cached_property
+    def _cone_order(self) -> tuple[tuple[Blocks, list[tuple[int, int]]], ...]:
+        """The blocks walked forward from start and backward from accept.
+
+        Each walk is (blocks, counts), see _breadth_first.  Computed on the
+        first run that steps, never by validation.
+        """
+        pairs, singles = self.blocks
+        reads, writes = [None] * self.n_configs, [None] * self.n_configs
+        for block in pairs:
+            reads[block[0]] = reads[block[1]] = writes[block[2]] = writes[block[3]] = block
+        for block in singles:
+            reads[block[0]] = writes[block[1]] = block
+        return (
+            _breadth_first(reads, self.start, self.t_bound, forward=True),
+            _breadth_first(writes, self.accept, self.t_bound, forward=False),
+        )
 
     def to_file_dict(self) -> dict:
         """Machine-file form of this system."""

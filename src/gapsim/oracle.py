@@ -259,10 +259,13 @@ class OracleQuerySystem:
         forward cone (the configurations some assignment can reach by that
         step) are kept.  At a query step the blocks on no slot configuration
         are the base system's under every pattern, so they are shared, and
-        each pattern keeps only its blocks on slot configurations.
+        each pattern keeps only its blocks on slot configurations.  Past the
+        last query step each entry is a function of the cone alone, so once
+        the cone repeats, every later step shares that step's entry.
         """
         base = self.system
         n, columns = base.n_configs, base.columns
+        last_query = max(self.query_slots, default=-1)
         cone = {base.start}
         cache = []
         for step in range(base.t_bound):
@@ -287,12 +290,16 @@ class OracleQuerySystem:
             shared = _in_cone(base.blocks, cone, slots.keys().isdisjoint)
             reads = tuple((y, 1 << names.index(y)) for y in slots.values())
             cache.append((shared, reads, patterns))
-            cone = {
+            following = {
                 r
                 for c in cone
                 for col in (columns[c], self.alt_columns[c] if c in slots else ())
                 for r, _ in col
             }
+            if step > last_query and following == cone:
+                cache += [cache[-1]] * (base.t_bound - 1 - step)
+                break
+            cone = following
         return cache
 
 

@@ -1,6 +1,9 @@
+import importlib
 import inspect
+import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from gapsim.corpus import (
     unitary_corpus,
     zero_error_family,
 )
+from gapsim.cli import main
 from gapsim.errors import BoundsError, ParseError, ResourceError
 from gapsim.evolve import (
     accept_probability,
@@ -29,7 +33,14 @@ from gapsim.evolve import (
     path_sum,
     trajectory,
 )
-from gapsim.model import ALLOWED_NUMERATORS, make_system
+from gapsim.gapp import system_tree
+from gapsim.model import (
+    ALLOWED_NUMERATORS,
+    UnitarySystem,
+    build_system,
+    load_system,
+    make_system,
+)
 from gapsim.oracle import _run
 
 ROTATION = rotation_system(BLOCK_REFLECT, 0, 1, 1)
@@ -222,6 +233,19 @@ def pb_systems(draw):
     return make_system(n, entries, draw(config), draw(config), t)
 
 
+def _assert_runs_match_scatter(system):
+    """evolve, the exact numerator and float_check (bit for bit) against the scatter loop."""
+    n, t = system.n_configs, system.t_bound
+    want = _scatter_run(lambda _k: _column_dict(system.entries), system.start, t, 1)
+    assert evolve(system, t).entries == tuple(_dense(want[-1], n, 0))
+    prob = accept_probability(system)
+    assert (prob.numerator, prob.log5_denominator) == (want[-1].get(system.accept, 0) ** 2, 2 * t)
+    floats = _column_dict(system.entries, lambda w: w / 5.0)
+    final = _scatter_run(lambda _k: floats, system.start, t, 1.0)[-1]
+    assert float_check(system) == final.get(system.accept, 0.0) ** 2  # bit for bit
+    return prob
+
+
 @settings(max_examples=60, deadline=None)
 @given(system=pb_systems())
 def test_kernel_matches_dict_scatter_loop(system):
@@ -230,9 +254,126 @@ def test_kernel_matches_dict_scatter_loop(system):
     want = _scatter_run(lambda _k: exact, system.start, t, 1)
     got = list(trajectory(system, t, lambda _k: system.blocks))
     assert got == [_dense(v, n, 0) for v in want]
-    floats = _column_dict(system.entries, lambda w: w / 5.0)
-    final = _scatter_run(lambda _k: floats, system.start, t, 1.0)[-1]
-    assert float_check(system) == final.get(system.accept, 0.0) ** 2  # bit for bit
+    _assert_runs_match_scatter(system)
+
+
+def _banded_system(blocks, shift: int, start: int, accept: int, t: int):
+    """V = P.B with B the given 2x2 blocks and P the cyclic shift i -> i + shift mod n."""
+    n = 2 * len(blocks)
+    entries = [
+        ((2 * k + i + shift) % n, 2 * k + j, w)
+        for k, block in enumerate(blocks)
+        for (i, j), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), block)
+        if w
+    ]
+    return make_system(n, entries, start, accept, t)
+
+
+@st.composite
+def banded_pb_systems(draw):
+    """Banded P.B systems, n <= 256 and t <= 60: P is a cyclic shift by an odd amount.
+
+    The accept configuration is the end of a drawn walk of length t from
+    start along nonzero entries, or any configuration.
+    """
+    n = 2 * draw(st.integers(min_value=1, max_value=128))
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=n // 2, max_size=n // 2))
+    shift = 2 * draw(st.integers(min_value=0, max_value=n // 2 - 1)) + 1
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    t = draw(st.integers(min_value=0, max_value=60))
+    system = _banded_system(blocks, shift, start, start, t)
+    accept = start
+    if draw(st.booleans()):
+        for _ in range(t):
+            accept = draw(st.sampled_from([r for r, _ in system.columns[accept]]))
+    else:
+        accept = draw(st.integers(min_value=0, max_value=n - 1))
+    return _banded_system(blocks, shift, start, accept, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=banded_pb_systems())
+def test_banded_runs_match_dict_scatter_loop(system):
+    _assert_runs_match_scatter(system)
+
+
+ROTATE_BLOCK = (3, -4, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "system,numerator",
+    [
+        (_banded_system([ROTATE_BLOCK] * 4, 1, 2, 5, 0), 0),  # t = 0, accept elsewhere
+        (_banded_system([ROTATE_BLOCK] * 4, 3, 2, 2, 0), 1),  # t = 0, accept is start
+        (rotation_system(BLOCK_REFLECT, 0, 0, 2), 25**2),  # start == accept: 3*3 + 4*4 home
+        (_banded_system([ROTATE_BLOCK] * 8, 1, 0, 0, 16), None),  # start == accept, wrapped
+        (_banded_system([ROTATE_BLOCK] * 8, 1, 0, 9, 1), 0),  # accept out of reach at t
+        (make_system(5, [((c + 2) % 5, c, 5) for c in range(5)], 0, 2, 2), 0),  # reached at t = 1
+        (make_system(5, [((c + 2) % 5, c, 5 - 10 * (c % 2)) for c in range(5)], 0, 1, 8), 25**8),
+        (IDENTITY_SELF, 5**6),  # n = 1
+        (make_system(1, [(0, 0, -5)], 0, 0, 5), 5**10),  # n = 1, sign flip each step
+    ],
+    ids=[
+        "t0_elsewhere",
+        "t0_home",
+        "start_is_accept",
+        "start_is_accept_banded",
+        "unreachable",
+        "reached_at_another_step",
+        "singles_only_permutation",
+        "n1",
+        "n1_negative",
+    ],
+)
+def test_cone_edge_cases_match_dict_scatter_loop(system, numerator):
+    prob = _assert_runs_match_scatter(system)
+    if numerator is not None:
+        assert prob.numerator == numerator
+
+
+def test_accept_probability_steps_only_the_two_sided_cone(monkeypatch):
+    rng = random.Random(7)
+    pair_blocks = [block for block in BLOCKS if all(block)]
+    n, t = 2048, 200
+    blocks = [rng.choice(pair_blocks) for _ in range(n // 2)]
+    start = accept = rng.randrange(n)
+    columns = _banded_system(blocks, 3, start, start, t).columns
+    for _ in range(t):
+        accept = rng.choice([r for r, _ in columns[accept]])
+    system = _banded_system(blocks, 3, start, accept, t)
+    handed = []
+    module = importlib.import_module("gapsim.evolve")  # the package re-exports a function
+    kernel = module.trajectory
+
+    def counted(system, t, blocks_at, *one):
+        def counting(step):
+            pairs, singles = blocks_at(step)
+            handed.append(len(pairs) + len(singles))
+            return pairs, singles
+
+        return kernel(system, t, counting, *one)
+
+    monkeypatch.setattr(module, "trajectory", counted)
+    accept_probability(system)
+    assert len(handed) == t
+    assert sum(handed) < 0.1 * (n // 2) * t  # a dense run hands (n/2)*t blocks
+
+
+def test_only_a_run_that_steps_computes_the_cone_order(monkeypatch, capsys):
+    def refused(_system):
+        raise AssertionError("cone order computed")
+
+    monkeypatch.setattr(UnitarySystem, "_cone_order", property(refused))
+    corpus_dir = Path(__file__).resolve().parents[1] / "corpus"
+    machine = corpus_dir / "machines" / "blocks_wide_t10.json"
+    system = load_system(str(machine))
+    build_system(system.to_file_dict())
+    make_system(system.n_configs, system.entries, system.start, system.accept, system.t_bound)
+    system_tree(system)
+    assert main(["gap-eval", str(corpus_dir / "trees" / "reflect_t1_compiled.json")]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="cone order computed"):
+        accept_probability(system)
 
 
 def _second_column_phase_system():

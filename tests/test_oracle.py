@@ -421,6 +421,33 @@ def test_categorical_check_runs_once_per_machine(monkeypatch):
     assert len(runs) == 4
 
 
+def test_step_cache_stops_once_the_cone_repeats(monkeypatch):
+    calls = []
+    kernel = gapsim.oracle._in_cone
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(gapsim.oracle, "_in_cone", counted)
+    per_t = {}
+    for t in (10, 10**6):
+        identity = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 0, t)
+        OracleQuerySystem(identity, {}, {}, 1)
+        no_slots = len(calls)
+        phase = OracleQuerySystem(identity, {2: {0: "1"}}, {0: ((0, -5),)}, 1)
+        per_t[t] = (no_slots, len(calls) - no_slots)
+        calls.clear()
+    # one step; then steps 0-3, the last repeating the cone, and step 2's two patterns
+    assert per_t[10] == per_t[10**6] == (1, 6)
+    short = OracleQuerySystem(
+        make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 0, 9), {2: {0: "1"}}, {0: ((0, -5),)}, 1
+    )
+    for bit in (0, 1):
+        prob = acceptance_prob_rel(short, OracleAssignment(1, frozenset({"1"} if bit else ())))
+        assert prob.numerator == 5**18
+
+
 def test_categorical_failure_names_each_callers_input():
     system = four_way_phase_system()
     with pytest.raises(CategoricalityError, match="on input '' under") as first:
