@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -155,7 +156,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else FAIL_EXIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    parse_args keeps no state in the parser: each call returns a fresh
+    namespace, and the defaults are immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="gapsim",
         description="Exact gap-valued simulation of finite unitary systems "
@@ -204,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -19,9 +19,6 @@ from .model import Blocks, UnitarySystem
 DEFAULT_MAX_PATHS = 1 << 20
 _MAX_PATHS_ENV = "GAPSIM_MAX_PATHS"
 
-BQP_ACCEPT = Fraction(2, 3)
-BQP_REJECT = Fraction(1, 3)
-
 
 @dataclass(frozen=True)
 class AmplitudeVector:

@@ -25,7 +25,7 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .evolve import BQP_ACCEPT, BQP_REJECT, ExactProbability, trajectory
+from .evolve import ExactProbability, trajectory
 from .model import (
     ALLOWED_NUMERATORS,
     Blocks,
@@ -230,9 +230,9 @@ class OracleQuerySystem:
         Every input runs this machine, so the answer holds for all inputs.
         """
         for bits in _bit_assignments("the machine", sorted(self.queried_strings())):
-            prob = _run(self, lambda y: bits[y])[0].as_fraction()
-            if BQP_REJECT < prob < BQP_ACCEPT:
-                return prob, bits
+            prob = _run(self, lambda y: bits[y])[0]
+            if _verdict(prob) is None:
+                return prob.as_fraction(), bits
         return None
 
     def _blocks_at(self, step: int, bit_of: Callable[[str], int]) -> Blocks:
@@ -327,25 +327,52 @@ def _run(
     return ExactProbability(amp * amp, 2 * base.t_bound), vectors
 
 
-def _magnitudes(system: OracleQuerySystem, vectors: list[list]) -> dict[str, Fraction]:
-    """Cumulative squared amplitude each string is queried with in one run."""
-    magnitudes: dict[str, Fraction] = {}
+def _verdict(prob: ExactProbability) -> bool | None:
+    """True at or above 2/3, False at or below 1/3, None strictly between.
+
+    The bounded-error promise of BQP, decided on 3 * numerator against
+    5**log5_denominator.
+    """
+    thrice, whole = 3 * prob.numerator, 5**prob.log5_denominator
+    if thrice >= 2 * whole:
+        return True
+    if thrice <= whole:
+        return False
+    return None
+
+
+def _magnitudes(system: OracleQuerySystem, vectors: list[list]) -> tuple[dict[str, int], int]:
+    """Cumulative squared amplitude each string is queried with in one run.
+
+    Returned as integer numerators over one common denominator, 25**T with
+    T the last query step: the weight of a slot at step s is its squared
+    scaled amplitude times 25**(T - s).
+    """
+    last = max(system.query_slots, default=0)
+    numerators: dict[str, int] = {}
     for step, slots in system.query_slots.items():
         amps = vectors[step]
-        scale = 25**step
+        lift = 25 ** (last - step)
         for config, y in slots.items():
-            weight = Fraction(amps[config] ** 2, scale)
-            if weight:
-                magnitudes[y] = magnitudes.get(y, Fraction(0)) + weight
-    return magnitudes
+            amp = amps[config]
+            if amp:
+                numerators[y] = numerators.get(y, 0) + amp * amp * lift
+    return numerators, 25**last
 
 
 def _sensitive(
-    magnitudes: Mapping[str, Fraction], params: SensitivityParams
+    numerators: Mapping[str, int], denominator: int, params: SensitivityParams
 ) -> frozenset[str]:
-    """Strings above the magnitude threshold, refused past the size bound."""
+    """Strings above the magnitude threshold, refused past the size bound.
+
+    A magnitude numerator / denominator is compared with the threshold by
+    cross-multiplying.
+    """
     threshold = params.magnitude_threshold
-    result = frozenset(y for y, mag in magnitudes.items() if mag > threshold)
+    bar = threshold.numerator * denominator
+    result = frozenset(
+        y for y, num in numerators.items() if num * threshold.denominator > bar
+    )
     if len(result) > params.bound:
         raise ModelError(
             f"sensitive set of size {len(result)} exceeds the bound {params.bound}"
@@ -360,7 +387,8 @@ def acceptance_prob_rel(system: OracleQuerySystem, oracle: OracleAssignment) -> 
 
 def query_magnitudes(system: OracleQuerySystem, oracle: OracleAssignment) -> dict[str, Fraction]:
     """Cumulative squared amplitude each string is queried with across the run."""
-    return _magnitudes(system, _run(system, oracle.value)[1])
+    numerators, denominator = _magnitudes(system, _run(system, oracle.value)[1])
+    return {y: Fraction(num, denominator) for y, num in numerators.items()}
 
 
 @dataclass(frozen=True)
@@ -387,7 +415,7 @@ def verify_flip_stability(
     """Exhaustive single-string flips over the whole universe, exact comparisons."""
     prob, vectors = _run(system, oracle.value)
     base = prob.as_fraction()
-    sensitive = _sensitive(_magnitudes(system, vectors), params)
+    sensitive = _sensitive(*_magnitudes(system, vectors), params)
     rows = []
     worst = Fraction(0)
     for y in strings_up_to(oracle.universe_length):
@@ -466,8 +494,7 @@ def rerelativized_decide(
                 known_ones.add(y)
 
     assumed = OracleAssignment(system.universe_length, frozenset(known_ones))
-    prob, vectors = _run(system, assumed.value)
-    decision_prob = prob.as_fraction()
+    decision, vectors = _run(system, assumed.value)
     sensitive: frozenset[str] = frozenset()
     found: str | None = None
 
@@ -475,7 +502,7 @@ def rerelativized_decide(
         long_length = long_lengths[0]
         sensitive = frozenset(
             y
-            for y in _sensitive(_magnitudes(system, vectors), params)
+            for y in _sensitive(*_magnitudes(system, vectors), params)
             if len(y) == long_length
         )
         for y in sorted(sensitive):
@@ -486,16 +513,17 @@ def rerelativized_decide(
             full = OracleAssignment(
                 system.universe_length, frozenset(known_ones | {found})
             )
-            decision_prob = _run(system, full.value)[0].as_fraction()
+            decision = _run(system, full.value)[0]
 
-    if BQP_REJECT < decision_prob < BQP_ACCEPT:
+    accept = _verdict(decision)
+    if accept is None:
+        prob = decision.as_fraction()
         raise CategoricalityError(
-            f"simulation left the promise interval: {decision_prob}",
-            witness=decision_prob,
+            f"simulation left the promise interval: {prob}", witness=prob
         )
     total_short = sum(1 << n for n in short_lengths)
     return DeciderResult(
-        accept=decision_prob >= BQP_ACCEPT,
+        accept=accept,
         query_log=tuple(query_log),
         sensitive=sensitive,
         found_long_string=found,

@@ -140,29 +140,41 @@ def run_gaplem(corpus_dir: str | None = None) -> tuple[bool, dict]:
 
 
 def run_closure(corpus_dir: str | None = None) -> tuple[bool, dict]:
-    """Machine-level combinators match value-level gap arithmetic exhaustively."""
+    """Machine-level combinators match value-level gap arithmetic exhaustively.
+
+    The brute-force references read each input's pair codes, built once
+    for all machines; the combinators under test compute their own.
+    """
     machines = corpus.gap_machine_corpus()
     if corpus_dir is not None:
         for name, path in _corpus_files(corpus_dir, "trees"):
             machines.append((name, load_gap_machine(path)))
     universe = list(strings_up_to(6))
+    references = [
+        (
+            x,
+            [pair(x, y) for y in strings_up_to(1)],
+            [pair(x, index_string(k)) for k in range(2)],
+        )
+        for x in universe
+    ]
     mismatches = []
     checks = 0
     for name, machine in machines:
         negated = negate(machine)
         summed = exp_sum(machine, (1,))
         product = poly_product(machine, (1,))
-        for x in universe:
+        for x, sum_codes, product_codes in references:
             base = gap_of(machine, x)
             checks += 3
             if gap_of(negated, x) != -base:
                 mismatches.append({"machine": name, "x": x, "op": "negate"})
-            want_sum = sum(gap_of(machine, pair(x, y)) for y in strings_up_to(1))
+            want_sum = sum(gap_of(machine, code) for code in sum_codes)
             if gap_of(summed, x) != want_sum:
                 mismatches.append({"machine": name, "x": x, "op": "exp_sum"})
             want_product = 1
-            for k in range(2):
-                want_product *= gap_of(machine, pair(x, index_string(k)))
+            for code in product_codes:
+                want_product *= gap_of(machine, code)
             if gap_of(product, x) != want_product:
                 mismatches.append({"machine": name, "x": x, "op": "poly_product"})
     ok = not mismatches and len(machines) >= 10

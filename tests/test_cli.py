@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -97,6 +98,40 @@ def test_unwritable_json_out_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", machine, "--json-out", target)
     assert code == 2 and out == ""
     assert err == f"error: {target}: cannot write (No such file or directory)\n"
+
+
+def test_parser_is_built_once_per_process(rotation_file, monkeypatch, capsys):
+    run(capsys, "verify", "lwpp")  # warm-up: the first call in the process may build it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    run(capsys, "verify", "lwpp")
+    run(capsys, "simulate", rotation_file)
+    assert built == []
+
+
+def test_usage_error_leaves_the_parser_unchanged(capsys):
+    _, before, _ = run(capsys, "verify", "lwpp")
+    with pytest.raises(SystemExit) as exc:
+        main(["bbbv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, after, _ = run(capsys, "verify", "lwpp")
+    assert after == before
+
+
+def test_json_out_is_not_carried_to_the_next_call(rotation_file, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    run(capsys, "simulate", rotation_file, "--json-out", str(target))
+    target.unlink()
+    code, out, _ = run(capsys, "simulate", rotation_file)
+    assert code == 0 and out
+    assert not target.exists()
 
 
 def test_gap_eval_tree_file(tmp_path, capsys):

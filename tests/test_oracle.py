@@ -155,6 +155,43 @@ def test_split_magnitude_is_fractional():
     assert mags == {"00": Fraction(9, 25)}
 
 
+def _reference_magnitudes(system, oracle):
+    """Sum of Fraction(amp**2, 25**step) over each query slot of the run's vectors."""
+    vectors = gapsim.oracle._run(system, oracle.value)[1]
+    magnitudes = {}
+    for step, slots in system.query_slots.items():
+        for config, y in slots.items():
+            weight = Fraction(vectors[step][config] ** 2, 25**step)
+            if weight:
+                magnitudes[y] = magnitudes.get(y, Fraction(0)) + weight
+    return list(magnitudes.items())
+
+
+def test_integer_magnitudes_match_the_fraction_sum():
+    systems = [s for _, s, _ in flip_stability_corpus()] + [s for _, s in decider_corpus()]
+    conditions = [c for _, c in decider_conditions()]
+    checked = 0
+    for system in systems:
+        oracles = [OracleAssignment(system.universe_length, frozenset())] + [
+            c.to_assignment(system.universe_length)
+            for c in conditions
+            if set(range(system.universe_length + 1)) <= c.domain_lengths
+        ]
+        for oracle in oracles:
+            got = list(query_magnitudes(system, oracle).items())
+            assert got == _reference_magnitudes(system, oracle)
+            checked += bool(got)
+    assert checked > 0
+
+
+def test_magnitude_at_the_threshold_is_not_sensitive():
+    params = SensitivityParams(Fraction(1, 7), 1)
+    at, denominator = 25**3, 196 * 25**3
+    assert Fraction(at, denominator) == params.magnitude_threshold
+    numerators = {"": at - 1, "0": at, "1": at + 1}
+    assert gapsim.oracle._sensitive(numerators, denominator, params) == {"1"}
+
+
 def test_bound_value():
     params = SensitivityParams(Fraction(1, 7), 1)
     assert params.bound == 196  # 4 * 1 * 49

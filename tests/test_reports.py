@@ -1,7 +1,9 @@
 """Every shipped CLI report, byte for byte: sha256 of stdout and the exit code.
 
 The commands run in-process from the repository root, so the input paths
-printed in each report are the relative ones below.  After a deliberate
+printed in each report are the relative ones below.  In-process, every
+command after the first reuses the parser; two commands also run in a
+fresh interpreter, where the parser is built cold.  After a deliberate
 report change, regenerate the digest file from the repository root with
 
     PYTHONPATH=src python tests/test_reports.py
@@ -12,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +67,23 @@ def test_digest_file_lists_every_command():
 def test_report_is_unchanged(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert _report(argv) == json.loads(DIGESTS.read_text())[_key(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "closure"), ("simulate", "corpus/machines/reflect_t1.json")],
+    ids=_key,
+)
+def test_report_is_unchanged_in_a_fresh_process(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "gapsim.cli", *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        timeout=120,
+    )
+    got = {"exit": done.returncode, "sha256": hashlib.sha256(done.stdout).hexdigest()}
+    assert got == json.loads(DIGESTS.read_text())[_key(argv)]
 
 
 if __name__ == "__main__":
