@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +58,8 @@ def gap_of(machine: GapMachine, x: str) -> int:
 
 
 def negate(machine: GapMachine) -> GapMachine:
-    """Machine whose tree is the product with one reject leaf, so gaps change sign."""
-    return GapMachine(lambda x: Product(machine.evaluator(x), REJECT), machine.branch_bound)
+    """Machine whose tree is one branch over the tree at weight -1, so gaps change sign."""
+    return GapMachine(lambda x: Branch((machine.evaluator(x),), (-1,)), machine.branch_bound)
 
 
 def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
@@ -115,32 +114,29 @@ _ZERO = Branch((ACCEPT, REJECT))
 def system_tree(system: UnitarySystem) -> Node:
     """Tree whose gap is the squared accept amplitude of the system.
 
-    Only the two-sided cone is built: a row gets nodes at step s only if it
+    Only the two-sided cone is built: a row gets a node at step s only if it
     is reachable from start in s steps and reaches accept in exactly t - s
-    more.  Such a row holds a pair of subtrees whose gaps are plus and minus
-    the signed sum, over the length-s paths from start, of the products of
-    edge weights: one branch per sign, with one child of weight |w| per
-    source reached at step s - 1 (at most two, each in the cone because it
-    reaches accept through the row), the source's pair swapped when w < 0.
-    Rows off the cone were never under the root, so the DAG is the one a
-    forward pass over every reached row would leave there.  The square is
-    one product node over the accept row's positive subtree, read twice; an
-    unreached accept gives gap 0 and builds nothing.
+    more.  That node is one branch over the sources reached at step s - 1
+    (at most two, each in the cone because it reaches accept through the
+    row), weighted by the signed matrix entries, so its gap is the signed
+    sum over the length-s paths from start of the products of edge weights;
+    start at step 0 is the accept leaf.  Rows off the cone were never under
+    the root, so the DAG is the one a forward pass over every reached row
+    would leave there.  The square is one product node over the accept
+    row's branch, read twice; an unreached accept gives gap 0.
 
     Before any node is built, the forward frontiers from start are taken
     from the blocks alone and kept while their total stays within
     DEFAULT_BRANCH_BOUND.  Past it a reached accept is refused, bounded by
-    5 + 6 times that total (a row reads at most two sources); an unreached
+    4 + 3 times that total (a row reads at most two sources); an unreached
     one still gives the gap-0 tree.  Each frontier is a function of the one
     before, so the pass stops at a fixed point: every later step holds the
     same set object, and only the total grows.  A walk back from accept
-    inside the frontiers gives the cone and the pre-count of the nodes and
-    edges the square will store: two branches per cone row with one edge
-    per source it reads, and five for the product node and the leaves or
-    for the gap-0 tree.  It also counts the branches near the accept row
-    that the square reads on one sign only, so it is an upper bound a few
-    percent over the stored size.  Over DEFAULT_BRANCH_BOUND the system is
-    refused.
+    inside the frontiers gives the cone and the exact count of the nodes
+    and edges the tree will store: one branch per cone row and one edge per
+    source it reads, plus four for the product and the leaf (five for the
+    gap-0 tree).  Once that count passes DEFAULT_BRANCH_BOUND the walk
+    stops and the system is refused.
     """
     # Each row's (source column, weight)s and each column's rows, from the blocks.
     pairs, singles = system.blocks
@@ -167,38 +163,36 @@ def system_tree(system: UnitarySystem) -> Node:
     reached = system.accept in frontier
     what = "system_tree stored nodes and edges (upper bound)"
     if reached and total > DEFAULT_BRANCH_BOUND:
-        raise bound_error(what, 5 + 6 * (total + len(frontier)))
-    cone, cones, costs = {system.accept}, [], []
+        raise bound_error(what, 4 + 3 * (total + len(frontier)))
+    cone, cones, stored = {system.accept}, [], 4 if reached else 5
     for before in reversed(frontiers) if reached else ():
+        if stored > DEFAULT_BRANCH_BOUND:
+            break
         cones.append(cone)
         read = [c for r in cone for c, _ in sources_of[r] if c in before]
-        costs.append(2 * (len(cone) + len(read)))
+        stored += len(cone) + len(read)
         cone = set(read)
-    for stored in itertools.accumulate(reversed(costs), initial=5):
-        if stored > DEFAULT_BRANCH_BOUND:
-            raise bound_error(what, stored)
+    if stored > DEFAULT_BRANCH_BOUND:
+        raise bound_error(what, stored)
     if not reached:
         return _ZERO
 
     paused = gc.isenabled()
     gc.disable()  # see the trees docstring: the build makes no cycle to collect
     try:
-        layer: dict[int, tuple[Node, Node]] = {system.start: (ACCEPT, REJECT)}
+        layer: dict[int, Node] = {system.start: ACCEPT}
         for cone in reversed(cones):
-            pushed: dict[int, tuple[Node, Node]] = {}
+            pushed: dict[int, Node] = {}
             for r in cone:
-                same, flipped, ws = [], [], []
+                children, weights = [], []
                 for c, w in sources_of[r]:
                     if c in layer:
-                        pos, neg = layer[c]
-                        same.append(pos if w > 0 else neg)
-                        flipped.append(neg if w > 0 else pos)
-                        ws.append(abs(w))
-                weights = tuple(ws)
-                pushed[r] = (Branch(tuple(same), weights), Branch(tuple(flipped), weights))
+                        children.append(layer[c])
+                        weights.append(w)
+                pushed[r] = Branch(tuple(children), tuple(weights))
             layer = pushed
-        pos, _ = layer[system.accept]
-        return Product(pos, pos)
+        root = layer[system.accept]
+        return Product(root, root)
     finally:
         if paused:
             gc.enable()
@@ -395,7 +389,7 @@ def _decoded(node) -> Node:
 
 
 def tree_to_json(node: Node, on_accept="accept", on_reject="reject"):
-    """Nested-array unfolding; a product writes left over right and right negated."""
+    """Nested-array unfolding; a product's right and a negative weight negate by swapping labels."""
     if isinstance(node, trees.Leaf):
         return on_accept if node.accepting else on_reject
     if isinstance(node, Product):
@@ -406,8 +400,9 @@ def tree_to_json(node: Node, on_accept="accept", on_reject="reject"):
             tree_to_json(right, on_reject, on_accept),
         )
     weights = node.weights or (1,) * len(node.children)
-    docs = [tree_to_json(child, on_accept, on_reject) for child in node.children]
-    return [doc for doc, w in zip(docs, weights) for _ in range(w)]
+    labels = (on_accept, on_reject), (on_reject, on_accept)
+    docs = [tree_to_json(child, *labels[w < 0]) for child, w in zip(node.children, weights)]
+    return [doc for doc, w in zip(docs, weights) for _ in range(abs(w))]
 
 
 def load_gap_machine(path: str) -> GapMachine:

@@ -27,7 +27,7 @@ from .gapp import (
 from .model import load_json_object
 from .poly import eval_poly
 from .strings import is_binary, pair, unpair
-from .trees import REJECT, Branch, Node, Product
+from .trees import Branch, Node, Product
 
 Answers = tuple[bool, ...]
 
@@ -108,7 +108,7 @@ class _Unrolling:
         for a, y in reversed(self.queries.items()):
             f_trees[a] = approximator.f.evaluator(pair(y, "1" * m))
             below = bound[a + (True,)] + bound[a + (False,)]
-            bound[a] = trees.stored_size(f_trees[a]) + below + 16
+            bound[a] = trees.stored_size(f_trees[a]) + below + 12
         if bound[()] > DEFAULT_BRANCH_BOUND:
             raise bound_error(
                 "inline_construction stored nodes and edges (upper bound)", bound[()]
@@ -116,8 +116,8 @@ class _Unrolling:
         built = dict(self.finishes)
         for a, f_tree in f_trees.items():  # deepest prefixes first
             t_yes, t_no = built[a + (True,)], built[a + (False,)]
-            no_correction = Product(f_tree, Product(t_no, REJECT))
-            built[a] = Branch((Product(f_tree, t_yes), Branch((t_no,), (g,)), no_correction))
+            yes, no = Product(f_tree, t_yes), Product(f_tree, t_no)
+            built[a] = Branch((yes, Branch((t_no,), (g,)), no), (1, 1, -1))
         return built[()], f_trees
 
 
@@ -127,13 +127,13 @@ def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
     A query for y with continuations T_yes and T_no becomes three branches
     whose gaps add to f(y) * gap(T_yes) + (g - f(y)) * gap(T_no): the
     approximator tree times T_yes, one branch repeating T_no g times, and
-    the approximator tree times negated T_no, each product one node.
+    the approximator tree times T_no at weight -1, each product one node.
     Correct answers thus carry weight at least (1 - 2**-q) g and wrong ones
     at most 2**-q g.
 
     The machine is unrolled once, and nothing is copied: a query node adds
-    16 nodes and edges to its one approximator tree and its continuations
-    (three products, the g-branch, the outer branch and the reject leaf);
+    12 nodes and edges to its one approximator tree and its continuations
+    (two products, the g-branch and the outer branch);
     a first bottom-up pass bounds the stored size from theirs and refuses
     over DEFAULT_BRANCH_BOUND before any node.
     """

@@ -1,18 +1,19 @@
 """Finite computation trees with accept/reject leaves.
 
 Trees are immutable and may share subtrees: the in-memory object is a DAG
-whose unfolding is the computation tree.  A branch may weight its children,
-child i standing for `weights[i]` copies of itself, so g equal subtrees are
-one edge.  A product node is GapP closure under products in one node: its
-unfolding is `left` with every accept leaf replaced by `right` and every
-reject leaf by `right` negated, so its gap is the product of theirs, and
-`Product(t, REJECT)` is t negated.  Every node stores the (accepting,
-rejecting) leaf counts of its unfolding when it is built, so gaps are read,
-never recomputed.  The walks below visit each distinct node once.  Size
-caps live in the builders (gapp, lowness), which refuse a tree over its
-bound before allocating it.  Nodes built bottom-up hold no cycle, so
-gapp.system_tree pauses the garbage collector while it builds; the pause is
-process-global, and other threads run without the collector then.
+whose unfolding is the computation tree.  Branch weights are nonzero
+signed ints: child i stands for |weights[i]| copies of itself, negated
+(accept and reject swapped) when weights[i] < 0, so g equal subtrees are
+one edge and a -1 weight is GapP closure under subtraction.  A product node
+is GapP closure under products in one node: its unfolding is `left` with
+every accept leaf replaced by `right` and every reject leaf by `right`
+negated, so its gap is the product of theirs.  Every node stores the
+(accepting, rejecting) leaf counts of its unfolding when it is built, so
+gaps are read, never recomputed.  The walks below visit each distinct node
+once.  Size caps live in the builders (gapp, lowness), which refuse a tree
+over its bound before allocating it.  Nodes built bottom-up hold no cycle,
+so gapp.system_tree pauses the garbage collector while it builds; the pause
+is process-global, and other threads run without the collector then.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Leaf:
 @dataclass(frozen=True, eq=False, slots=True)
 class Branch:
     children: tuple
-    # Child i repeated weights[i] >= 1 times in the unfolding; None: each once.
+    # Child i repeated |weights[i]| != 0 times, negated if negative; None: each once.
     weights: tuple[int, ...] | None = None
     counts: tuple[int, int] = field(init=False, repr=False)
 
@@ -46,6 +47,8 @@ class Branch:
         else:
             for child, w in zip(self.children, self.weights, strict=True):
                 a, r = child.counts
+                if w < 0:  # -w copies of the child negated
+                    a, r, w = r, a, -w
                 acc += w * a
                 rej += w * r
         object.__setattr__(self, "counts", (acc, rej))

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -42,7 +43,7 @@ from gapsim.gapp import (
 )
 from gapsim.model import make_system
 from gapsim.strings import index_string, pair, strings_up_to, unpair
-from gapsim.trees import ACCEPT, REJECT, Branch, _distinct, gap, stored_size
+from gapsim.trees import ACCEPT, REJECT, Branch, _distinct, gap, stored_size, unfolded_leaves
 
 
 def constant_machine(value):
@@ -212,7 +213,7 @@ def test_system_tree_gap_is_the_squared_amplitude(system):
 @given(system=pb_systems)
 def test_system_tree_stays_inside_the_corridor(system):
     size = len(_distinct(system_tree(system)))  # a failing assert must not repr the DAG
-    assert size <= 4 * corridor_pairs(system) + 3
+    assert size <= corridor_pairs(system) + 3
 
 
 @settings(deadline=None, max_examples=60)
@@ -225,40 +226,54 @@ def test_system_tree_cap_bounds_the_tree_it_builds(system):
             system_tree(system)
 
 
+def forward_frontier_total(system):
+    """(sum of |F_s| over s < t, F_t), F_s the configs reached from start in s steps."""
+    frontier, total = {system.start}, 0
+    for _ in range(system.t_bound):
+        total += len(frontier)
+        frontier = {r for c in frontier for r, _ in system.columns[c]}
+    return total, frontier
+
+
 @settings(deadline=None, max_examples=60)
 @given(system=pb_systems)
-def test_system_tree_pre_count_stays_within_twice_the_tree(system):
+def test_system_tree_pre_count_is_the_stored_size(system):
+    """The cap admits the tree exactly when it holds both the tree and the frontiers."""
     size = stored_size(system_tree(system))
+    total, last = forward_frontier_total(system)
+    bound = max(size, total) if system.accept in last else size
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 2 * size + 5)
+        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", bound)
         again = stored_size(system_tree(system))  # not refused
+        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", bound - 1)
+        with pytest.raises(ResourceError, match="^system_tree stored nodes and edges"):
+            system_tree(system)
     assert again == size
 
 
 def forward_pass_tree(system):
     """The square built over every row reached from start, read from the entries.
 
-    Rows that never reach accept are built too; they are garbage once the
-    root is made, so the DAG under the root is the cone's.
+    Each reached row is one branch over its reached sources, weighted by the
+    signed entries.  Rows that never reach accept are built too; they are
+    garbage once the root is made, so the DAG under the root is the cone's.
     """
     sources = {}
     for r, c, w in sorted(system.entries, key=lambda e: e[1]):
         sources.setdefault(r, []).append((c, w))
-    layer = {system.start: (ACCEPT, REJECT)}
+    layer = {system.start: ACCEPT}
     for _ in range(system.t_bound):
         pushed = {}
         for r, row in sources.items():
             read = [(layer[c], w) for c, w in row if c in layer]
             if read:
-                weights = tuple(abs(w) for _, w in read)
-                same = tuple(pos if w > 0 else neg for (pos, neg), w in read)
-                flipped = tuple(neg if w > 0 else pos for (pos, neg), w in read)
-                pushed[r] = (Branch(same, weights), Branch(flipped, weights))
+                children = tuple(node for node, _ in read)
+                pushed[r] = Branch(children, tuple(w for _, w in read))
         layer = pushed
     if system.accept not in layer:
         return Branch((ACCEPT, REJECT))
-    pos, _ = layer[system.accept]
-    return trees.Product(pos, pos)
+    root = layer[system.accept]
+    return trees.Product(root, root)
 
 
 def same_dag(a, b, matched):
@@ -292,8 +307,37 @@ def test_system_tree_is_the_forward_pass_dag(system):
     assert stored_size(cone) == stored_size(forward)
 
 
+# sha256 of json.dumps(tree_to_json(system_tree(s))) for the corpus systems
+# whose unfolding has at most 10**5 leaves, taken while each row was still a
+# mirrored (positive, negative) pair of branches: signed weights must not
+# move a single leaf of any unfolding.
+CORPUS_TREE_DIGESTS = {
+    "reflect_t1": "f27a9b9cd28bf101f95fcc7e9b195c515dc38cbf8143e4ef1a7187903d0327a4",
+    "reflect_t2_off": "6925c3083edb66c42ee654c194c8ff9150a82a2317fed87166dd7038a7083d06",
+    "reflect_t2_self": "705044492aec687ef89a79f6f478fd1acfff611297305e39bc4566c617d5b1ba",
+    "rotate_t1": "f27a9b9cd28bf101f95fcc7e9b195c515dc38cbf8143e4ef1a7187903d0327a4",
+    "rotate_t3": "92d855305f44b758b30801186bf562d2a8e6e27f55cda0cc381d358180f92f33",
+    "swap_t1": "a4bd7ba79f39da683f76638b6607f346b8b7644cf339a16bd79dc0a700bb1776",
+    "swap_t3": "fc2337e96c921ad87446aca7be1d403e1396eb7fc3fecb63299685930ab2db44",
+    "ident2_reject_t3": "fc96c4a0e4dead04ece1fbfcb86d58473a543f8042096847438d07aa3880fe61",
+    "cycle4_t3": "fc2337e96c921ad87446aca7be1d403e1396eb7fc3fecb63299685930ab2db44",
+    "interference_zero": "f1ce52155cb9d70634399686824cf5505b2e6f387dacd9e218ee9dcaf4f0f277",
+    "blocks_mixed_t2": "3d4f99b4c13b0b923c3cdc127989b0e118b471e639cf95388a69687bd832d203",
+    "blocks_cross_t4": "fc96c4a0e4dead04ece1fbfcb86d58473a543f8042096847438d07aa3880fe61",
+}
+
+
+def test_system_tree_unfoldings_are_pinned():
+    systems = dict(unitary_corpus())
+    small = [name for name, s in systems.items() if unfolded_leaves(system_tree(s)) <= 10**5]
+    assert sorted(small) == sorted(CORPUS_TREE_DIGESTS)
+    for name, digest in CORPUS_TREE_DIGESTS.items():
+        doc = json.dumps(tree_to_json(system_tree(systems[name])))
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, name
+
+
 def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
-    refused = rotation_system(BLOCK_REFLECT, 0, 1, 100000)
+    refused = rotation_system(BLOCK_REFLECT, 0, 1, 10**6)
     small = rotation_system(BLOCK_REFLECT, 0, 1, 3)
 
     def out_of_memory(*_args):
@@ -333,8 +377,8 @@ def test_system_tree_caps_the_forward_frontiers(monkeypatch):
     tree = system_tree(unreached)
     value, size = gap(tree), stored_size(tree)
     assert value == 0 and size == 5
-    # frontiers {0}, {0, 1} x 6 total 13 before the last one: 5 + 6 * (13 + 2)
-    refusal = r"^system_tree stored nodes and edges \(upper bound\) 95 "
+    # frontiers {0}, {0, 1} x 6 total 13 before the last one: 4 + 3 * (13 + 2)
+    refusal = r"^system_tree stored nodes and edges \(upper bound\) 49 "
     with pytest.raises(ResourceError, match=refusal):
         system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 7))
 
@@ -356,7 +400,7 @@ print(gap(tree), stored_size(tree))
 
 
 def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
-    # Frontiers {0}, then {0, 1} for good: the refusal is 5 + 6 * (2t - 1 + 2),
+    # Frontiers {0}, then {0, 1} for good: the refusal is 4 + 3 * (2t - 1 + 2),
     # and an accept the identity never reaches still gives the 5-node gap-0
     # tree.  Walking t steps would not finish inside the timeout.
     src = os.path.dirname(os.path.dirname(gapp.__file__))
@@ -372,8 +416,8 @@ def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
     refusal = "system_tree stored nodes and edges (upper bound) {} exceeds branch_bound "
     refusal += "1048576 (raise gapp.DEFAULT_BRANCH_BOUND)"
     assert done.stdout.splitlines() == [
-        refusal.format(12000011),
-        refusal.format(12000000000000011),
+        refusal.format(6000007),
+        refusal.format(6000000000000007),
         "0 5",
     ]
 

@@ -30,11 +30,12 @@ from gapsim.trees import (
 
 
 def weighted_branches(kids):
-    """Branches over 1-4 drawn children, unweighted or with weights 1-3 each."""
+    """Branches over 1-4 drawn children, unweighted or with weights +-1..+-3 each."""
+    weight = st.integers(1, 3) | st.integers(-3, -1)
     return st.lists(kids, min_size=1, max_size=4).flatmap(
         lambda cs: st.builds(
             lambda ws: Branch(tuple(cs), ws),
-            st.none() | st.tuples(*[st.integers(1, 3)] * len(cs)),
+            st.none() | st.tuples(*[weight] * len(cs)),
         )
     )
 
@@ -94,9 +95,9 @@ BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
 @pytest.mark.parametrize(
     "make,message",
     [
-        (  # 5 for the product and the leaves, 8 at the first step, 12 at each later one
-            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 100000)),
-            r"^system_tree stored nodes and edges \(upper bound\) 1048585 " + BOUND,
+        (  # 4 for the product and the leaf, then from accept back: 3 at the last step, 6 before
+            lambda: lambda: system_tree(rotation_system(BLOCK_REFLECT, 0, 1, 200000)),
+            r"^system_tree stored nodes and edges \(upper bound\) 1048579 " + BOUND,
         ),
         (
             lambda: lambda: poly_product(_machine(4), (4,)).evaluator(""),
@@ -104,7 +105,7 @@ BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
         ),
         (
             _inline_over_bound,
-            "^inline_construction stored nodes and edges \\(upper bound\\) 1048596 " + BOUND,
+            "^inline_construction stored nodes and edges \\(upper bound\\) 1048592 " + BOUND,
         ),
         (
             lambda: lambda: tree_from_json(["accept"] * ((1 << 20) + 1)),
@@ -143,12 +144,17 @@ def test_exp_sum_refuses_a_huge_bound_without_allocating():
 
 
 def recursive_counts(node):
-    """(accept, reject) leaves of the unfolding, recounted from children and weights alone."""
+    """(accept, reject) leaves of the unfolding, recounted from children and weights alone.
+
+    A child of weight -w counts w times with its accept and reject leaves swapped.
+    """
     if isinstance(node, Leaf):
         return (1, 0) if node.accepting else (0, 1)
     acc = rej = 0
     for child, w in zip(node.children, node.weights or [1] * len(node.children)):
         a, r = recursive_counts(child)
+        if w < 0:
+            a, r, w = r, a, -w
         acc, rej = acc + w * a, rej + w * r
     return acc, rej
 
@@ -162,22 +168,30 @@ def test_stored_counts_match_a_recursive_count(tree):
 def unfolding(node):
     """The unfolded tree as nested lists of "accept" and "reject", by definition.
 
-    A branch lists child i weights[i] times; a product is its left unfolding
-    with each accept leaf replaced by the right unfolding and each reject
-    leaf by that unfolding with its labels swapped.
+    A branch lists child i |weights[i]| times, with its labels swapped when
+    weights[i] < 0; a product is its left unfolding with each accept leaf
+    replaced by the right unfolding and each reject leaf by that unfolding
+    with its labels swapped.
     """
     if isinstance(node, Leaf):
         return "accept" if node.accepting else "reject"
     if isinstance(node, Product):
         right = unfolding(node.right)
-        swapped = relabeled(right, {"accept": "reject", "reject": "accept"})
-        return relabeled(unfolding(node.left), {"accept": right, "reject": swapped})
+        return relabeled(unfolding(node.left), {"accept": right, "reject": swapped(right)})
     weights = node.weights or (1,) * len(node.children)
-    return [unfolding(child) for child, w in zip(node.children, weights) for _ in range(w)]
+    docs = [
+        unfolding(child) if w > 0 else swapped(unfolding(child))
+        for child, w in zip(node.children, weights)
+    ]
+    return [doc for doc, w in zip(docs, weights) for _ in range(abs(w))]
 
 
 def relabeled(doc, image):
     return [relabeled(child, image) for child in doc] if isinstance(doc, list) else image[doc]
+
+
+def swapped(doc):
+    return relabeled(doc, {"accept": "reject", "reject": "accept"})
 
 
 def listed_counts(doc):
@@ -189,7 +203,13 @@ def listed_counts(doc):
 
 
 def negation(tree):
+    """The tree negated as a product with one reject leaf."""
     return Product(tree, REJECT)
+
+
+def signed_negation(tree):
+    """The tree negated as the one child of a branch, at weight -1."""
+    return Branch((tree,), (-1,))
 
 
 @given(small_trees, small_trees, small_trees)
@@ -197,8 +217,11 @@ def test_products_match_their_unfolding(a, b, c):
     for node in (
         Product(a, b),
         negation(a),
+        signed_negation(a),
         Product(Product(a, b), c),
         Product(a, Product(b, negation(c))),
+        Product(a, signed_negation(Product(b, c))),
+        Branch((a, Product(b, c)), (2, -1)),
     ):
         doc = unfolding(node)
         assert node.counts == listed_counts(doc)
@@ -212,9 +235,10 @@ def test_product_multiplies_gaps(a, b):
 
 @given(tree_strategy())
 def test_negation_flips_gap(tree):
-    assert gap(negation(tree)) == -gap(tree)
     acc, rej = tree.counts
-    assert negation(tree).counts == (rej, acc)
+    for negated in (negation(tree), signed_negation(tree)):
+        assert gap(negated) == -gap(tree)
+        assert negated.counts == (rej, acc)
 
 
 @given(small_trees)
@@ -222,17 +246,25 @@ def test_double_negation_unfolds_to_the_tree(tree):
     twice = negation(negation(tree))
     assert twice.counts == tree.counts
     assert unfolding(twice) == unfolding(tree)
+    signed_twice = signed_negation(signed_negation(tree))
+    assert signed_twice.counts == tree.counts
+    assert tree_to_json(signed_twice) == [[tree_to_json(tree)]]  # two one-child branches
 
 
 @given(weighted_branches(small_trees), small_trees)
 def test_weighted_branch_matches_its_expansion(weighted, other):
     weights = weighted.weights or (1,) * len(weighted.children)
-    expanded = Branch(
-        tuple(child for child, w in zip(weighted.children, weights) for _ in range(w))
+    expanded = Branch(  # a child of weight -w is w products with one reject leaf
+        tuple(
+            child if w > 0 else negation(child)
+            for child, w in zip(weighted.children, weights)
+            for _ in range(abs(w))
+        )
     )
     for image in (
         lambda t: t,
         negation,
+        signed_negation,
         lambda t: Product(t, other),
         lambda t: Product(other, Product(t, Branch((ACCEPT, REJECT, ACCEPT)))),
     ):
@@ -276,3 +308,4 @@ def test_deep_chain_no_recursion_limit():
     assert gap(tree) == 1
     assert gap(negation(tree)) == -1
     assert stored_size(negation(tree)) == 2 * 5000 + 1 + 1 + 3  # the walk is not recursive
+    assert stored_size(signed_negation(tree)) == 2 * 5000 + 1 + 2
