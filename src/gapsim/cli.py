@@ -7,6 +7,9 @@ inputs and flags produce byte-identical reports.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or parse
 errors.
+
+Each command imports the modules it runs when it runs, so a cold
+`simulate` loads the model and evolve layers and nothing else.
 """
 
 from __future__ import annotations
@@ -19,12 +22,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import strings, suites
 from .errors import GapsimError, ParseError, PromiseViolation
-from .evolve import accept_probability, float_check, path_sum
-from .gapp import gap_of, load_gap_machine
-from .lowness import load_instance_bundle, validate_instance, verify_sign_preservation
-from .model import load_system
+from .model import DEFAULT_MAX_CONFIGS, load_system
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -69,7 +68,7 @@ def _write_report(args, command: str, input_paths: list, results, pass_fail: dic
         "results": _canonical(results),
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "json_out", None):
+    if args.json_out:
         try:
             with open(args.json_out, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -79,6 +78,8 @@ def _write_report(args, command: str, input_paths: list, results, pass_fail: dic
 
 
 def cmd_simulate(args) -> int:
+    from .evolve import accept_probability, float_check, path_sum
+
     if args.max_configs < 1:
         raise ParseError(f"--max-configs must be positive, got {args.max_configs}")
     system = load_system(args.machine, max_configs=args.max_configs)
@@ -106,6 +107,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gap_eval(args) -> int:
+    from . import strings
+    from .gapp import gap_of, load_gap_machine
+
     if not strings.is_binary(args.input):
         raise ParseError(f"--input must be a binary string, got {args.input!r}")
     machine = load_gap_machine(args.machine)
@@ -117,6 +121,8 @@ def cmd_gap_eval(args) -> int:
 
 
 def cmd_lowness(args) -> int:
+    from .lowness import load_instance_bundle, validate_instance, verify_sign_preservation
+
     instance, inputs = load_instance_bundle(args.bundle)
     valid, why = validate_instance(instance, inputs)
     report = verify_sign_preservation(instance, inputs)
@@ -141,6 +147,8 @@ def cmd_lowness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     if args.suite not in suites.SUITES:
         sys.stderr.write(
             f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITES)}\n"
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-configs",
         type=int,
-        default=4096,
+        default=DEFAULT_MAX_CONFIGS,
         metavar="N",
         help="configuration-count limit for the machine file",
     )

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from gapsim.cli import main
 from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
 BUNDLE = CORPUS / "lowness" / "fixed_query.json"
 PARITY_TREE = CORPUS / "trees" / "parity_step.json"
 
@@ -165,6 +169,46 @@ def test_bbbv_is_not_a_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bbbv"])
     assert exc.value.code == 2
+
+
+# Runs main the way the `gapsim` script does, then prints the exit code and
+# the gapsim modules that the command loaded.
+LOADED = """
+import contextlib, io, json, sys
+from gapsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "gapsim")]))
+"""
+
+
+def _loaded(*argv):
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return {name.removeprefix("gapsim.") for name in modules}
+
+
+def test_simulate_loads_only_the_model_and_evolve_layers():
+    loaded = _loaded("simulate", "corpus/machines/reflect_t1.json")
+    assert loaded == {"gapsim", "cli", "errors", "evolve", "model", "poly"}
+
+
+def test_gap_eval_loads_no_suites_corpus_oracle_or_lowness():
+    loaded = _loaded("gap-eval", "corpus/trees/parity_step.json", "--input", "01")
+    assert loaded & {"suites", "corpus", "oracle", "lowness"} == set()
+
+
+def test_lowness_loads_no_suites_corpus_or_oracle():
+    loaded = _loaded("lowness", "--bundle", "corpus/lowness/fixed_query.json")
+    assert loaded & {"suites", "corpus", "oracle"} == set()
 
 
 def _bundle_with(tmp_path, **fields):
