@@ -29,27 +29,25 @@ DEFAULT_BRANCH_BOUND = 1 << 20
 
 @dataclass(frozen=True)
 class GapMachine:
-    """Evaluator from input strings to computation trees, with a size guard.
+    """Evaluator from input strings to computation trees.
 
-    exp_sum and poly_product refuse over branch_bound before they build;
-    builders without a machine refuse over DEFAULT_BRANCH_BOUND.
+    Every tree builder refuses over DEFAULT_BRANCH_BOUND before it builds.
     """
 
     evaluator: Callable[[str], Node]
-    branch_bound: int = DEFAULT_BRANCH_BOUND
+
+    @property
+    def branch_bound(self) -> int:
+        """DEFAULT_BRANCH_BOUND; perfbench's _combinator_job still reads it."""
+        return DEFAULT_BRANCH_BOUND
 
 
-def bound_error(what: str, value, machine: GapMachine | None = None) -> ResourceError:
-    """Refusal of a tree whose size passes its bound, raised before it is built.
-
-    The bound is the machine's branch_bound, or DEFAULT_BRANCH_BOUND for a
-    builder without a machine; the message names the knob that raises it.
-    """
-    if machine is None:
-        bound, knob = DEFAULT_BRANCH_BOUND, "gapp.DEFAULT_BRANCH_BOUND"
-    else:
-        bound, knob = machine.branch_bound, "branch_bound"
-    return ResourceError(f"{what} {value} exceeds branch_bound {bound} (raise {knob})")
+def bound_error(what: str, value) -> ResourceError:
+    """Refusal of a tree whose size passes DEFAULT_BRANCH_BOUND, raised before it is built."""
+    return ResourceError(
+        f"{what} {value} exceeds branch_bound {DEFAULT_BRANCH_BOUND} "
+        "(raise gapp.DEFAULT_BRANCH_BOUND)"
+    )
 
 
 def gap_of(machine: GapMachine, x: str) -> int:
@@ -59,7 +57,7 @@ def gap_of(machine: GapMachine, x: str) -> int:
 
 def negate(machine: GapMachine) -> GapMachine:
     """Machine whose tree is one branch over the tree at weight -1, so gaps change sign."""
-    return GapMachine(lambda x: Branch((machine.evaluator(x),), (-1,)), machine.branch_bound)
+    return GapMachine(lambda x: Branch((machine.evaluator(x),), (-1,)))
 
 
 def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
@@ -72,14 +70,14 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
             raise StructuralError("negative branching length")
         # Bit lengths first, so a huge bound is refused before 2**bound is built.
         width = bound + 1
-        if width > machine.branch_bound.bit_length() or (1 << width) - 1 > machine.branch_bound:
-            raise bound_error("exp_sum branches", f"2**{width} - 1", machine)
+        if width > DEFAULT_BRANCH_BOUND.bit_length() or (1 << width) - 1 > DEFAULT_BRANCH_BOUND:
+            raise bound_error("exp_sum branches", f"2**{width} - 1")
         a = string_to_num(x)  # y runs over the strings numbered 1 .. 2**width - 1
         return Branch(
             tuple(machine.evaluator(pair_of_nums(a, b)) for b in range(1, 1 << width))
         )
 
-    return GapMachine(evaluator, machine.branch_bound)
+    return GapMachine(evaluator)
 
 
 def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
@@ -95,8 +93,8 @@ def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         bound = eval_poly(q, len(x))
         if bound < 0:
             raise StructuralError("negative product range")
-        if bound + 1 > machine.branch_bound:
-            raise bound_error("poly_product factors", bound + 1, machine)
+        if bound + 1 > DEFAULT_BRANCH_BOUND:
+            raise bound_error("poly_product factors", bound + 1)
         factors = [
             machine.evaluator(pair(x, index_string(k))) for k in range(bound + 1)
         ]
@@ -105,7 +103,7 @@ def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
             result = Product(result, factor)
         return result
 
-    return GapMachine(evaluator, machine.branch_bound)
+    return GapMachine(evaluator)
 
 
 _ZERO = Branch((ACCEPT, REJECT))
@@ -209,25 +207,15 @@ def _compiled(system_of: Callable[[str], UnitarySystem]) -> GapMachine:
     return GapMachine(functools.cache(lambda z: system_tree(system_of(z))))
 
 
-CERT_KINDS = ("pp", "lwpp", "awpp", "ceqp")
-
-
 @dataclass(frozen=True)
 class ClassCertificate:
-    """The (f, g, q) data instantiating a promise-class definition."""
+    """A class's gap machine f and tally g, with AWPP's error polynomial q."""
 
-    kind: str
     f: GapMachine
-    g: Callable[[int], int] | None = None
+    g: Callable[[int], int]
     q_coeffs: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in CERT_KINDS:
-            raise StructuralError(f"unknown certificate kind {self.kind!r}")
-
     def g_value(self, m: int) -> int:
-        if self.g is None:
-            raise StructuralError(f"{self.kind} certificate has no tally function")
         value = self.g(m)
         if value <= 0:
             raise StructuralError(f"tally g({m}) = {value} must be positive")
@@ -235,7 +223,7 @@ class ClassCertificate:
 
     def q_value(self, m: int) -> int:
         if self.q_coeffs is None:
-            raise StructuralError(f"{self.kind} certificate has no polynomial q")
+            raise StructuralError("an LWPP certificate has no polynomial q")
         return eval_poly(self.q_coeffs, m)
 
 
@@ -268,11 +256,11 @@ class CheckReport:
 LabeledInputs = Iterable[tuple[str, bool]]
 
 
-def check_pp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckReport:
+def check_pp(machine: GapMachine, labeled_inputs: LabeledInputs) -> CheckReport:
     """Members need positive gap, non-members negative; zero always fails."""
     rows = []
     for x, member in labeled_inputs:
-        value = gap_of(cert.f, x)
+        value = gap_of(machine, x)
         rows.append(CheckRow(x, value, value > 0 if member else value < 0))
     return CheckReport(tuple(rows), all(r.ok for r in rows))
 
@@ -351,12 +339,7 @@ def bqp_to_awpp(
             raise StructuralError("padding must be a block of ones")
         return family.system(x, len(padding))
 
-    return ClassCertificate(
-        kind="awpp",
-        f=_compiled(system_at_padding),
-        g=lambda m: 5 ** (2 * family.t(m)),
-        q_coeffs=q,
-    )
+    return ClassCertificate(_compiled(system_at_padding), lambda m: 5 ** (2 * family.t(m)), q)
 
 
 def tree_from_json(node) -> Node:
@@ -445,8 +428,4 @@ def eqp_to_lwpp(
                 f"non-member {x!r} accepted with probability {prob.as_fraction()} != 0",
                 witness=(x, prob),
             )
-    return ClassCertificate(
-        kind="lwpp",
-        f=_compiled(family.system),
-        g=lambda n: 5 ** (2 * family.t(n)),
-    )
+    return ClassCertificate(_compiled(family.system), lambda n: 5 ** (2 * family.t(n)))

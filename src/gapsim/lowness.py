@@ -108,7 +108,7 @@ class _Unrolling:
         for a, y in reversed(self.queries.items()):
             f_trees[a] = approximator.f.evaluator(pair(y, "1" * m))
             below = bound[a + (True,)] + bound[a + (False,)]
-            bound[a] = trees.stored_size(f_trees[a]) + below + 12
+            bound[a] = trees.stored_size(f_trees[a]) + below + 10
         if bound[()] > DEFAULT_BRANCH_BOUND:
             raise bound_error(
                 "inline_construction stored nodes and edges (upper bound)", bound[()]
@@ -116,26 +116,25 @@ class _Unrolling:
         built = dict(self.finishes)
         for a, f_tree in f_trees.items():  # deepest prefixes first
             t_yes, t_no = built[a + (True,)], built[a + (False,)]
-            yes, no = Product(f_tree, t_yes), Product(f_tree, t_no)
-            built[a] = Branch((yes, Branch((t_no,), (g,)), no), (1, 1, -1))
+            built[a] = Branch((Product(f_tree, t_yes), t_no, Product(f_tree, t_no)), (1, g, -1))
         return built[()], f_trees
 
 
 def inline_construction(instance: LownessInstance, x: str) -> GapMachine:
     """Machine with each query replaced by a weighted run of the approximator.
 
-    A query for y with continuations T_yes and T_no becomes three branches
-    whose gaps add to f(y) * gap(T_yes) + (g - f(y)) * gap(T_no): the
-    approximator tree times T_yes, one branch repeating T_no g times, and
-    the approximator tree times T_no at weight -1, each product one node.
+    A query for y with continuations T_yes and T_no becomes one branch
+    whose gap is f(y) * gap(T_yes) + (g - f(y)) * gap(T_no): the
+    approximator tree times T_yes at weight 1, T_no at weight g, and the
+    approximator tree times T_no at weight -1, each product one node.
     Correct answers thus carry weight at least (1 - 2**-q) g and wrong ones
     at most 2**-q g.
 
     The machine is unrolled once, and nothing is copied: a query node adds
-    12 nodes and edges to its one approximator tree and its continuations
-    (two products, the g-branch and the outer branch);
-    a first bottom-up pass bounds the stored size from theirs and refuses
-    over DEFAULT_BRANCH_BOUND before any node.
+    10 nodes and edges to its one approximator tree and its continuations
+    (two products and the branch); a first bottom-up pass bounds the
+    stored size from theirs and refuses over DEFAULT_BRANCH_BOUND before
+    any node.
     """
     run = _Unrolling(instance.machine, x, instance.oracle)
     tree, _ = run.inlined(instance.approximator, len(x))
@@ -244,9 +243,7 @@ def near_extreme_instance(
             raise ModelError(f"table value {value} must be positive")
         return Branch((trees.ACCEPT,), (value,))
 
-    cert = ClassCertificate(
-        kind="awpp", f=GapMachine(evaluator), g=g, q_coeffs=tuple(q_coeffs)
-    )
+    cert = ClassCertificate(GapMachine(evaluator), g, tuple(q_coeffs))
     return LownessInstance(machine, oracle, cert)
 
 

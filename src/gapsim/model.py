@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AmplitudeError, ModelError, ParseError, StructuralError
 from .poly import eval_poly
@@ -201,15 +201,13 @@ def make_system(
 ) -> UnitarySystem:
     """Build and validate a system from already-typed fields, entries in any order."""
     ordered = tuple(sorted((int(r), int(c), int(w)) for r, c, w in entries))
-    if len({(r, c) for r, c, _ in ordered}) != len(ordered):
-        raise StructuralError("duplicate matrix entries")
     return _checked_system(n_configs, ordered, start, accept, t, DEFAULT_MAX_CONFIGS)
 
 
 def _checked_system(
     n_configs: int, ordered: tuple, start: int, accept: int, t: int, max_configs: int
 ) -> UnitarySystem:
-    """Validate int fields and int entries sorted by (row, col) without duplicates."""
+    """Validate int fields and int entries sorted by (row, col)."""
     if n_configs < 1:
         raise StructuralError("n_configs must be positive")
     if n_configs > max_configs:
@@ -220,19 +218,31 @@ def _checked_system(
         raise StructuralError(f"accept index {accept} out of range")
     if t < 0:
         raise StructuralError("running time must be nonnegative")
-    for r, c, w in ordered:
-        if not (0 <= r < n_configs and 0 <= c < n_configs):
+    return UnitarySystem(n_configs, ordered, start, accept, t, checked_blocks(n_configs, ordered))
+
+
+def checked_blocks(n: int, entries: Sequence[Entry]) -> Blocks:
+    """column_blocks of the entries, or the refusal of the first fault.
+
+    Every matrix is checked here: no (row, col) twice, the range of each
+    entry, its numerator, then the first column pair whose inner product is
+    not 25 * delta.
+    """
+    if len({(r, c) for r, c, _ in entries}) != len(entries):
+        raise StructuralError("duplicate matrix entries")
+    for r, c, w in entries:
+        if not (0 <= r < n and 0 <= c < n):
             raise StructuralError(f"entry ({r},{c}) out of range")
         if w not in ALLOWED_NUMERATORS or w == 0:
             raise AmplitudeError(f"numerator {w} at ({r},{c}) not in the allowed set")
-    blocks = column_blocks(n_configs, ordered)
+    blocks = column_blocks(n, entries)
     if blocks is None:
-        i, j, got, want = _gram_first_violation(n_configs, ordered)
+        i, j, got, want = _gram_first_violation(n, entries)
         raise ModelError(
             f"not norm-preserving: inner product of columns ({i},{j}) is {got}, "
             f"expected {want}"
         )
-    return UnitarySystem(n_configs, ordered, start, accept, t, blocks)
+    return blocks
 
 
 def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:

@@ -17,22 +17,16 @@ from functools import cached_property
 from typing import Callable, Collection, Iterator, Mapping
 
 from .errors import (
-    AmplitudeError,
     CategoricalityError,
     DomainError,
+    GapsimError,
     ModelError,
     OracleError,
     ResourceError,
     StructuralError,
 )
 from .evolve import ExactProbability, trajectory
-from .model import (
-    ALLOWED_NUMERATORS,
-    Blocks,
-    UnitarySystem,
-    _gram_first_violation,
-    column_blocks,
-)
+from .model import Blocks, UnitarySystem, checked_blocks
 from .strings import strings_of_length, strings_up_to
 
 _TOWER_EXPONENT_BUDGET = 1 << 20
@@ -58,17 +52,13 @@ def tower(n: int) -> int:
     return value
 
 
-def _refuse_above_cap(where: str, names: Collection[str]) -> None:
+def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
+    """Every 0/1 assignment to the named strings, refused above the cap."""
     if len(names) > MAX_MIXED_STRINGS:
         raise ResourceError(
             f"{where} conditions on {len(names)} strings, above the cap of "
             f"{MAX_MIXED_STRINGS} (raise oracle.MAX_MIXED_STRINGS)"
         )
-
-
-def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
-    """Every 0/1 assignment to the named strings, refused above the cap."""
-    _refuse_above_cap(where, names)
     for mask in range(1 << len(names)):
         yield {y: (mask >> i) & 1 for i, y in enumerate(names)}
 
@@ -176,10 +166,11 @@ class OracleQuerySystem:
     instead of its base column when the bit of query_slots[k][c] is 1.
     Every input runs the same machine for system.t_bound steps, and every
     query lies within the strings of length at most universe_length.  All
-    checks run once, here: slot steps, alternative columns, query lengths,
-    and norm preservation of each query step under every bit assignment.
-    The same pass caches each step's blocks for the runs (see _blocks_at).
-    The bounded-error promise is checked lazily, at most once per object.
+    checks run once, here: slot steps and configurations, alternative
+    columns and query lengths; then model.checked_blocks checks each query
+    step's matrix under every bit assignment.  The same pass caches each
+    step's blocks for the runs (see _blocks_at).  The bounded-error
+    promise is checked lazily, at most once per object.
     """
 
     system: UnitarySystem
@@ -193,18 +184,12 @@ class OracleQuerySystem:
             if not 0 <= step < self.system.t_bound:
                 raise StructuralError(f"query slot at step {step} out of range")
             for config, y in slots.items():
+                if not 0 <= config < self.system.n_configs:
+                    raise StructuralError(f"config {config} out of range")
                 if config not in self.alt_columns:
                     raise StructuralError(
                         f"config {config} queries but has no alternative column"
                     )
-                rows = [r for r, _ in self.alt_columns[config]]
-                if not all(0 <= i < self.system.n_configs for i in (config, *rows)):
-                    raise StructuralError(f"config {config} or its alternative out of range")
-                for r, w in self.alt_columns[config]:
-                    if w not in ALLOWED_NUMERATORS or w == 0:
-                        raise AmplitudeError(
-                            f"numerator {w} at ({r},{config}) not in the allowed set"
-                        )
                 if len(y) > self.universe_length:
                     raise StructuralError(f"query {y!r} outside the universe")
         object.__setattr__(self, "_step_blocks", self._checked_step_blocks())
@@ -255,13 +240,14 @@ class OracleQuerySystem:
         """Per step: (shared blocks, slot reads, blocks per bit pattern).
 
         Each query step is decomposed under every bit pattern of its
-        strings, which is its norm check.  Only blocks with a column in the
-        forward cone (the configurations some assignment can reach by that
-        step) are kept.  At a query step the blocks on no slot configuration
-        are the base system's under every pattern, so they are shared, and
-        each pattern keeps only its blocks on slot configurations.  Past the
-        last query step each entry is a function of the cone alone, so once
-        the cone repeats, every later step shares that step's entry.
+        strings by model.checked_blocks, which is its matrix check.  Only
+        blocks with a column in the forward cone (the configurations some
+        assignment can reach by that step) are kept.  At a query step the
+        blocks on no slot configuration are the base system's under every
+        pattern, so they are shared, and each pattern keeps only its blocks
+        on slot configurations.  Past the last query step each entry is a
+        function of the cone alone, so once the cone repeats, every later
+        step shares that step's entry.
         """
         base = self.system
         n, columns = base.n_configs, base.columns
@@ -278,13 +264,10 @@ class OracleQuerySystem:
                     if bits[y]:
                         patched[config] = self.alt_columns[config]
                 entries = [(r, c, w) for c, col in enumerate(patched) for r, w in col]
-                blocks = column_blocks(n, entries)
-                if blocks is None:
-                    violation = _gram_first_violation(n, entries)
-                    raise ModelError(
-                        f"step {step} with bits {bits} is not norm-preserving "
-                        f"at {violation[:2]}"
-                    )
+                try:
+                    blocks = checked_blocks(n, entries)
+                except GapsimError as exc:
+                    raise type(exc)(f"step {step} with bits {bits}: {exc}") from None
                 on_slots = _in_cone(blocks, cone, lambda cs: not slots.keys().isdisjoint(cs))
                 patterns.append(on_slots)
             shared = _in_cone(base.blocks, cone, slots.keys().isdisjoint)
@@ -441,7 +424,6 @@ def categorical_check(system: OracleQuerySystem, x: str) -> None:
     runs happen once per machine object (its categorical_witness); later
     calls, for any x, only read the result.
     """
-    _refuse_above_cap(f"input {x!r}", system.queried_strings())
     if system.categorical_witness is not None:
         prob, bits = system.categorical_witness
         raise CategoricalityError(

@@ -443,9 +443,7 @@ def test_family_certificates_compile_each_input_once():
 
 
 def test_check_pp():
-    plus = ClassCertificate("pp", constant_machine(1))
-    minus = ClassCertificate("pp", constant_machine(-3))
-    zero = ClassCertificate("pp", constant_machine(0))
+    plus, minus, zero = constant_machine(1), constant_machine(-3), constant_machine(0)
     assert check_pp(plus, [("x", True)]).ok
     assert check_pp(minus, [("x", False)]).ok
     assert not check_pp(zero, [("x", True)]).ok
@@ -465,7 +463,9 @@ def test_check_lwpp_target():
     assert cert.g_value(1) == 25
     report = check_lwpp(cert, [("1", True), ("0", False)])
     assert report.ok
-    off_target = ClassCertificate("lwpp", constant_machine(24), g=lambda n: 25)
+    with pytest.raises(StructuralError, match="^an LWPP certificate has no polynomial q$"):
+        cert.q_value(1)
+    off_target = ClassCertificate(constant_machine(24), g=lambda n: 25)
     assert not check_lwpp(off_target, [("x", True)]).ok
 
 
@@ -475,7 +475,7 @@ def awpp_table_cert(values, g=25, q=(1,)):
         value = values[x]
         return Branch((ACCEPT,) * value) if value else Branch((ACCEPT, REJECT))
 
-    return ClassCertificate("awpp", GapMachine(evaluator), g=lambda m: g, q_coeffs=q)
+    return ClassCertificate(GapMachine(evaluator), g=lambda m: g, q_coeffs=q)
 
 
 def test_check_awpp_threshold_arithmetic():

@@ -51,6 +51,11 @@ def test_zero_column_is_reported_on_diagonal():
         make_system(2, [(0, 0, 5)], 0, 1, 1)
 
 
+def test_repeated_entry_is_refused():
+    with pytest.raises(StructuralError, match="^duplicate matrix entries$"):
+        make_system(1, [(0, 0, 3), (0, 0, -3), (0, 0, 5)], 0, 0, 1)  # 9 - 9 + 25
+
+
 def test_build_rotation_file():
     system = build_system(ROTATION_DOC)
     assert system.n_configs == 2

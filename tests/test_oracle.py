@@ -359,7 +359,7 @@ def test_exhaustive_bit_checks_refuse_thirteen_strings():
         spread.route(chain[step], chain[step + 1])
         spread.cond_phase(chain[step], format(step, "04b"), step)
     system = spread.query_system(chain[0], chain[13], 13, 4)
-    with pytest.raises(ResourceError, match="input '' conditions on 13 strings.*cap of 12"):
+    with pytest.raises(ResourceError, match="the machine conditions on 13 strings.*cap of 12"):
         categorical_check(system, "")
 
 
@@ -387,15 +387,20 @@ QUATERNION = {
         ),
         (
             IDENTITY_T1, {0: {0: "0"}}, {0: ((1, 5),)}, ModelError,
-            "step 0 .* is not norm-preserving",
+            r"^step 0 with bits \{'0': 1\}: not norm-preserving: inner product of columns "
+            r"\(0,1\) is 25, expected 0$",
         ),
         (
             IDENTITY_T1, {0: {-1: "0"}}, {-1: ((1, -5),)}, StructuralError,
-            "config -1 or its alternative",
+            "^config -1 out of range$",
         ),
         (
             IDENTITY_T1, {0: {0: "0"}}, {0: ((2, 5),)}, StructuralError,
-            "config 0 or its alternative",
+            r"^step 0 with bits \{'0': 1\}: entry \(2,0\) out of range$",
+        ),
+        (  # 9 - 9 + 25: a norm of 25, but one entry three times
+            IDENTITY_T1, {0: {0: "0"}}, {0: ((0, 3), (0, -3), (0, 5))}, StructuralError,
+            r"^step 0 with bits \{'0': 1\}: duplicate matrix entries$",
         ),
         (
             IDENTITY_T1, {0: {0: "0"}}, {0: ((0, 5), (1, 0))}, AmplitudeError,
@@ -413,6 +418,7 @@ QUATERNION = {
         "alt_breaks_gram",
         "slot_config_negative",
         "alt_row_past_n",
+        "alt_repeats_a_row",
         "alt_explicit_zero",
         "alt_quaternion_numerators",
     ],

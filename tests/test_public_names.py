@@ -178,6 +178,53 @@ def _bench() -> dict[str, ast.Module]:
     return {f"perfbench/{p.stem}": _parsed(p) for p in sorted((ROOT / "perfbench").glob("*.py"))}
 
 
+def _private_reads(package: dict[str, ast.Module]) -> list[str]:
+    """stem: M._name for each `_name` that a module imports from another
+    module M of the package, or loads as an attribute of a module M that it
+    binds with `from . import M`."""
+    found = []
+    for stem, module in package.items():
+        modules = set()
+        for node in ast.walk(module):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                found += [
+                    f"{stem}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+        found += [
+            f"{stem}: {node.value.id}.{node.attr}"
+            for node in ast.walk(module)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert _private_reads(_package()) == []
+
+
+def test_private_reads_are_imports_and_module_attributes():
+    audit = """
+from . import runs
+from .runs import Run, _helper
+
+def audit(run):
+    return runs._total(run._cache) + _helper() + Run()._own
+"""
+    assert _private_reads({"audit": ast.parse(audit)}) == [
+        "audit: runs._helper",
+        "audit: runs._total",
+    ]
+
+
 def test_every_public_name_has_a_reader():
     package = _package()
     unread = _unread(package, {**package, **_bench()})

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapsim import gapp
 from gapsim.corpus import BLOCK_REFLECT, _signed_tree, rotation_system
 from gapsim.errors import ResourceError
 from gapsim.gapp import (
@@ -80,13 +81,12 @@ def test_shared_subtrees_count_with_multiplicity():
 def _inline_over_bound():
     huge = Branch((ACCEPT,) * (1 << 20))  # the approximator tree, shared by both products
     machine = machine_from_tables(1, {"": "0"}, {"1": ACCEPT, "0": REJECT})
-    cert = ClassCertificate("awpp", GapMachine(lambda _z: huge), g=lambda _m: 2, q_coeffs=(0,))
+    cert = ClassCertificate(GapMachine(lambda _z: huge), g=lambda _m: 2, q_coeffs=(0,))
     instance = LownessInstance(machine, frozenset(), cert)
     return lambda: inline_construction(instance, "")
 
 
-def _machine(branch_bound):
-    return GapMachine(lambda _z: Branch((ACCEPT, REJECT, ACCEPT)), branch_bound)
+THREE_LEAVES = GapMachine(lambda _z: Branch((ACCEPT, REJECT, ACCEPT)))
 
 
 BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
@@ -100,20 +100,20 @@ BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
             r"^system_tree stored nodes and edges \(upper bound\) 1048579 " + BOUND,
         ),
         (
-            lambda: lambda: poly_product(_machine(4), (4,)).evaluator(""),
-            r"^poly_product factors 5 exceeds branch_bound 4 \(raise branch_bound\)$",
+            lambda: lambda: poly_product(THREE_LEAVES, (1 << 20,)).evaluator(""),
+            "^poly_product factors 1048577 " + BOUND,
         ),
         (
             _inline_over_bound,
-            "^inline_construction stored nodes and edges \\(upper bound\\) 1048592 " + BOUND,
+            "^inline_construction stored nodes and edges \\(upper bound\\) 1048590 " + BOUND,
         ),
         (
             lambda: lambda: tree_from_json(["accept"] * ((1 << 20) + 1)),
             "^tree branches and edges 1048578 " + BOUND,
         ),
         (
-            lambda: lambda: exp_sum(_machine(4), (2,)).evaluator(""),
-            r"^exp_sum branches 2\*\*3 - 1 exceeds branch_bound 4 \(raise branch_bound\)$",
+            lambda: lambda: exp_sum(THREE_LEAVES, (20,)).evaluator(""),
+            r"^exp_sum branches 2\*\*21 - 1 " + BOUND,
         ),
     ],
     ids=["system_tree", "poly_product", "inline_construction", "tree_from_json", "exp_sum"],
@@ -129,6 +129,18 @@ def test_builders_refuse_before_allocating(make, message, monkeypatch):
     with pytest.raises(ResourceError, match=message):
         build()
     assert built == []
+
+
+def test_one_constant_caps_every_builder(monkeypatch):
+    monkeypatch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 4)
+    bound = r"exceeds branch_bound 4 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
+    assert gap(exp_sum(THREE_LEAVES, (1,)).evaluator("")) == 3  # 3 branches fit
+    with pytest.raises(ResourceError, match=r"^exp_sum branches 2\*\*3 - 1 " + bound):
+        exp_sum(THREE_LEAVES, (2,)).evaluator("")
+    assert gap(poly_product(THREE_LEAVES, (3,)).evaluator("")) == 1  # 4 factors fit
+    with pytest.raises(ResourceError, match="^poly_product factors 5 " + bound):
+        poly_product(THREE_LEAVES, (4,)).evaluator("")
+    assert THREE_LEAVES.branch_bound == 4
 
 
 def test_exp_sum_refuses_a_huge_bound_without_allocating():
