@@ -171,6 +171,13 @@ class OracleQuerySystem:
     step's matrix under every bit assignment.  The same pass caches each
     step's blocks for the runs (see _blocks_at).  The bounded-error
     promise is checked lazily, at most once per object.
+
+    A run reads only the bits of the queried strings, so the machine keeps
+    a table from those bits to the run's outcome (see _outcome), and every
+    entry point runs each distinct assignment of them once.  The table is
+    cleared before it would pass 2**MAX_MIXED_STRINGS entries, the
+    categorical check's own cap.  It is the machine's one mutable part:
+    two threads may both compute an entry, and both store the same value.
     """
 
     system: UnitarySystem
@@ -178,6 +185,8 @@ class OracleQuerySystem:
     alt_columns: Mapping[int, tuple[tuple[int, int], ...]]
     universe_length: int
     _step_blocks: list = field(init=False, repr=False)  # set by __post_init__
+    _read_order: tuple[str, ...] = field(init=False, repr=False)  # set by __post_init__
+    _outcomes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for step, slots in self.query_slots.items():
@@ -193,6 +202,8 @@ class OracleQuerySystem:
                 if len(y) > self.universe_length:
                     raise StructuralError(f"query {y!r} outside the universe")
         object.__setattr__(self, "_step_blocks", self._checked_step_blocks())
+        reads = (y for step in sorted(self.query_slots) for y in self.query_slots[step].values())
+        object.__setattr__(self, "_read_order", tuple(dict.fromkeys(reads)))
 
     def p(self, n: int) -> int:
         """Running time on inputs of length n: t_bound for every n."""
@@ -203,9 +214,7 @@ class OracleQuerySystem:
         return self
 
     def queried_strings(self) -> frozenset[str]:
-        return frozenset(
-            y for slots in self.query_slots.values() for y in slots.values()
-        )
+        return frozenset(self._read_order)
 
     @cached_property
     def categorical_witness(self) -> tuple[Fraction, dict[str, int]] | None:
@@ -215,7 +224,7 @@ class OracleQuerySystem:
         Every input runs this machine, so the answer holds for all inputs.
         """
         for bits in _bit_assignments("the machine", sorted(self.queried_strings())):
-            prob = _run(self, lambda y: bits[y])[0]
+            prob = _outcome(self, bits.__getitem__)[0]
             if _verdict(prob) is None:
                 return prob.as_fraction(), bits
         return None
@@ -310,6 +319,31 @@ def _run(
     return ExactProbability(amp * amp, 2 * base.t_bound), vectors
 
 
+def _outcome(
+    system: OracleQuerySystem, bit_of: Callable[[str], int]
+) -> tuple[ExactProbability, dict[str, int], int]:
+    """(probability, magnitude numerators, denominator) of the run under the bits.
+
+    The bits of the queried strings are read in the order a run first
+    reads them, so an assignment that does not cover one raises as the run
+    does, at the same string.  Packed into an int, they key the machine's
+    table of outcomes: only a key not in it yet costs a run.  The stored
+    numerators are shared; callers do not modify them.
+    """
+    key = 0
+    for i, y in enumerate(system._read_order):
+        if bit_of(y):
+            key |= 1 << i
+    table = system._outcomes
+    outcome = table.get(key)
+    if outcome is None:
+        prob, vectors = _run(system, bit_of)
+        if len(table) >= 1 << MAX_MIXED_STRINGS:
+            table.clear()
+        outcome = table[key] = (prob, *_magnitudes(system, vectors))
+    return outcome
+
+
 def _verdict(prob: ExactProbability) -> bool | None:
     """True at or above 2/3, False at or below 1/3, None strictly between.
 
@@ -365,12 +399,12 @@ def _sensitive(
 
 def acceptance_prob_rel(system: OracleQuerySystem, oracle: OracleAssignment) -> ExactProbability:
     """Exact acceptance probability of the oracle-instantiated run."""
-    return _run(system, oracle.value)[0]
+    return _outcome(system, oracle.value)[0]
 
 
 def query_magnitudes(system: OracleQuerySystem, oracle: OracleAssignment) -> dict[str, Fraction]:
     """Cumulative squared amplitude each string is queried with across the run."""
-    numerators, denominator = _magnitudes(system, _run(system, oracle.value)[1])
+    _, numerators, denominator = _outcome(system, oracle.value)
     return {y: Fraction(num, denominator) for y, num in numerators.items()}
 
 
@@ -395,14 +429,22 @@ def verify_flip_stability(
     x: str,
     params: SensitivityParams,
 ) -> FlipReport:
-    """Exhaustive single-string flips over the whole universe, exact comparisons."""
-    prob, vectors = _run(system, oracle.value)
+    """Exhaustive single-string flips over the whole universe, exact comparisons.
+
+    Every flip reads the machine's table of outcomes (see _outcome), so
+    only the base assignment and the flips of queried strings cost a run;
+    a flip of a string the run never reads finds the base entry.  The table
+    keeps at most 2**MAX_MIXED_STRINGS entries, so past that an assignment
+    may run again; two threads on one machine may both run an entry, and
+    both store the same value.
+    """
+    prob, numerators, denominator = _outcome(system, oracle.value)
     base = prob.as_fraction()
-    sensitive = _sensitive(*_magnitudes(system, vectors), params)
+    sensitive = _sensitive(numerators, denominator, params)
     rows = []
     worst = Fraction(0)
     for y in strings_up_to(oracle.universe_length):
-        deviation = abs(_run(system, oracle.flipped(y).value)[0].as_fraction() - base)
+        deviation = abs(_outcome(system, oracle.flipped(y).value)[0].as_fraction() - base)
         if y not in sensitive:
             worst = max(worst, deviation)
         rows.append(FlipRow(y, deviation))
@@ -422,7 +464,8 @@ def categorical_check(system: OracleQuerySystem, x: str) -> None:
     Raises CategoricalityError with a witness assignment otherwise.  Only
     the queried strings matter: the run never reads any other bit.  The
     runs happen once per machine object (its categorical_witness); later
-    calls, for any x, only read the result.
+    calls, for any x, only read the result.  They fill the machine's table
+    of outcomes, so a decision on a checked machine makes no run.
     """
     if system.categorical_witness is not None:
         prob, bits = system.categorical_witness
@@ -476,7 +519,7 @@ def rerelativized_decide(
                 known_ones.add(y)
 
     assumed = OracleAssignment(system.universe_length, frozenset(known_ones))
-    decision, vectors = _run(system, assumed.value)
+    decision, numerators, denominator = _outcome(system, assumed.value)
     sensitive: frozenset[str] = frozenset()
     found: str | None = None
 
@@ -484,7 +527,7 @@ def rerelativized_decide(
         long_length = long_lengths[0]
         sensitive = frozenset(
             y
-            for y in _sensitive(*_magnitudes(system, vectors), params)
+            for y in _sensitive(numerators, denominator, params)
             if len(y) == long_length
         )
         for y in sorted(sensitive):
@@ -495,7 +538,7 @@ def rerelativized_decide(
             full = OracleAssignment(
                 system.universe_length, frozenset(known_ones | {found})
             )
-            decision = _run(system, full.value)[0]
+            decision = _outcome(system, full.value)[0]
 
     accept = _verdict(decision)
     if accept is None:

@@ -41,7 +41,8 @@ from gapsim.model import (
     load_system,
     make_system,
 )
-from gapsim.oracle import _run
+from gapsim.oracle import OracleQuerySystem, _outcome, _run
+from gapsim.strings import strings_up_to
 
 ROTATION = rotation_system(BLOCK_REFLECT, 0, 1, 1)
 ROTATION_T2 = rotation_system(BLOCK_REFLECT, 0, 1, 2)
@@ -408,6 +409,10 @@ def test_oracle_runs_match_dict_scatter_loop(system):
     base, n = system.system, system.system.n_configs
     base_columns = _column_dict(base.entries)
     names = sorted({y for slots in system.query_slots.values() for y in slots.values()})
+    last = max(system.query_slots, default=0)
+    fresh = OracleQuerySystem(base, system.query_slots, system.alt_columns, system.universe_length)
+    unread = next(y for y in strings_up_to(system.universe_length) if y not in names)
+    wants = []
     for values in product((0, 1), repeat=len(names)):
         bits = dict(zip(names, values))
 
@@ -420,3 +425,16 @@ def test_oracle_runs_match_dict_scatter_loop(system):
         prob, vectors = _run(system, bits.__getitem__)
         assert vectors == [_dense(v, n, 0) for v in want]
         assert prob.numerator == want[-1].get(base.accept, 0) ** 2
+        numerators = {}
+        for step, slots in system.query_slots.items():
+            for config, y in slots.items():
+                if want[step].get(config):
+                    lift = 25 ** (last - step)
+                    numerators[y] = numerators.get(y, 0) + want[step][config] ** 2 * lift
+        wants.append((bits, (prob, numerators, 25**last)))
+    for _pass in ("fresh", "full"):
+        for bits, outcome in wants:
+            assert _outcome(fresh, bits.__getitem__) == outcome
+            toggled = {**bits, unread: 1 - bits.get(unread, 0)}  # a string no run reads
+            assert _outcome(fresh, toggled.__getitem__) == outcome
+    assert len(fresh._outcomes) == len(wants)

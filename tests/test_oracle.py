@@ -9,6 +9,7 @@ from gapsim.corpus import (
     decider_conditions,
     decider_corpus,
     deep_chain_system,
+    double_phase_system,
     flip_stability_corpus,
     four_way_phase_system,
     global_phase_system,
@@ -446,10 +447,19 @@ def test_one_run_per_assignment(monkeypatch):
     _, condition = decider_conditions()[0]  # lengths 2 and 4; 4 is probed frugally
     runs = _count_runs(monkeypatch)
     verify_flip_stability(route, OracleAssignment(3, frozenset()), "", params_for(route))
-    assert len(runs) == 1 + 15  # the base assignment once, then each of 15 flips
+    assert len(runs) == 1 + 1  # the base bits once, then the flip of "101"; 14 flips read none
     runs.clear()
     rerelativized_decide(free, condition, "", params_for(free), check_categorical=False)
     assert len(runs) == 1
+    runs.clear()
+    system = or_of_two_system()
+    categorical_check(system, "")
+    assert len(runs) == 4
+    runs.clear()
+    conditions = [condition for _, condition in decider_conditions()]
+    for condition in conditions:  # every decision reads the table the check filled
+        rerelativized_decide(system, condition, "", params_for(system))
+    assert len(conditions) == 32 and len(runs) == 0
 
 
 def test_categorical_check_runs_once_per_machine(monkeypatch):
@@ -498,3 +508,90 @@ def test_categorical_failure_names_each_callers_input():
     with pytest.raises(CategoricalityError, match="on input '01' under") as second:
         categorical_check(system, "01")
     assert first.value.witness == second.value.witness
+
+
+CORPUS_MACHINES = (
+    [(f"flip_{name}", system) for name, system, _ones in flip_stability_corpus()]
+    + [(f"decider_{name}", system) for name, system in decider_corpus()]
+    + [("double_phase_unsorted", double_phase_system("10", "01"))]
+)
+
+
+@pytest.mark.parametrize(
+    "system", [m for _, m in CORPUS_MACHINES], ids=[name for name, _ in CORPUS_MACHINES]
+)
+def test_outcome_reads_bits_in_the_runs_first_read_order(system):
+    def recording(log):
+        def bit_of(y):
+            log.append(y)
+            return 1
+
+        return bit_of
+
+    run_reads, outcome_reads = [], []
+    gapsim.oracle._run(system, recording(run_reads))
+    fresh = OracleQuerySystem(  # the same machine with an empty table
+        system.system, system.query_slots, system.alt_columns, system.universe_length
+    )
+    gapsim.oracle._outcome(fresh, recording([]))  # fills the entry the next call reads
+    gapsim.oracle._outcome(fresh, recording(outcome_reads))
+    assert outcome_reads == list(dict.fromkeys(run_reads))
+
+
+class _Refusing:
+    """An assignment whose value raises DomainError, naming the string, where refused(y)."""
+
+    def __init__(self, refused):
+        self.refused = refused
+
+    def value(self, y):
+        if self.refused(y):
+            raise DomainError(f"no bit for {y!r}")
+        return 1
+
+
+@pytest.mark.parametrize(
+    "system,oracle",
+    [
+        (or_of_two_system(), _Refusing(lambda y: y == "10")),
+        (double_phase_system("10", "01"), _Refusing(lambda y: True)),  # "10" is read first
+        (classical_route_system("101"), OracleAssignment(2, frozenset())),
+        (
+            deep_chain_system(11, "1010", universe_length=4),
+            TowerCondition(frozenset({2}), frozenset(range(4)), frozenset({"10"})),
+        ),
+    ],
+    ids=["refuses_10", "refuses_all", "universe_too_short", "condition_domain"],
+)
+def test_entry_points_refuse_as_the_run_does(system, oracle):
+    with pytest.raises((OracleError, DomainError)) as by_run:
+        gapsim.oracle._run(system, oracle.value)
+    for call in (acceptance_prob_rel, query_magnitudes):
+        with pytest.raises(type(by_run.value)) as by_entry:
+            call(system, oracle)
+        assert type(by_entry.value) is type(by_run.value)
+        assert str(by_entry.value) == str(by_run.value)
+    assert system._outcomes == {}
+
+
+def test_outcome_table_stays_within_its_bound(monkeypatch):
+    def flips(system, ones):
+        return verify_flip_stability(system, OracleAssignment(3, ones), "", params_for(system))
+
+    bases = [frozenset(ones) for ones in ((), ("01",), ("10",), ("01", "10"))]
+    want = [flips(double_phase_system("01", "10"), ones) for ones in bases]
+    system = double_phase_system("01", "10")  # built unpatched: one step reads both strings
+    monkeypatch.setattr(gapsim.oracle, "MAX_MIXED_STRINGS", 1)
+    sizes = []
+    outcome = gapsim.oracle._outcome
+
+    def watched(*args):
+        result = outcome(*args)
+        sizes.append(len(system._outcomes))
+        return result
+
+    monkeypatch.setattr(gapsim.oracle, "_outcome", watched)
+    runs = _count_runs(monkeypatch)
+    assert [flips(system, ones) for ones in bases] == want
+    assert len(sizes) == 4 * 16 and max(sizes) == 2
+    assert len(runs) > 4  # the table was cleared and refilled
