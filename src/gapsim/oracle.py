@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import (
     CategoricalityError,
@@ -79,12 +79,6 @@ class OracleAssignment:
         if len(y) > self.universe_length:
             raise OracleError(f"{y!r} outside the assignment's universe")
         return 1 if y in self.ones else 0
-
-    def flipped(self, y: str) -> "OracleAssignment":
-        if len(y) > self.universe_length:
-            raise OracleError(f"{y!r} outside the assignment's universe")
-        ones = self.ones ^ {y}
-        return OracleAssignment(self.universe_length, frozenset(ones))
 
 
 @dataclass(frozen=True)
@@ -169,23 +163,25 @@ class OracleQuerySystem:
     checks run once, here: slot steps and configurations, alternative
     columns and query lengths; then model.checked_blocks checks each query
     step's matrix under every bit assignment.  The same pass caches each
-    step's blocks for the runs (see _blocks_at).  The bounded-error
-    promise is checked lazily, at most once per object.
+    query step's blocks for the runs (see _blocks_at), so building costs
+    the query steps, whatever t_bound is.  The bounded-error promise is
+    checked lazily, at most once per object.
 
-    A run reads only the bits of the queried strings, so the machine keeps
-    a table from those bits to the run's outcome (see _outcome), and every
-    entry point runs each distinct assignment of them once.  The table is
-    cleared before it would pass 2**MAX_MIXED_STRINGS entries, the
-    categorical check's own cap.  It is the machine's one mutable part:
-    two threads may both compute an entry, and both store the same value.
+    A run reads only the bits of the queried strings, packed into one int
+    key (see _key), so the machine keeps a table from that key to the
+    run's outcome (see _outcome), and every entry point runs each distinct
+    key once.  The table is cleared before it would pass
+    2**MAX_MIXED_STRINGS entries, the categorical check's own cap.  It is
+    the machine's one mutable part: two threads may both compute an entry,
+    and both store the same value.
     """
 
     system: UnitarySystem
     query_slots: Mapping[int, Mapping[int, str]]
     alt_columns: Mapping[int, tuple[tuple[int, int], ...]]
     universe_length: int
-    _step_blocks: list = field(init=False, repr=False)  # set by __post_init__
-    _read_order: tuple[str, ...] = field(init=False, repr=False)  # set by __post_init__
+    _position: dict = field(init=False, repr=False)  # set by __post_init__
+    _step_blocks: dict = field(init=False, repr=False)  # set by __post_init__
     _outcomes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -201,9 +197,11 @@ class OracleQuerySystem:
                     )
                 if len(y) > self.universe_length:
                     raise StructuralError(f"query {y!r} outside the universe")
-        object.__setattr__(self, "_step_blocks", self._checked_step_blocks())
         reads = (y for step in sorted(self.query_slots) for y in self.query_slots[step].values())
-        object.__setattr__(self, "_read_order", tuple(dict.fromkeys(reads)))
+        object.__setattr__(
+            self, "_position", {y: 1 << i for i, y in enumerate(dict.fromkeys(reads))}
+        )
+        object.__setattr__(self, "_step_blocks", self._checked_step_blocks())
 
     def p(self, n: int) -> int:
         """Running time on inputs of length n: t_bound for every n."""
@@ -214,7 +212,7 @@ class OracleQuerySystem:
         return self
 
     def queried_strings(self) -> frozenset[str]:
-        return frozenset(self._read_order)
+        return frozenset(self._position)
 
     @cached_property
     def categorical_witness(self) -> tuple[Fraction, dict[str, int]] | None:
@@ -224,123 +222,113 @@ class OracleQuerySystem:
         Every input runs this machine, so the answer holds for all inputs.
         """
         for bits in _bit_assignments("the machine", sorted(self.queried_strings())):
-            prob = _outcome(self, bits.__getitem__)[0]
+            prob = _outcome(self, _key(self, bits.__getitem__))[0]
             if _verdict(prob) is None:
                 return prob.as_fraction(), bits
         return None
 
-    def _blocks_at(self, step: int, bit_of: Callable[[str], int]) -> Blocks:
-        """Step blocks under the given bits, read from the cache.
+    def _blocks_at(self, step: int, key: int) -> Blocks:
+        """Step blocks under the bits packed in key (see _key).
 
-        A query step reads the bit of every slot, in slot order, so an
-        assignment that does not cover a queried string raises here.
+        A query step joins its shared blocks to the slot blocks of the
+        pattern its strings' key bits pick; every other step runs the base
+        system's blocks.
         """
-        shared, reads, patterns = self._step_blocks[step]
-        if not reads:
-            return shared
-        mask = 0
-        for y, bit in reads:
-            if bit_of(y):
-                mask |= bit
-        pairs, singles = patterns[mask]
+        entry = self._step_blocks.get(step)
+        if entry is None:
+            return self.system.blocks
+        shared, bits, patterns = entry
+        pairs, singles = patterns[sum(1 << i for i, bit in enumerate(bits) if key & bit)]
         return shared[0] + pairs, shared[1] + singles
 
-    def _checked_step_blocks(self) -> list[tuple[Blocks, tuple, list[Blocks]]]:
-        """Per step: (shared blocks, slot reads, blocks per bit pattern).
+    def _checked_step_blocks(self) -> dict[int, tuple[Blocks, tuple[int, ...], list[Blocks]]]:
+        """Per query step with slots: (blocks off its slots, key bit of each
+        of its strings, slot blocks per bit pattern).
 
         Each query step is decomposed under every bit pattern of its
-        strings by model.checked_blocks, which is its matrix check.  Only
-        blocks with a column in the forward cone (the configurations some
-        assignment can reach by that step) are kept.  At a query step the
-        blocks on no slot configuration are the base system's under every
-        pattern, so they are shared, and each pattern keeps only its blocks
-        on slot configurations.  Past the last query step each entry is a
-        function of the cone alone, so once the cone repeats, every later
-        step shares that step's entry.
+        strings, in sorted order, by model.checked_blocks, which is its
+        matrix check.  The blocks on no slot configuration are the base
+        system's under every pattern, so they are shared, and each pattern
+        keeps only its blocks on slot configurations.
         """
         base = self.system
-        n, columns = base.n_configs, base.columns
-        last_query = max(self.query_slots, default=-1)
-        cone = {base.start}
-        cache = []
-        for step in range(base.t_bound):
-            slots = self.query_slots.get(step, {})
+        cache = {}
+        for step, slots in sorted(self.query_slots.items()):
+            if not slots:
+                continue
             names = sorted(set(slots.values()))
             patterns = []
-            for bits in _bit_assignments(f"step {step}", names) if slots else ():
-                patched = list(columns)
+            for bits in _bit_assignments(f"step {step}", names):
+                patched = list(base.columns)
                 for config, y in slots.items():
                     if bits[y]:
                         patched[config] = self.alt_columns[config]
                 entries = [(r, c, w) for c, col in enumerate(patched) for r, w in col]
                 try:
-                    blocks = checked_blocks(n, entries)
+                    blocks = checked_blocks(base.n_configs, entries)
                 except GapsimError as exc:
                     raise type(exc)(f"step {step} with bits {bits}: {exc}") from None
-                on_slots = _in_cone(blocks, cone, lambda cs: not slots.keys().isdisjoint(cs))
-                patterns.append(on_slots)
-            shared = _in_cone(base.blocks, cone, slots.keys().isdisjoint)
-            reads = tuple((y, 1 << names.index(y)) for y in slots.values())
-            cache.append((shared, reads, patterns))
-            following = {
-                r
-                for c in cone
-                for col in (columns[c], self.alt_columns[c] if c in slots else ())
-                for r, _ in col
-            }
-            if step > last_query and following == cone:
-                cache += [cache[-1]] * (base.t_bound - 1 - step)
-                break
-            cone = following
+                patterns.append(_kept(blocks, lambda cs: not slots.keys().isdisjoint(cs)))
+            shared = _kept(base.blocks, slots.keys().isdisjoint)
+            cache[step] = (shared, tuple(self._position[y] for y in names), patterns)
         return cache
 
 
-def _in_cone(blocks: Blocks, cone: Collection[int], keep: Callable[[tuple], bool]) -> Blocks:
-    """The blocks with a column in the cone whose columns pass keep."""
+def _kept(blocks: Blocks, keep: Callable[[tuple], bool]) -> Blocks:
+    """The blocks whose columns pass keep."""
     pairs, singles = blocks
-    return (
-        tuple(b for b in pairs if (b[0] in cone or b[1] in cone) and keep(b[:2])),
-        tuple(b for b in singles if b[0] in cone and keep(b[:1])),
-    )
+    return tuple(b for b in pairs if keep(b[:2])), tuple(b for b in singles if keep(b[:1]))
 
 
-def _run(
-    system: OracleQuerySystem, bit_of: Callable[[str], int]
-) -> tuple[ExactProbability, list[list]]:
-    """One run under the given bits: acceptance probability and step vectors.
+def _key(system: OracleQuerySystem, bit_of: Callable[[str], int]) -> int:
+    """The bits of the queried strings packed into an int, the table's key.
 
-    The vectors are the scaled amplitudes at steps 0..t, the kernel's own
-    lists (no copies).  Every slot's bit is read at its step, so an
-    assignment that does not cover a queried string raises OracleError.
-    """
-    base = system.system
-    vectors = list(trajectory(base, base.t_bound, lambda k: system._blocks_at(k, bit_of)))
-    amp = vectors[-1][base.accept]
-    return ExactProbability(amp * amp, 2 * base.t_bound), vectors
-
-
-def _outcome(
-    system: OracleQuerySystem, bit_of: Callable[[str], int]
-) -> tuple[ExactProbability, dict[str, int], int]:
-    """(probability, magnitude numerators, denominator) of the run under the bits.
-
-    The bits of the queried strings are read in the order a run first
-    reads them, so an assignment that does not cover one raises as the run
-    does, at the same string.  Packed into an int, they key the machine's
-    table of outcomes: only a key not in it yet costs a run.  The stored
-    numerators are shared; callers do not modify them.
+    Each string is read once, in the order a run first reads them (step
+    order, then slot order), so an assignment that does not cover one
+    raises here, at the first such string.
     """
     key = 0
-    for i, y in enumerate(system._read_order):
+    for y, bit in system._position.items():
         if bit_of(y):
-            key |= 1 << i
+            key |= bit
+    return key
+
+
+def _run(system: OracleQuerySystem, key: int) -> tuple[ExactProbability, dict[str, int], int]:
+    """One run under the bits packed in key: (probability, magnitude
+    numerators, denominator), the table's entry.
+
+    The magnitude of a string is its cumulative squared amplitude over its
+    query slots, an integer numerator over one common denominator 25**T,
+    T the last query step: a slot at step s adds its squared scaled
+    amplitude times 25**(T - s).  They are added as the run steps, so only
+    the current vector is kept.
+    """
+    base, slots_at = system.system, system.query_slots
+    last = max(slots_at, default=0)
+    numerators: dict[str, int] = {}
+    steps = trajectory(base, base.t_bound, lambda k: system._blocks_at(k, key))
+    for step, vector in enumerate(steps):
+        for config, y in slots_at.get(step, {}).items():
+            amp = vector[config]
+            if amp:
+                numerators[y] = numerators.get(y, 0) + amp * amp * 25 ** (last - step)
+    amp = vector[base.accept]
+    return ExactProbability(amp * amp, 2 * base.t_bound), numerators, 25**last
+
+
+def _outcome(system: OracleQuerySystem, key: int) -> tuple[ExactProbability, dict[str, int], int]:
+    """The machine's table entry for key, run on a miss (see _run).
+
+    The stored numerators are shared; callers do not modify them.
+    """
     table = system._outcomes
     outcome = table.get(key)
     if outcome is None:
-        prob, vectors = _run(system, bit_of)
+        outcome = _run(system, key)
         if len(table) >= 1 << MAX_MIXED_STRINGS:
             table.clear()
-        outcome = table[key] = (prob, *_magnitudes(system, vectors))
+        table[key] = outcome
     return outcome
 
 
@@ -356,25 +344,6 @@ def _verdict(prob: ExactProbability) -> bool | None:
     if thrice <= whole:
         return False
     return None
-
-
-def _magnitudes(system: OracleQuerySystem, vectors: list[list]) -> tuple[dict[str, int], int]:
-    """Cumulative squared amplitude each string is queried with in one run.
-
-    Returned as integer numerators over one common denominator, 25**T with
-    T the last query step: the weight of a slot at step s is its squared
-    scaled amplitude times 25**(T - s).
-    """
-    last = max(system.query_slots, default=0)
-    numerators: dict[str, int] = {}
-    for step, slots in system.query_slots.items():
-        amps = vectors[step]
-        lift = 25 ** (last - step)
-        for config, y in slots.items():
-            amp = amps[config]
-            if amp:
-                numerators[y] = numerators.get(y, 0) + amp * amp * lift
-    return numerators, 25**last
 
 
 def _sensitive(
@@ -399,12 +368,12 @@ def _sensitive(
 
 def acceptance_prob_rel(system: OracleQuerySystem, oracle: OracleAssignment) -> ExactProbability:
     """Exact acceptance probability of the oracle-instantiated run."""
-    return _outcome(system, oracle.value)[0]
+    return _outcome(system, _key(system, oracle.value))[0]
 
 
 def query_magnitudes(system: OracleQuerySystem, oracle: OracleAssignment) -> dict[str, Fraction]:
     """Cumulative squared amplitude each string is queried with across the run."""
-    _, numerators, denominator = _outcome(system, oracle.value)
+    _, numerators, denominator = _outcome(system, _key(system, oracle.value))
     return {y: Fraction(num, denominator) for y, num in numerators.items()}
 
 
@@ -431,30 +400,35 @@ def verify_flip_stability(
 ) -> FlipReport:
     """Exhaustive single-string flips over the whole universe, exact comparisons.
 
-    Every flip reads the machine's table of outcomes (see _outcome), so
-    only the base assignment and the flips of queried strings cost a run;
-    a flip of a string the run never reads finds the base entry.  The table
-    keeps at most 2**MAX_MIXED_STRINGS entries, so past that an assignment
-    may run again; two threads on one machine may both run an entry, and
-    both store the same value.
+    The base assignment's bits are read once, into the table key (see
+    _key); the flip of row y reads the key with y's bit toggled, and the
+    flip of a string the run never reads is the base key itself.  Each
+    distinct key runs once (see _outcome), so only the base and the flips
+    of queried strings cost a run.  The table keeps at most
+    2**MAX_MIXED_STRINGS entries, so past that a key may run again; two
+    threads on one machine may both run an entry, and both store the same
+    value.  A sensitive set past params.bound raises ModelError (see
+    _sensitive), so a report is ok when no flip outside it deviates by
+    more than epsilon.
     """
-    prob, numerators, denominator = _outcome(system, oracle.value)
+    key = _key(system, oracle.value)
+    prob, numerators, denominator = _outcome(system, key)
     base = prob.as_fraction()
     sensitive = _sensitive(numerators, denominator, params)
+    position = system._position
     rows = []
     worst = Fraction(0)
     for y in strings_up_to(oracle.universe_length):
-        deviation = abs(_outcome(system, oracle.flipped(y).value)[0].as_fraction() - base)
+        deviation = abs(_outcome(system, key ^ position.get(y, 0))[0].as_fraction() - base)
         if y not in sensitive:
             worst = max(worst, deviation)
         rows.append(FlipRow(y, deviation))
-    ok = worst <= params.epsilon and len(sensitive) <= params.bound
     return FlipReport(
         rows=tuple(rows),
         sensitive=sensitive,
         size_bound=params.bound,
         max_outside_deviation=worst,
-        ok=ok,
+        ok=worst <= params.epsilon,
     )
 
 
@@ -519,7 +493,7 @@ def rerelativized_decide(
                 known_ones.add(y)
 
     assumed = OracleAssignment(system.universe_length, frozenset(known_ones))
-    decision, numerators, denominator = _outcome(system, assumed.value)
+    decision, numerators, denominator = _outcome(system, _key(system, assumed.value))
     sensitive: frozenset[str] = frozenset()
     found: str | None = None
 
@@ -538,7 +512,7 @@ def rerelativized_decide(
             full = OracleAssignment(
                 system.universe_length, frozenset(known_ones | {found})
             )
-            decision = _outcome(system, full.value)[0]
+            decision = _outcome(system, _key(system, full.value))[0]
 
     accept = _verdict(decision)
     if accept is None:

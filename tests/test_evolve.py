@@ -27,6 +27,7 @@ from gapsim.corpus import (
 from gapsim.cli import main
 from gapsim.errors import BoundsError, ParseError, ResourceError
 from gapsim.evolve import (
+    ExactProbability,
     accept_probability,
     evolve,
     float_check,
@@ -41,7 +42,16 @@ from gapsim.model import (
     load_system,
     make_system,
 )
-from gapsim.oracle import OracleQuerySystem, _outcome, _run
+from gapsim.oracle import (
+    OracleAssignment,
+    OracleQuerySystem,
+    SensitivityParams,
+    _key,
+    _outcome,
+    _run,
+    acceptance_prob_rel,
+    verify_flip_stability,
+)
 from gapsim.strings import strings_up_to
 
 ROTATION = rotation_system(BLOCK_REFLECT, 0, 1, 1)
@@ -402,39 +412,99 @@ ORACLE_MACHINES = (
 )
 
 
+def _scatter_outcome(system, bits):
+    """Sparse vectors of the run under bits, and its (probability, numerators, 25**T)."""
+    base = system.system
+    base_columns = _column_dict(base.entries)
+
+    def columns_at(step):
+        slots = system.query_slots.get(step, {})
+        patch = {c: list(system.alt_columns[c]) for c, y in slots.items() if bits[y]}
+        return {**base_columns, **patch}
+
+    want = _scatter_run(columns_at, base.start, base.t_bound, 1)
+    last = max(system.query_slots, default=0)
+    numerators = {}
+    for step, slots in system.query_slots.items():
+        for config, y in slots.items():
+            if want[step].get(config):
+                lift = 25 ** (last - step)
+                numerators[y] = numerators.get(y, 0) + want[step][config] ** 2 * lift
+    prob = ExactProbability(want[-1].get(base.accept, 0) ** 2, 2 * base.t_bound)
+    return want, (prob, numerators, 25**last)
+
+
 @pytest.mark.parametrize(
     "system", [m for _, m in ORACLE_MACHINES], ids=[name for name, _ in ORACLE_MACHINES]
 )
 def test_oracle_runs_match_dict_scatter_loop(system):
     base, n = system.system, system.system.n_configs
-    base_columns = _column_dict(base.entries)
     names = sorted({y for slots in system.query_slots.values() for y in slots.values()})
-    last = max(system.query_slots, default=0)
     fresh = OracleQuerySystem(base, system.query_slots, system.alt_columns, system.universe_length)
     unread = next(y for y in strings_up_to(system.universe_length) if y not in names)
     wants = []
     for values in product((0, 1), repeat=len(names)):
         bits = dict(zip(names, values))
-
-        def columns_at(step):
-            slots = system.query_slots.get(step, {})
-            patch = {c: list(system.alt_columns[c]) for c, y in slots.items() if bits[y]}
-            return {**base_columns, **patch}
-
-        want = _scatter_run(columns_at, base.start, base.t_bound, 1)
-        prob, vectors = _run(system, bits.__getitem__)
-        assert vectors == [_dense(v, n, 0) for v in want]
-        assert prob.numerator == want[-1].get(base.accept, 0) ** 2
-        numerators = {}
-        for step, slots in system.query_slots.items():
-            for config, y in slots.items():
-                if want[step].get(config):
-                    lift = 25 ** (last - step)
-                    numerators[y] = numerators.get(y, 0) + want[step][config] ** 2 * lift
-        wants.append((bits, (prob, numerators, 25**last)))
+        want, outcome = _scatter_outcome(system, bits)
+        key = _key(system, bits.__getitem__)
+        vectors = trajectory(base, base.t_bound, lambda k: system._blocks_at(k, key))
+        assert list(vectors) == [_dense(v, n, 0) for v in want]
+        assert _run(system, key) == outcome
+        wants.append((bits, outcome))
     for _pass in ("fresh", "full"):
         for bits, outcome in wants:
-            assert _outcome(fresh, bits.__getitem__) == outcome
+            assert _outcome(fresh, _key(fresh, bits.__getitem__)) == outcome
             toggled = {**bits, unread: 1 - bits.get(unread, 0)}  # a string no run reads
-            assert _outcome(fresh, toggled.__getitem__) == outcome
+            assert _outcome(fresh, _key(fresh, toggled.__getitem__)) == outcome
     assert len(fresh._outcomes) == len(wants)
+
+
+@st.composite
+def draft_query_systems(draw):
+    """Small Draft machines: 2x2 blocks and +-5 routes, phase queries at steps 0..t-1.
+
+    Returns the machine and the ones of a base assignment on its universe.
+    Draft refuses a second phase query on one configuration, so each
+    configuration takes at most one.
+    """
+    d = Draft()
+    n = draw(st.integers(min_value=1, max_value=8))
+    configs = [d.cfg(str(i)) for i in range(n)]
+    rows = draw(st.permutations(configs))
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            a, b, c, e = draw(st.sampled_from(BLOCKS))
+            d.block(configs[i], configs[i + 1], rows[i], rows[i + 1], ((a, b), (c, e)))
+            i += 2
+        else:
+            d.route(configs[i], rows[i], draw(st.sampled_from((1, -1))))
+            i += 1
+    t = draw(st.integers(min_value=1, max_value=6))
+    universe_length = draw(st.integers(min_value=0, max_value=3))
+    universe = list(strings_up_to(universe_length))
+    for config in draw(st.lists(st.sampled_from(configs), max_size=4, unique=True)):
+        step = draw(st.integers(min_value=0, max_value=t - 1))
+        d.cond_phase(config, draw(st.sampled_from(universe)), step)
+    start, accept = draw(st.sampled_from(configs)), draw(st.sampled_from(configs))
+    system = d.query_system(start, accept, t, universe_length)
+    return system, frozenset(draw(st.sets(st.sampled_from(universe))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=draft_query_systems())
+def test_random_oracle_machines_match_dict_scatter_loop(drawn):
+    system, ones = drawn
+    base, length = system.system, system.universe_length
+    names = sorted(system.queried_strings())
+    for values in product((0, 1), repeat=len(names)):
+        bits = dict(zip(names, values))
+        assert _outcome(system, _key(system, bits.__getitem__)) == _scatter_outcome(system, bits)[1]
+    params = SensitivityParams(Fraction(1, 7), system.p(0))
+    report = verify_flip_stability(system, OracleAssignment(length, ones), "", params)
+    assert [row.string for row in report.rows] == list(strings_up_to(length))
+    for row in report.rows:
+        fresh = OracleQuerySystem(base, system.query_slots, system.alt_columns, length)
+        flipped = acceptance_prob_rel(fresh, OracleAssignment(length, ones ^ {row.string}))
+        unflipped = acceptance_prob_rel(fresh, OracleAssignment(length, ones))
+        assert row.deviation == abs(flipped.as_fraction() - unflipped.as_fraction())

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,7 @@ from gapsim.errors import (
     ResourceError,
     StructuralError,
 )
-from gapsim.evolve import accept_probability
+from gapsim.evolve import accept_probability, trajectory
 from gapsim.model import make_system
 from gapsim.oracle import (
     OracleAssignment,
@@ -87,9 +90,6 @@ def test_assignment_totality():
     assert oracle.value("01") == 1 and oracle.value("00") == 0
     with pytest.raises(OracleError):
         oracle.value("000")
-    flipped = oracle.flipped("01")
-    assert flipped.value("01") == 0
-    assert flipped.flipped("01") == oracle
 
 
 def test_condition_shape_validation():
@@ -158,7 +158,9 @@ def test_split_magnitude_is_fractional():
 
 def _reference_magnitudes(system, oracle):
     """Sum of Fraction(amp**2, 25**step) over each query slot of the run's vectors."""
-    vectors = gapsim.oracle._run(system, oracle.value)[1]
+    key = gapsim.oracle._key(system, oracle.value)
+    base = system.system
+    vectors = list(trajectory(base, base.t_bound, lambda k: system._blocks_at(k, key)))
     magnitudes = {}
     for step, slots in system.query_slots.items():
         for config, y in slots.items():
@@ -210,6 +212,14 @@ def test_flip_stability_on_corpus_both_epsilons():
             report = verify_flip_stability(system, oracle, "", params)
             assert report.ok, f"{name} at eps={eps}"
             assert len(report.sensitive) <= params.bound
+
+
+def test_flip_stability_refuses_a_sensitive_set_past_its_bound():
+    system = classical_route_system("101")
+    params = params_for(system)
+    params.__dict__["bound"] = 0  # the cached bound; "101" alone is sensitive
+    with pytest.raises(ModelError, match="^sensitive set of size 1 exceeds the bound 0$"):
+        verify_flip_stability(system, OracleAssignment(3, frozenset()), "", params)
 
 
 def test_flip_deviation_zero_outside_single_query():
@@ -312,7 +322,8 @@ def test_runs_leave_the_shared_column_map_untouched():
     query_magnitudes(system, all_set)
     assert inst.system.blocks is before
     step, slots = next(iter(inst.query_slots.items()))
-    unset, patched = (inst._blocks_at(step, lambda _y: bit) for bit in (0, 1))
+    every_bit = (1 << len(inst.queried_strings())) - 1
+    unset, patched = (inst._blocks_at(step, key) for key in (0, every_bit))
     for c in slots:
         assert _column_in(unset, c) == sorted(inst.system.columns[c])
         assert _column_in(patched, c) == sorted(inst.alt_columns[c])
@@ -325,26 +336,16 @@ def test_step_block_cache_reads_every_bit_and_splits_on_slots():
     with pytest.raises(OracleError):  # a second run still reads the uncovered bit
         acceptance_prob_rel(system, OracleAssignment(2, frozenset()))
     assert acceptance_prob_rel(system, oracle) == first
-    reachable = {system.system.start}
-    for step, (shared, _reads, patterns) in enumerate(system._step_blocks):
-        slots = system.query_slots.get(step, {})
-        assert len(patterns) == (2 if slots else 0)  # one query string
+    assert list(system._step_blocks) == [11]  # the one query step; every other runs the base
+    for step, (shared, _bits, patterns) in system._step_blocks.items():
+        slots = system.query_slots[step]
+        assert len(patterns) == 2  # one query string
         for pairs, singles in patterns:
             assert pairs or singles
             assert all(c1 in slots or c2 in slots for c1, c2, *_ in pairs)
             assert all(c in slots for c, _r, _w in singles)
         assert not any(c1 in slots or c2 in slots for c1, c2, *_ in shared[0])
         assert not any(c in slots for c, _r, _w in shared[1])
-        for pairs, singles in (shared, *patterns):  # only the forward cone is cached
-            assert all(c1 in reachable or c2 in reachable for c1, c2, *_ in pairs)
-            assert all(c in reachable for c, _r, _w in singles)
-        alts = {c: system.alt_columns[c] for c in slots}
-        reachable = {
-            r
-            for c in reachable
-            for col in (system.system.columns[c], alts.get(c, ()))
-            for r, _ in col
-        }
 
 
 def test_exhaustive_bit_checks_refuse_thirteen_strings():
@@ -474,31 +475,76 @@ def test_categorical_check_runs_once_per_machine(monkeypatch):
     assert len(runs) == 4
 
 
-def test_step_cache_stops_once_the_cone_repeats(monkeypatch):
-    calls = []
-    kernel = gapsim.oracle._in_cone
+# Each script runs in a fresh interpreter under a 1 GB address-space limit, so
+# a machine that grows with t fails fast instead of taking the memory.  On
+# Linux, ru_maxrss starts from the memory of the process a child was started
+# from, so the script runs in a grandchild, started by a small interpreter.
+_LAUNCH = (
+    "import subprocess, sys; "
+    "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+)
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+_BUILD_SCRIPT = """
+import gapsim.oracle
+from gapsim.corpus import cycle_system
+from gapsim.oracle import OracleQuerySystem
 
-    monkeypatch.setattr(gapsim.oracle, "_in_cone", counted)
-    per_t = {}
-    for t in (10, 10**6):
-        identity = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 0, t)
-        OracleQuerySystem(identity, {}, {}, 1)
-        no_slots = len(calls)
-        phase = OracleQuerySystem(identity, {2: {0: "1"}}, {0: ((0, -5),)}, 1)
-        per_t[t] = (no_slots, len(calls) - no_slots)
-        calls.clear()
-    # one step; then steps 0-3, the last repeating the cone, and step 2's two patterns
-    assert per_t[10] == per_t[10**6] == (1, 6)
+calls = []
+kernel = gapsim.oracle.checked_blocks
+gapsim.oracle.checked_blocks = lambda *args: calls.append(args) or kernel(*args)
+for t in (10, 10**6):
+    phase = OracleQuerySystem(cycle_system(3, 0, 1, t), {2: {0: "1"}}, {0: ((1, -5),)}, 1)
+    print(len(calls), len(phase._step_blocks))
+    calls.clear()
+"""
+
+_RUN_SCRIPT = """
+import resource
+from gapsim.model import make_system
+from gapsim.oracle import OracleAssignment, OracleQuerySystem, acceptance_prob_rel
+
+t = 10**5
+identity = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 0, t)
+phase = OracleQuerySystem(identity, {2: {0: "1"}}, {0: ((0, -5),)}, 1)
+prob = acceptance_prob_rel(phase, OracleAssignment(1, frozenset({"1"})))
+print(prob.numerator == 5 ** (2 * t), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _fresh_interpreter(script, timeout):
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    src = os.path.dirname(os.path.dirname(gapsim.oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, limit + script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def test_building_a_machine_costs_its_query_steps_whatever_t_is():
+    # one query step with one string: two bit patterns and one cache entry,
+    # at t = 10 and at t = 10**6 alike
+    assert _fresh_interpreter(_BUILD_SCRIPT, timeout=30) == ["2 1", "2 1"]
     short = OracleQuerySystem(
         make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 0, 9), {2: {0: "1"}}, {0: ((0, -5),)}, 1
     )
     for bit in (0, 1):
         prob = acceptance_prob_rel(short, OracleAssignment(1, frozenset({"1"} if bit else ())))
         assert prob.numerator == 5**18
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_a_long_run_keeps_one_vector():
+    # t = 10**5 steps of an identity: the amplitude 5**k has about 2.3k bits,
+    # so keeping every step's vector would hold about 1.5 GB
+    exact, peak_kb = _fresh_interpreter(_RUN_SCRIPT, timeout=60)[0].split()
+    assert exact == "True"
+    assert int(peak_kb) < 100 * 1024
 
 
 def test_categorical_failure_names_each_callers_input():
@@ -521,21 +567,22 @@ CORPUS_MACHINES = (
     "system", [m for _, m in CORPUS_MACHINES], ids=[name for name, _ in CORPUS_MACHINES]
 )
 def test_outcome_reads_bits_in_the_runs_first_read_order(system):
-    def recording(log):
-        def bit_of(y):
-            log.append(y)
-            return 1
+    reads = []
 
-        return bit_of
+    def bit_of(y):
+        reads.append(y)
+        return 1
 
-    run_reads, outcome_reads = [], []
-    gapsim.oracle._run(system, recording(run_reads))
-    fresh = OracleQuerySystem(  # the same machine with an empty table
-        system.system, system.query_slots, system.alt_columns, system.universe_length
-    )
-    gapsim.oracle._outcome(fresh, recording([]))  # fills the entry the next call reads
-    gapsim.oracle._outcome(fresh, recording(outcome_reads))
-    assert outcome_reads == list(dict.fromkeys(run_reads))
+    gapsim.oracle._key(system, bit_of)
+    # a run first reads the strings of its earliest query step, in slot order
+    steps = sorted(system.query_slots)
+    assert reads == list(dict.fromkeys(y for k in steps for y in system.query_slots[k].values()))
+
+
+def test_unsorted_slots_are_read_in_slot_order():
+    reads = []
+    gapsim.oracle._key(double_phase_system("10", "01"), lambda y: reads.append(y) or 0)
+    assert reads == ["10", "01"]
 
 
 class _Refusing:
@@ -564,13 +611,19 @@ class _Refusing:
     ids=["refuses_10", "refuses_all", "universe_too_short", "condition_domain"],
 )
 def test_entry_points_refuse_as_the_run_does(system, oracle):
-    with pytest.raises((OracleError, DomainError)) as by_run:
-        gapsim.oracle._run(system, oracle.value)
+    refusals = []  # each string's refusal, in the run's first-read order
+    for step in sorted(system.query_slots):
+        for y in system.query_slots[step].values():
+            try:
+                oracle.value(y)
+            except (OracleError, DomainError) as exc:
+                refusals.append(exc)
+    first = refusals[0]
     for call in (acceptance_prob_rel, query_magnitudes):
-        with pytest.raises(type(by_run.value)) as by_entry:
+        with pytest.raises(type(first)) as by_entry:
             call(system, oracle)
-        assert type(by_entry.value) is type(by_run.value)
-        assert str(by_entry.value) == str(by_run.value)
+        assert type(by_entry.value) is type(first)
+        assert str(by_entry.value) == str(first)
     assert system._outcomes == {}
 
 
