@@ -87,8 +87,11 @@ class Draft:
 
     def cond_phase(self, c: int, query: str, step: int) -> None:
         """Sign flip of configuration c's column conditioned on the bit of `query`."""
+        slots = self._queries.setdefault(step, {})
+        if c in slots:
+            raise StructuralError(f"config {c} already queries {slots[c]!r} at step {step}")
+        slots[c] = query
         self._phases.append((c, query, step))
-        self._queries.setdefault(step, {})[c] = query
 
     def _complete(self) -> tuple[int, list[tuple[int, int, int]], dict]:
         n = len(self._index)
@@ -104,7 +107,7 @@ class Draft:
             columns[c] = ((r, 5),)
         alts = dict(self._swap_alts)
         for c, _, _ in self._phases:
-            if c in alts:
+            if c in self._swap_alts:
                 raise StructuralError(f"config {c} cannot both swap and flip sign")
             alts[c] = tuple((r, -w) for r, w in columns[c])
         entries = [(r, c, w) for c, col in columns.items() for r, w in col]

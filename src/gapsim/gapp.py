@@ -21,7 +21,7 @@ from .errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from .evolve import accept_probability
 from .model import MachineFamily, UnitarySystem, load_json_object, load_system
 from .poly import eval_poly
-from .strings import index_string, pair, pair_of_nums, string_to_num, unpair
+from .strings import pair, pair_codes, unpair
 from .trees import ACCEPT, REJECT, Branch, Node, Product
 
 DEFAULT_BRANCH_BOUND = 1 << 20
@@ -72,10 +72,7 @@ def exp_sum(machine: GapMachine, q: Sequence[int]) -> GapMachine:
         width = bound + 1
         if width > DEFAULT_BRANCH_BOUND.bit_length() or (1 << width) - 1 > DEFAULT_BRANCH_BOUND:
             raise bound_error("exp_sum branches", f"2**{width} - 1")
-        a = string_to_num(x)  # y runs over the strings numbered 1 .. 2**width - 1
-        return Branch(
-            tuple(machine.evaluator(pair_of_nums(a, b)) for b in range(1, 1 << width))
-        )
+        return Branch(tuple(map(machine.evaluator, pair_codes(x, (1 << width) - 1))))
 
     return GapMachine(evaluator)
 
@@ -95,13 +92,7 @@ def poly_product(machine: GapMachine, q: Sequence[int]) -> GapMachine:
             raise StructuralError("negative product range")
         if bound + 1 > DEFAULT_BRANCH_BOUND:
             raise bound_error("poly_product factors", bound + 1)
-        factors = [
-            machine.evaluator(pair(x, index_string(k))) for k in range(bound + 1)
-        ]
-        result = factors[0]
-        for factor in factors[1:]:
-            result = Product(result, factor)
-        return result
+        return functools.reduce(Product, map(machine.evaluator, pair_codes(x, bound + 1)))
 
     return GapMachine(evaluator)
 

@@ -9,6 +9,8 @@ both directions computable in time polynomial in the code length.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import DecodeError
@@ -39,13 +41,24 @@ def index_string(k: int) -> str:
 
 
 def pair(x: str, y: str) -> str:
-    """Injective pair code of two binary strings, itself a binary string."""
-    return pair_of_nums(string_to_num(x), string_to_num(y))
-
-
-def pair_of_nums(a: int, b: int) -> str:
-    """pair of the strings numbered a and b: their Cantor pairing, as a string."""
+    """Injective pair code of two binary strings: the Cantor pairing of their numbers."""
+    a, b = string_to_num(x), string_to_num(y)
     return num_to_string((a + b) * (a + b + 1) // 2 + b)
+
+
+_DROP_PREFIX = itemgetter(slice(3, None))  # bin(n) is "0b1" + the string numbered n
+
+
+def pair_codes(x: str, count: int) -> Iterator[str]:
+    """pair(x, y) for the strings y numbered 1 .. count (count >= 1), in that order.
+
+    x is read once; the codes start at <a, 1> = (a + 1)(a + 2)/2 + 1, and
+    consecutive codes <a, b> and <a, b + 1> differ by a + b + 2, so every
+    code comes from one running sum.
+    """
+    a = string_to_num(x)
+    codes = accumulate(range(a + 3, a + count + 2), initial=(a + 1) * (a + 2) // 2 + 1)
+    return map(_DROP_PREFIX, map(bin, codes))
 
 
 def unpair(z: str) -> tuple[str, str]:

@@ -25,7 +25,7 @@ from gapsim.corpus import (
     zero_error_family,
 )
 from gapsim.cli import main
-from gapsim.errors import BoundsError, ParseError, ResourceError
+from gapsim.errors import BoundsError, ParseError, ResourceError, StructuralError
 from gapsim.evolve import (
     ExactProbability,
     accept_probability,
@@ -459,13 +459,50 @@ def test_oracle_runs_match_dict_scatter_loop(system):
     assert len(fresh._outcomes) == len(wants)
 
 
+def _two_step_phase_system(wiring):
+    """Configuration a phase-queried twice: on "0" at step 0 and on "1" at step 1."""
+    d = Draft()
+    a, b = d.cfg("a"), d.cfg("b")
+    if wiring == "routes":
+        d.route(a, a)
+        d.route(b, b, -1)
+    else:
+        d.block(a, b, a, b, BLOCK_REFLECT)
+    d.cond_phase(a, "0", 0)
+    d.cond_phase(a, "1", 1)
+    return d.query_system(a, a, 2, 1)
+
+
+@pytest.mark.parametrize("wiring", ["routes", "block"])
+def test_phase_queries_at_two_steps_of_one_configuration(wiring):
+    system = _two_step_phase_system(wiring)
+    base = system.system
+    for values in product((0, 1), repeat=2):
+        bits = {"0": values[0], "1": values[1]}
+        want, outcome = _scatter_outcome(system, bits)
+        key = _key(system, bits.__getitem__)
+        vectors = trajectory(base, base.t_bound, lambda k: system._blocks_at(k, key))
+        assert list(vectors) == [_dense(v, base.n_configs, 0) for v in want]
+        assert _outcome(system, key) == outcome
+
+
+def test_second_phase_query_at_one_step_is_refused():
+    d = Draft()
+    a = d.cfg("a")
+    d.route(a, a)
+    d.cond_phase(a, "0", 0)
+    with pytest.raises(StructuralError, match="already queries '0' at step 0"):
+        d.cond_phase(a, "1", 0)
+
+
 @st.composite
 def draft_query_systems(draw):
     """Small Draft machines: 2x2 blocks and +-5 routes, phase queries at steps 0..t-1.
 
     Returns the machine and the ones of a base assignment on its universe.
-    Draft refuses a second phase query on one configuration, so each
-    configuration takes at most one.
+    Draft refuses a second phase query on one configuration at one step, so
+    each (configuration, step) pair takes at most one; a configuration may
+    be queried at several steps.
     """
     d = Draft()
     n = draw(st.integers(min_value=1, max_value=8))
@@ -483,8 +520,8 @@ def draft_query_systems(draw):
     t = draw(st.integers(min_value=1, max_value=6))
     universe_length = draw(st.integers(min_value=0, max_value=3))
     universe = list(strings_up_to(universe_length))
-    for config in draw(st.lists(st.sampled_from(configs), max_size=4, unique=True)):
-        step = draw(st.integers(min_value=0, max_value=t - 1))
+    slots = st.tuples(st.sampled_from(configs), st.integers(min_value=0, max_value=t - 1))
+    for config, step in draw(st.lists(slots, max_size=4, unique=True)):
         d.cond_phase(config, draw(st.sampled_from(universe)), step)
     start, accept = draw(st.sampled_from(configs)), draw(st.sampled_from(configs))
     system = d.query_system(start, accept, t, universe_length)

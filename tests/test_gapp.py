@@ -20,7 +20,7 @@ from gapsim.corpus import (
     unitary_corpus,
     zero_error_family,
 )
-from gapsim.errors import ParseError, PromiseViolation, ResourceError, StructuralError
+from gapsim.errors import DecodeError, ParseError, PromiseViolation, ResourceError, StructuralError
 from gapsim.evolve import accept_probability, path_sum
 from gapsim.gapp import (
     ClassCertificate,
@@ -107,6 +107,36 @@ def test_poly_product_annihilates():
 def test_poly_product_signs():
     machine = table_machine(lambda y: -1)
     assert gap_of(poly_product(machine, (2,)), "") == -1  # three factors of -1
+
+
+def recording_machine():
+    """Machine of gap 1 everywhere that records every input it is run on."""
+    seen = []
+
+    def evaluator(z):
+        seen.append(z)
+        return ACCEPT
+
+    return GapMachine(evaluator), seen
+
+
+@pytest.mark.parametrize("x", ["", "0", "1101"])
+@pytest.mark.parametrize("q", range(5))
+def test_combinators_run_the_machine_on_each_pair_in_order(x, q):
+    machine, seen = recording_machine()
+    exp_sum(machine, (q,)).evaluator(x)
+    assert seen == [pair(x, y) for y in strings_up_to(q)]
+    seen.clear()
+    poly_product(machine, (q,)).evaluator(x)
+    assert seen == [pair(x, index_string(k)) for k in range(q + 1)]
+
+
+@pytest.mark.parametrize("combinator", [exp_sum, poly_product])
+def test_combinators_refuse_a_non_binary_x_before_any_run(combinator):
+    machine, seen = recording_machine()
+    with pytest.raises(DecodeError, match="not a binary string"):
+        combinator(machine, (2,)).evaluator("01a")
+    assert seen == []
 
 
 @settings(deadline=None)

@@ -7,6 +7,7 @@ from gapsim.strings import (
     index_string,
     num_to_string,
     pair,
+    pair_codes,
     string_to_num,
     strings_of_length,
     strings_up_to,
@@ -73,6 +74,8 @@ def test_non_binary_strings_are_refused(bad):
         string_to_num(bad)
     with pytest.raises(DecodeError, match="not a binary string"):
         pair("0", bad)
+    with pytest.raises(DecodeError, match="not a binary string"):
+        pair_codes(bad, 3)  # at the call, before any code is drawn
 
 
 @given(st.text(alphabet="01_ \t\n2a１", max_size=8))
@@ -82,3 +85,9 @@ def test_only_strings_over_01_have_numbers(x):
     else:
         with pytest.raises(DecodeError):
             string_to_num(x)
+
+
+@given(st.text(alphabet="01", max_size=8), st.integers(min_value=1, max_value=1 << 10))
+def test_pair_codes_number_the_pairs_in_order(x, count):
+    want = [pair(x, num_to_string(b)) for b in range(1, count + 1)]
+    assert list(pair_codes(x, count)) == want
