@@ -11,6 +11,7 @@ from gapsim.model import (
     MachineFamily,
     _gram_first_violation,
     build_system,
+    checked_blocks,
     column_blocks,
     make_system,
 )
@@ -89,31 +90,115 @@ def test_unitarity_failure_is_model_error():
         build_system(doc)
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
+# each malformed file with its refusal; the later cases have several faults
+NON_CANONICAL = [
+    (
         lambda d: d.update(entries=[[0, 1, 4], [0, 0, 3], [1, 0, 4], [1, 1, -3]]),
-        lambda d: d.update(entries=d["entries"] + [[1, 1, -3]]),
+        "entries must be sorted by (row, col)",
+    ),
+    (lambda d: d.update(entries=d["entries"] + [[1, 1, -3]]), "duplicate entries"),
+    (
         lambda d: d.update(entries=[[0, 0, 3], [0, 1, 4], [1, 0, 4], [1, 1, 0]]),
-        lambda d: d.update(t="3"),
-        lambda d: d.update(extra=1),
-        lambda d: d.pop("start"),
-        lambda d: d.update(n_configs=True),
-        lambda d: d["entries"][0].__setitem__(2, True),
-        lambda d: d["entries"][0].__setitem__(2, 3.0),
-        lambda d: d["entries"][1].__setitem__(1, "1"),
-        lambda d: d["entries"].__setitem__(0, [0, 0]),
+        "explicit zero entries must be omitted",
+    ),
+    (lambda d: d.update(t="3"), "field 't' must be an integer"),
+    (lambda d: d.update(extra=1), "unknown fields: ['extra']"),
+    (lambda d: d.pop("start"), "missing fields: ['start']"),
+    (lambda d: d.update(n_configs=True), "field 'n_configs' must be an integer"),
+    (lambda d: d["entries"][0].__setitem__(2, True), "bad entry [0, 0, True]"),
+    (lambda d: d["entries"][0].__setitem__(2, 3.0), "bad entry [0, 0, 3.0]"),
+    (lambda d: d["entries"][1].__setitem__(1, "1"), "bad entry [0, '1', 4]"),
+    (lambda d: d["entries"].__setitem__(0, [0, 0]), "bad entry [0, 0]"),
+    (
         lambda d: d["entries"].__setitem__(0, {"row": 0, "col": 0, "numerator": 3}),
-        lambda d: d["entries"].__setitem__(0, "033"),
-        lambda d: d["entries"].__setitem__(0, 3),
-    ],
-)
+        "bad entry {'row': 0, 'col': 0, 'numerator': 3}",
+    ),
+    (lambda d: d["entries"].__setitem__(0, "033"), "bad entry '033'"),
+    (lambda d: d["entries"].__setitem__(0, 3), "bad entry 3"),
+    # several faults: the first check in the order of build_system names one
+    (
+        lambda d: d.update(entries=[[0, 1, 4], [0, 0, 3], [0, 0, 3], [1, 0, 4], [1, 1, -3]]),
+        "entries must be sorted by (row, col)",
+    ),
+    (
+        lambda d: d.update(entries=[[0, 0, 3], [0, 0, 3], [0, 1, 4], [1, 1, -3], [1, 0, 4]]),
+        "entries must be sorted by (row, col)",
+    ),
+    (
+        lambda d: d.update(entries=[[0, 0, 3], [0, 0, 3], [0, 1, 4], [1, 0, 4], [1, 1, 0]]),
+        "explicit zero entries must be omitted",
+    ),
+    (
+        lambda d: d.update(entries=[[0, 1, 4], [0, 0, 3], [1, 0, 4], [1, 1, "x"]]),
+        "bad entry [1, 1, 'x']",
+    ),
+    (
+        lambda d: d.update(n_configs=0, entries=[[0, 0, 3], [0, 0, 3]]),
+        "duplicate entries",
+    ),
+]
+
+
+@pytest.mark.parametrize("mangle", [mangle for mangle, _ in NON_CANONICAL])
 def test_non_canonical_files_rejected(mangle):
     doc = {k: (list(v) if isinstance(v, list) else v) for k, v in ROTATION_DOC.items()}
     doc["entries"] = [list(e) for e in ROTATION_DOC["entries"]]
     mangle(doc)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         build_system(doc)
+    assert str(info.value) == dict(NON_CANONICAL)[mangle]
+
+
+FIRST_FAULTS = [
+    # a bad numerator early and an out-of-range entry later: the earlier entry is named
+    (
+        [(0, 0, 2), (0, 1, 4), (1, 0, 4), (1, 1, -3), (1, 2, 5)],
+        AmplitudeError("numerator 2 at (0,0) not in the allowed set"),
+    ),
+    (
+        [(-1, 0, 5), (0, 0, 2), (0, 1, 4), (1, 0, 4), (1, 1, -3)],
+        StructuralError("entry (-1,0) out of range"),
+    ),
+    (
+        [(0, 0, 3), (0, 1, 4), (1, 0, 4), (1, 1, 6), (2, 1, 5)],
+        AmplitudeError("numerator 6 at (1,1) not in the allowed set"),
+    ),
+    # an explicit zero is a numerator fault, though its column's squared norm is 25
+    (
+        [(0, 0, 0), (0, 1, 5), (1, 0, 5), (1, 1, 0)],
+        AmplitudeError("numerator 0 at (0,0) not in the allowed set"),
+    ),
+    # a duplicate is named before any range or numerator fault, wherever it lies
+    (
+        [(0, 0, 7), (0, 1, 4), (1, 0, 4), (1, 1, -3), (9, 9, 5), (1, 1, -3)],
+        StructuralError("duplicate matrix entries"),
+    ),
+    # a fault in an entry is named before a column pair
+    (
+        [(0, 0, 3), (0, 1, 4), (1, 0, 4), (1, 1, 3), (1, 1, 2)],
+        StructuralError("duplicate matrix entries"),
+    ),
+    (
+        [(0, 0, 3), (0, 1, 4), (1, 0, 4), (1, 1, 3), (2, 0, 5)],
+        StructuralError("entry (2,0) out of range"),
+    ),
+]
+
+
+@pytest.mark.parametrize("entries,refusal", FIRST_FAULTS)
+def test_first_fault_is_named(entries, refusal):
+    with pytest.raises(type(refusal)) as info:
+        checked_blocks(2, entries)
+    assert str(info.value) == str(refusal)
+
+
+def test_cancelling_duplicate_in_column_major_order_is_refused():
+    # column 0 holds (0, 0) three times, 3 + 4 - 4: its squared norm is 25 and
+    # the Gram check alone passes
+    entries = [(0, 0, 3), (0, 0, 4), (0, 0, -4), (1, 0, 4), (0, 1, 4), (1, 1, -3)]
+    with pytest.raises(StructuralError) as info:
+        checked_blocks(2, entries)
+    assert str(info.value) == "duplicate matrix entries"
 
 
 def test_config_cap():
