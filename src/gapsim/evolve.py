@@ -181,16 +181,18 @@ def float_check(system: UnitarySystem) -> float:
     Agrees with accept_probability within 1e-9 for t <= 20 and up to 4096
     configurations; used as a rounding-error witness, never as truth.
     """
-    return _accept_run(system, _scaled, 1.0) ** 2
+    return _accept_run(system, _scaled(system), 1.0) ** 2
 
 
-def _scaled(blocks: Blocks) -> Blocks:
-    """The blocks with every weight w as w / 5.0."""
-    pairs, singles = blocks
-    return (
-        tuple(
-            (c1, c2, r1, r2, a / 5.0, b / 5.0, c / 5.0, d / 5.0)
-            for c1, c2, r1, r2, a, b, c, d in pairs
-        ),
-        tuple((c, r, w / 5.0) for c, r, w in singles),
-    )
+def _scaled(system: UnitarySystem) -> Callable[[Blocks], Blocks]:
+    """A map of a walk's blocks to their weights w / 5.0.
+
+    Each block of system.blocks is scaled once, and both walks map through
+    that one scaled tuple, found under the block's first column.
+    """
+    scaled: list = [None] * system.n_configs
+    for c1, c2, r1, r2, a, b, c, d in system.blocks[0]:
+        scaled[c1] = (c1, c2, r1, r2, a / 5.0, b / 5.0, c / 5.0, d / 5.0)
+    for c, r, w in system.blocks[1]:
+        scaled[c] = (c, r, w / 5.0)
+    return lambda blocks: tuple(tuple([scaled[b[0]] for b in part]) for part in blocks)

@@ -15,9 +15,11 @@ each line holds one +-5 or one +-3 and one +-4.  A row through a 3/4
 column c holds exactly one other entry, in some column c2; the inner
 product of c and c2 has a nonzero term on that row, so it needs a second
 term, and c2 meets c's other row too.  Conversely, blocks on disjoint rows
-give orthogonal columns.  Validation is this decomposition; the blocks are
-kept on the system, and evolve steps by them.  A refused system's message
-names the first column pair whose inner product is wrong.
+give orthogonal columns.  Validation is this decomposition, in one walk over
+the entries that also checks their ranges, numerators and repeats (see
+column_blocks); the blocks are kept on the system, and evolve steps by them.
+A refused system's message names its first fault, for a matrix the first
+column pair whose inner product is wrong.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import AmplitudeError, ModelError, ParseError, StructuralError
 from .poly import eval_poly
 
 ALLOWED_NUMERATORS = frozenset({-5, -4, -3, 0, 3, 4, 5})
+_NONZERO_NUMERATORS = ALLOWED_NUMERATORS - {0}
 DEFAULT_MAX_CONFIGS = 4096
 
 Entry = tuple[int, int, int]  # (row, col, numerator), numerator nonzero
@@ -62,46 +65,51 @@ def _gram_first_violation(
 
 
 def column_blocks(n: int, entries: Iterable[Entry]) -> Blocks | None:
-    """V's columns as (pairs, singles), or None when V^T V != 25 I.
+    """V's columns as (pairs, singles), or None for any fault in the entries.
 
-    Entries come in any order, without duplicates, inside 0..n-1, with
-    numerators in {+-3, +-4, +-5}.  A pair (c1, c2, r1, r2, a, b, c, d) is
-    the block with V[r1][c1] = a, V[r1][c2] = b, V[r2][c1] = c and
-    V[r2][c2] = d, c1 < c2; a single (c, r, w) is V[r][c] = w = +-5.  Every
-    entry lies in exactly one block, and blocks share no row.
+    One walk over the entries, in any order, checks each one's range and
+    numerator and files it under its column and its row; a (row, col) given
+    twice leaves a column that meets one row twice or holds three entries.
+    A pass over the columns then records each configuration's block.  A pair
+    (c1, c2, r1, r2, a, b, c, d) is the block with V[r1][c1] = a, V[r1][c2]
+    = b, V[r2][c1] = c and V[r2][c2] = d, c1 < c2; a single (c, r, w) is
+    V[r][c] = w = +-5.  Every entry lies in exactly one block, and blocks
+    share no row.
     """
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for r, c, w in entries:
-        cols[c].append((r, w))
-        rows[r].append(c)
+    cols: list[list[Entry]] = [[] for _ in range(n)]
+    rows = [0] * n  # (entries on the row) * n + (the sum of their columns)
+    for entry in entries:
+        r, c, w = entry
+        if not (0 <= r < n and 0 <= c < n and w in _NONZERO_NUMERATORS):
+            return None
+        cols[c].append(entry)
+        rows[r] += n + c
     pairs: list[Pair] = []
     singles: list[Single] = []
     paired = [False] * n
     for c1, col in enumerate(cols):
-        if len(col) == 1:
-            ((r, w),) = col
-            if w * w != 25 or len(rows[r]) != 1:
-                return None
-            singles.append((c1, r, w))
-        elif len(col) == 2:
+        if len(col) == 2:
             if paired[c1]:
                 continue
-            (r1, a), (r2, c) = col
-            row1, row2 = rows[r1], rows[r2]
-            if a * a + c * c != 25 or len(row1) != 2 or len(row2) != 2:
+            (r1, _, a), (r2, _, c) = col
+            c2 = rows[r1] - 2 * n - c1  # in 0..n-1 iff row r1 holds c1 and one more
+            if r1 == r2 or rows[r2] != rows[r1] or not 0 <= c2 < n or a * a + c * c != 25:
                 return None
-            c2 = row1[0] if row1[1] == c1 else row1[1]
             col2 = cols[c2]
-            if c2 not in row2 or len(col2) != 2:
+            if len(col2) != 2:
                 return None
-            (s1, b), (_, d) = col2
+            (s1, _, b), (_, _, d) = col2
             if s1 != r1:
                 b, d = d, b
             if a * b + c * d != 0 or b * b + d * d != 25:
                 return None
             paired[c2] = True
             pairs.append((c1, c2, r1, r2, a, b, c, d))
+        elif len(col) == 1:
+            ((r, _, w),) = col
+            if w * w != 25 or rows[r] != n + c1:
+                return None
+            singles.append((c1, r, w))
         else:
             return None
     return tuple(pairs), tuple(singles)
@@ -117,31 +125,34 @@ def _breadth_first(
     leaves through its rows; backward, through a row and leaves through its
     columns.  The block entered through seed is at distance 0.  counts[d]
     is the number of (pairs, singles) at distance at most d, so the blocks
-    at distance at most d are a prefix of each returned tuple.  The walk
-    stops early once no block is left to enter.
+    at distance at most d are a prefix of each returned tuple.  A block is
+    taken under its first column, and it is read once, when taken.  The
+    walk stops early once a layer takes no block.
     """
-    ordered: tuple[list, list] = ([], [])
+    pairs: list[Pair] = []
+    singles: list[Single] = []
     counts: list[tuple[int, int]] = []
-    taken: set[int] = set()
+    taken = bytearray(len(block_of))
+    out1, out2, out = (2, 3, 1) if forward else (0, 1, 0)
     layer = [seed]
     for _ in range(depth):
-        following = []
+        following: list[int] = []
         for i in layer:
-            if i not in taken:
-                block = block_of[i]
-                single = len(block) == 3
-                width = 1 if single else 2
-                ins, outs = block[:width], block[width : 2 * width]
-                if not forward:
-                    ins, outs = outs, ins
-                taken.update(ins)
-                ordered[single].append(block)
-                following.extend(outs)
-        counts.append((len(ordered[0]), len(ordered[1])))
-        layer = [i for i in following if i not in taken]
-        if not layer:
+            block = block_of[i]
+            if not taken[block[0]]:
+                taken[block[0]] = 1
+                if len(block) == 3:
+                    singles.append(block)
+                    following.append(block[out])
+                else:
+                    pairs.append(block)
+                    following += block[out1], block[out2]
+        count = (len(pairs), len(singles))
+        if counts and count == counts[-1]:
             break
-    return (tuple(ordered[0]), tuple(ordered[1])), counts
+        counts.append(count)
+        layer = following
+    return (tuple(pairs), tuple(singles)), counts
 
 
 @dataclass(frozen=True)
@@ -224,25 +235,25 @@ def _checked_system(
 def checked_blocks(n: int, entries: Sequence[Entry]) -> Blocks:
     """column_blocks of the entries, or the refusal of the first fault.
 
-    Every matrix is checked here: no (row, col) twice, the range of each
-    entry, its numerator, then the first column pair whose inner product is
-    not 25 * delta.
+    Every matrix is checked here, by the one walk of column_blocks.  Only
+    when it finds a fault do the sequential checks name the first one: a
+    (row, col) twice, then the range of each entry and its numerator, then
+    the first column pair whose inner product is not 25 * delta.
     """
+    blocks = column_blocks(n, entries)
+    if blocks is not None:
+        return blocks
     if len({(r, c) for r, c, _ in entries}) != len(entries):
         raise StructuralError("duplicate matrix entries")
     for r, c, w in entries:
         if not (0 <= r < n and 0 <= c < n):
             raise StructuralError(f"entry ({r},{c}) out of range")
-        if w not in ALLOWED_NUMERATORS or w == 0:
+        if w not in _NONZERO_NUMERATORS:
             raise AmplitudeError(f"numerator {w} at ({r},{c}) not in the allowed set")
-    blocks = column_blocks(n, entries)
-    if blocks is None:
-        i, j, got, want = _gram_first_violation(n, entries)
-        raise ModelError(
-            f"not norm-preserving: inner product of columns ({i},{j}) is {got}, "
-            f"expected {want}"
-        )
-    return blocks
+    i, j, got, want = _gram_first_violation(n, entries)
+    raise ModelError(
+        f"not norm-preserving: inner product of columns ({i},{j}) is {got}, expected {want}"
+    )
 
 
 def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
@@ -267,6 +278,8 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
     if not isinstance(raw, list):
         raise ParseError("entries must be an array of [row, col, numerator]")
     entries: list[Entry] = []
+    increasing = True
+    last_r = last_c = float("-inf")
     for item in raw:
         try:
             r, c, w = item
@@ -276,11 +289,14 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
             raise ParseError(f"bad entry {item!r}")
         if w == 0:
             raise ParseError("explicit zero entries must be omitted")
+        if r < last_r or r == last_r and c <= last_c:
+            increasing = False
+        last_r, last_c = r, c
         entries.append((r, c, w))
-    keys = [(r, c) for r, c, _ in entries]
-    if keys != sorted(keys):
-        raise ParseError("entries must be sorted by (row, col)")
-    if len(set(keys)) != len(keys):
+    if not increasing:
+        keys = [(r, c) for r, c, _ in entries]
+        if keys != sorted(keys):
+            raise ParseError("entries must be sorted by (row, col)")
         raise ParseError("duplicate entries")
     return _checked_system(
         description["n_configs"],

@@ -370,6 +370,46 @@ def test_accept_probability_steps_only_the_two_sided_cone(monkeypatch):
     assert sum(handed) < 0.1 * (n // 2) * t  # a dense run hands (n/2)*t blocks
 
 
+def test_float_check_scales_each_block_once(monkeypatch):
+    rng = random.Random(5)
+    n, t = 256, 25
+    perm = list(range(n))
+    rng.shuffle(perm)
+    entries = [
+        (perm[2 * k + i], 2 * k + j, w)
+        for k in range(n // 2)
+        for (i, j), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), rng.choice(BLOCKS))
+        if w
+    ]
+    system = make_system(n, entries, 0, rng.randrange(n), t)
+    (ahead, _), (behind, _) = system._cone_order
+    assert sorted(ahead[0]) == sorted(behind[0]) == sorted(system.blocks[0])  # mixing
+    module = importlib.import_module("gapsim.evolve")
+    scaler = module._scaled
+    walks = []
+
+    def kept(system):
+        convert = scaler(system)
+        return lambda blocks: walks.append(convert(blocks)) or walks[-1]
+
+    monkeypatch.setattr(module, "_scaled", kept)
+    float_check(system)
+    assert len(walks) == 2
+    scaled = {id(block) for pairs, singles in walks for block in pairs + singles}
+    assert len(scaled) == len(system.blocks[0]) + len(system.blocks[1])
+
+
+def test_cone_walks_stop_once_a_layer_takes_no_block():
+    # a 4-cycle of singles and a pair block off it, run for 10**6 steps
+    cycle = [((c + 1) % 4, c, 5) for c in range(4)]
+    system = make_system(6, cycle + [(4, 4, 3), (4, 5, 4), (5, 4, 4), (5, 5, -3)], 0, 2, 10**6)
+    (ahead, ahead_counts), (behind, behind_counts) = system._cone_order
+    assert ahead == ((), ((0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 0, 5)))
+    assert ahead_counts == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert behind == ((), ((1, 2, 5), (0, 1, 5), (3, 0, 5), (2, 3, 5)))
+    assert behind_counts == [(0, 1), (0, 2), (0, 3), (0, 4)]
+
+
 def test_only_a_run_that_steps_computes_the_cone_order(monkeypatch, capsys):
     def refused(_system):
         raise AssertionError("cone order computed")

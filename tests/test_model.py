@@ -5,7 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsim.corpus import unitary_corpus
-from gapsim.errors import AmplitudeError, ModelError, ParseError, StructuralError
+from gapsim.errors import (
+    AmplitudeError,
+    GapsimError,
+    ModelError,
+    ParseError,
+    StructuralError,
+)
 from gapsim.model import (
     ALLOWED_NUMERATORS,
     MachineFamily,
@@ -267,7 +273,8 @@ def near_block_matrices(draw):
     """(n, entries in shuffled order) for n <= 6, then 0-3 overwrites.
 
     Half start from a valid block matrix, half from columns of squared norm
-    25 drawn one by one, whose rows may collide or stay empty.
+    25 drawn one by one, whose rows may collide or stay empty.  One in four
+    then repeats an entry's (row, col) with another numerator.
     """
     n = draw(st.integers(min_value=1, max_value=6))
     matrix = [[0] * n for _ in range(n)]
@@ -295,6 +302,9 @@ def near_block_matrices(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         matrix[draw(index)][draw(index)] = draw(st.sampled_from(NUMERATORS))
     entries = [(r, c, w) for r, row in enumerate(matrix) for c, w in enumerate(row) if w]
+    if entries and draw(st.integers(min_value=0, max_value=3)) == 0:
+        r, c, w = draw(st.sampled_from(entries))
+        entries.append((r, c, draw(st.sampled_from([v for v in NUMERATORS if v not in (0, w)]))))
     return n, draw(st.permutations(entries))
 
 
@@ -309,10 +319,17 @@ def near_block_matrices(draw):
         [(1, 0, -4), (1, 2, -3), (2, 1, 4), (2, 3, 3), (3, 0, -3), (3, 1, -3), (3, 2, 4), (3, 3, 4)],
     )
 )
+# row 0 holds three entries, and column 0 lists it first
+@example(case=(3, [(0, 0, 3), (1, 0, 4), (0, 1, 4), (1, 1, -3), (0, 2, 5)]))
 def test_column_blocks_exactly_when_gram_is_scaled_identity(case):
     n, entries = case
-    violation = _gram_first_violation(n, entries)
     blocks = column_blocks(n, entries)
+    if len({(r, c) for r, c, _ in entries}) != len(entries):
+        assert blocks is None
+        with pytest.raises(StructuralError, match="^duplicate matrix entries$"):
+            make_system(n, entries, 0, 0, 1)
+        return
+    violation = _gram_first_violation(n, entries)
     assert (blocks is None) == (violation is not None)
     if blocks is not None:
         pairs, singles = blocks
@@ -330,6 +347,27 @@ def test_column_blocks_exactly_when_gram_is_scaled_identity(case):
             f"not norm-preserving: inner product of columns ({i},{j}) is {got}, "
             f"expected {want}"
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=near_block_matrices())
+def test_checked_blocks_is_the_same_in_every_entry_order(case):
+    # the drawn order, the sorted order and column-major order; a pair's r1
+    # is the row a column lists first, so rows are put in order to compare
+    n, entries = case
+    outcomes = []
+    for ordered in (entries, sorted(entries), sorted(entries, key=lambda e: (e[1], e[0], e[2]))):
+        try:
+            pairs, singles = checked_blocks(n, ordered)
+        except GapsimError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            pairs = [
+                (c1, c2, r1, r2, a, b, c, d) if r1 < r2 else (c1, c2, r2, r1, c, d, a, b)
+                for c1, c2, r1, r2, a, b, c, d in pairs
+            ]
+            outcomes.append((pairs, singles))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_family_checks_time_bound():
