@@ -68,13 +68,14 @@ def column_blocks(n: int, entries: Iterable[Entry]) -> Blocks | None:
     """V's columns as (pairs, singles), or None for any fault in the entries.
 
     One walk over the entries, in any order, checks each one's range and
-    numerator and files it under its column and its row; a (row, col) given
-    twice leaves a column that meets one row twice or holds three entries.
-    A pass over the columns then records each configuration's block.  A pair
-    (c1, c2, r1, r2, a, b, c, d) is the block with V[r1][c1] = a, V[r1][c2]
-    = b, V[r2][c1] = c and V[r2][c2] = d, c1 < c2; a single (c, r, w) is
-    V[r][c] = w = +-5.  Every entry lies in exactly one block, and blocks
-    share no row.
+    numerator, files it under its column and adds it to its row's tally; a
+    (row, col) given twice leaves a column that meets one row twice or holds
+    three entries.  A pass over the columns then records each
+    configuration's block, reading a pair's second column off the tally of
+    its first row.  A pair (c1, c2, r1, r2, a, b, c, d) is the block with
+    V[r1][c1] = a, V[r1][c2] = b, V[r2][c1] = c and V[r2][c2] = d, c1 < c2;
+    a single (c, r, w) is V[r][c] = w = +-5.  Every entry lies in exactly
+    one block, and blocks share no row.
     """
     cols: list[list[Entry]] = [[] for _ in range(n)]
     rows = [0] * n  # (entries on the row) * n + (the sum of their columns)
