@@ -45,23 +45,30 @@ Blocks = tuple[tuple[Pair, ...], tuple[Single, ...]]
 def _gram_first_violation(
     n: int, entries: Iterable[Entry]
 ) -> tuple[int, int, int, int] | None:
-    """First (i, j) with column inner product != 25*delta_ij, else None."""
+    """First (i, j) with column inner product != 25*delta_ij, else None.
+
+    Columns are walked in order, each against the columns j >= i sharing a
+    row with it, and the walk stops at the first bad one: (i, i) when its
+    squared norm is not 25, else its smallest j > i with a nonzero product.
+    """
     rows: dict[int, list[tuple[int, int]]] = {}
+    cols: dict[int, list[tuple[int, int]]] = {}
     for r, c, w in entries:
         rows.setdefault(r, []).append((c, w))
-    gram: dict[tuple[int, int], int] = {}
-    for items in rows.values():
-        for ci, wi in items:
-            for cj, wj in items:
-                if ci <= cj:
-                    gram[(ci, cj)] = gram.get((ci, cj), 0) + wi * wj
-    bad: list[tuple[int, int, int, int]] = []
+        cols.setdefault(c, []).append((r, w))
     for i in range(n):
-        got = gram.pop((i, i), 0)
+        products: dict[int, int] = {}
+        for r, wi in cols.get(i, ()):
+            for j, wj in rows[r]:
+                if j >= i:
+                    products[j] = products.get(j, 0) + wi * wj
+        got = products.pop(i, 0)
         if got != 25:
-            bad.append((i, i, got, 25))
-    bad.extend((i, j, got, 0) for (i, j), got in gram.items() if got != 0)
-    return min(bad) if bad else None
+            return i, i, got, 25
+        j = min((j for j, value in products.items() if value), default=None)
+        if j is not None:
+            return i, j, products[j], 0
+    return None
 
 
 def column_blocks(n: int, entries: Iterable[Entry]) -> Blocks | None:

@@ -88,7 +88,8 @@ class TowerCondition:
     The domain is closed by length; acceptable lengths must be tower
     values, checked against `tower` up to the first value past the largest
     length, so a length whose successor is over tower's budget raises its
-    ResourceError; every length-covered string outside `ones` is 0.
+    ResourceError; every length-covered string outside `ones` is 0.  The
+    decider's probe plan is computed once per object (see _probe_plan).
     """
 
     acceptable_lengths: frozenset[int]
@@ -119,6 +120,19 @@ class TowerCondition:
         if len(y) not in self.domain_lengths:
             raise DomainError(f"condition undefined on length {len(y)}")
         return 1 if y in self.ones else 0
+
+    @cached_property
+    def _probe_plan(self) -> tuple[tuple[int, ...], tuple[str, ...], frozenset[str]]:
+        """(long lengths, short strings in probe order, the short strings set).
+
+        A length is short with at most _SHORT_PROBE_BUDGET strings.
+        """
+        lengths = sorted(self.acceptable_lengths & self.domain_lengths)
+        long_lengths = tuple(n for n in lengths if (1 << n) > _SHORT_PROBE_BUDGET)
+        shorts = tuple(
+            y for n in lengths if (1 << n) <= _SHORT_PROBE_BUDGET for y in strings_of_length(n)
+        )
+        return long_lengths, shorts, frozenset(y for y in shorts if self.value(y) == 1)
 
     def to_assignment(self, universe_length: int) -> OracleAssignment:
         missing = set(range(universe_length + 1)) - self.domain_lengths
@@ -471,28 +485,20 @@ def rerelativized_decide(
     long to enumerate, an in-process helper computes the sensitive set of
     the run that assumes the length is empty; only those strings are
     probed.  Helper work is charged zero probes, mirroring free access to
-    the powering half of the oracle.
+    the powering half of the oracle.  The short strings' values come from
+    the condition's plan, read once per condition (TowerCondition._probe_plan).
     """
     if check_categorical:
         categorical_check(system, x)
-    lengths = sorted(condition.acceptable_lengths & condition.domain_lengths)
-    long_lengths = [n for n in lengths if (1 << n) > _SHORT_PROBE_BUDGET]
+    long_lengths, shorts, known_ones = condition._probe_plan
     if len(long_lengths) > 1:
         raise ModelError(
-            f"lengths {long_lengths} all exceed the probe budget; tower spacing "
+            f"lengths {list(long_lengths)} all exceed the probe budget; tower spacing "
             "admits at most one"
         )
-    short_lengths = [n for n in lengths if (1 << n) <= _SHORT_PROBE_BUDGET]
 
-    query_log: list[str] = []
-    known_ones: set[str] = set()
-    for n in short_lengths:
-        for y in strings_of_length(n):
-            query_log.append(y)
-            if condition.value(y) == 1:
-                known_ones.add(y)
-
-    assumed = OracleAssignment(system.universe_length, frozenset(known_ones))
+    query_log = list(shorts)
+    assumed = OracleAssignment(system.universe_length, known_ones)
     decision, numerators, denominator = _outcome(system, _key(system, assumed.value))
     sensitive: frozenset[str] = frozenset()
     found: str | None = None
@@ -509,9 +515,7 @@ def rerelativized_decide(
             if condition.value(y) == 1:
                 found = y
         if found is not None:
-            full = OracleAssignment(
-                system.universe_length, frozenset(known_ones | {found})
-            )
+            full = OracleAssignment(system.universe_length, known_ones | {found})
             decision = _outcome(system, _key(system, full.value))[0]
 
     accept = _verdict(decision)
@@ -520,11 +524,10 @@ def rerelativized_decide(
         raise CategoricalityError(
             f"simulation left the promise interval: {prob}", witness=prob
         )
-    total_short = sum(1 << n for n in short_lengths)
     return DeciderResult(
         accept=accept,
         query_log=tuple(query_log),
         sensitive=sensitive,
         found_long_string=found,
-        probe_budget=params.bound + total_short,
+        probe_budget=params.bound + len(shorts),
     )

@@ -8,6 +8,7 @@ file-based checks and fall back to the built-in corpus otherwise.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 from fractions import Fraction
@@ -17,6 +18,7 @@ from . import corpus
 from .errors import ModelError, ParseError, PromiseViolation
 from .evolve import accept_probability, float_check, path_sum, trajectory
 from .gapp import (
+    GapMachine,
     bqp_to_awpp,
     check_awpp,
     check_lwpp,
@@ -142,8 +144,11 @@ def run_gaplem(corpus_dir: str | None = None) -> tuple[bool, dict]:
 def run_closure(corpus_dir: str | None = None) -> tuple[bool, dict]:
     """Machine-level combinators match value-level gap arithmetic exhaustively.
 
-    The brute-force references read each input's pair codes, built once
-    for all machines; the combinators under test compute their own.
+    The brute-force references read each input's pair codes from
+    strings.pair, built once for all machines; the combinators under test
+    compute their own, over the machine memoized for this run: evaluation
+    is pure, so each string's tree is built once, and a wrong code still
+    evaluates another string.
     """
     machines = corpus.gap_machine_corpus()
     if corpus_dir is not None:
@@ -161,6 +166,7 @@ def run_closure(corpus_dir: str | None = None) -> tuple[bool, dict]:
     mismatches = []
     checks = 0
     for name, machine in machines:
+        machine = GapMachine(functools.cache(machine.evaluator))
         negated = negate(machine)
         summed = exp_sum(machine, (1,))
         product = poly_product(machine, (1,))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapsim import gapp, trees
+from gapsim import gapp, suites, trees
 from gapsim.corpus import (
     BLOCK_REFLECT,
     amplified_family,
@@ -156,6 +156,25 @@ def test_combinators_match_value_arithmetic(x, q, seed):
     for k in range(q + 1):
         want_product *= gap_of(machine, pair(x, index_string(k)))
     assert gap_of(poly_product(machine, (q,)), x) == want_product
+
+
+def test_closure_suite_reports_combinator_faults(monkeypatch):
+    # the suite memoizes each machine's evaluator; a combinator that asks
+    # for a wrong code, or weights its child wrongly, must still mismatch
+    codes = gapp.pair_codes
+    monkeypatch.setattr(gapp, "pair_codes", lambda x, count: list(codes(x, count + 1))[1:])
+    ok, results = suites.run_closure()
+    assert not ok
+    assert {m["op"] for m in results["mismatches"]} == {"exp_sum", "poly_product"}
+    monkeypatch.setattr(gapp, "pair_codes", codes)
+
+    def unsigned(machine):
+        return GapMachine(lambda x: Branch((machine.evaluator(x),), (1,)))
+
+    monkeypatch.setattr(suites, "negate", unsigned)
+    ok, results = suites.run_closure()
+    assert not ok
+    assert {m["op"] for m in results["mismatches"]} == {"negate"}
 
 
 def test_system_machines_reproduce_numerators():

@@ -198,6 +198,14 @@ def test_first_fault_is_named(entries, refusal):
     assert str(info.value) == str(refusal)
 
 
+def test_column_index_n_is_out_of_range():
+    entries = [(0, 0, 5), (1, 2, 5)]
+    for check in (lambda: checked_blocks(2, entries), lambda: make_system(2, entries, 0, 0, 1)):
+        with pytest.raises(StructuralError) as info:
+            check()
+        assert str(info.value) == "entry (1,2) out of range"
+
+
 def test_cancelling_duplicate_in_column_major_order_is_refused():
     # column 0 holds (0, 0) three times, 3 + 4 - 4: its squared norm is 25 and
     # the Gram check alone passes
@@ -221,6 +229,26 @@ corpus_systems = unitary_corpus()
 def test_corpus_validates(name, system):
     # reconstruction re-runs the orthogonality check
     assert build_system(system.to_file_dict()) == system
+
+
+def _full_gram_first_violation(n, entries):
+    # reference: the whole Gram matrix V^T V as a dict, then its smallest bad (i, j)
+    rows = {}
+    for r, c, w in entries:
+        rows.setdefault(r, []).append((c, w))
+    gram = {}
+    for items in rows.values():
+        for ci, wi in items:
+            for cj, wj in items:
+                if ci <= cj:
+                    gram[(ci, cj)] = gram.get((ci, cj), 0) + wi * wj
+    bad = []
+    for i in range(n):
+        got = gram.pop((i, i), 0)
+        if got != 25:
+            bad.append((i, i, got, 25))
+    bad.extend((i, j, got, 0) for (i, j), got in gram.items() if got != 0)
+    return min(bad) if bad else None
 
 
 def _dense_gram_is_scaled_identity(n, entries):
@@ -329,7 +357,7 @@ def test_column_blocks_exactly_when_gram_is_scaled_identity(case):
         with pytest.raises(StructuralError, match="^duplicate matrix entries$"):
             make_system(n, entries, 0, 0, 1)
         return
-    violation = _gram_first_violation(n, entries)
+    violation = _full_gram_first_violation(n, entries)
     assert (blocks is None) == (violation is not None)
     if blocks is not None:
         pairs, singles = blocks
@@ -347,6 +375,22 @@ def test_column_blocks_exactly_when_gram_is_scaled_identity(case):
             f"not norm-preserving: inner product of columns ({i},{j}) is {got}, "
             f"expected {want}"
         )
+
+
+@st.composite
+def in_range_entries(draw):
+    """(n, entries) for n <= 6: any cells, any numerators, repeats allowed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    index = st.integers(min_value=0, max_value=n - 1)
+    entry = st.tuples(index, index, st.sampled_from(NUMERATORS + [-2, 1, 2, 6]))
+    return n, draw(st.lists(entry, max_size=3 * n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.one_of(near_block_matrices(), in_range_entries()))
+def test_gram_walk_names_the_full_grams_first_violation(case):
+    n, entries = case
+    assert _gram_first_violation(n, entries) == _full_gram_first_violation(n, entries)
 
 
 @settings(max_examples=300, deadline=None)

@@ -32,6 +32,7 @@ from gapsim.errors import (
 from gapsim.evolve import accept_probability, trajectory
 from gapsim.model import make_system
 from gapsim.oracle import (
+    DeciderResult,
     OracleAssignment,
     OracleQuerySystem,
     SensitivityParams,
@@ -43,6 +44,7 @@ from gapsim.oracle import (
     tower,
     verify_flip_stability,
 )
+from gapsim.strings import strings_of_length
 
 EPS = Fraction(1, 7)
 
@@ -303,6 +305,132 @@ def test_decider_every_long_placement():
             assert result.accept == (truth >= Fraction(2, 3)), (name, cond_name)
 
 
+def _reference_decide(system, condition, x, params):
+    """The decider as its docstring states it, from the public entry points."""
+    lengths = sorted(condition.acceptable_lengths & condition.domain_lengths)
+    short = [n for n in lengths if 2**n <= 8]
+    long_lengths = [n for n in lengths if 2**n > 8]
+    query_log = [y for n in short for y in strings_of_length(n)]
+    ones = frozenset(y for y in query_log if condition.value(y))
+    assumed = OracleAssignment(system.universe_length, ones)
+    threshold = params.epsilon**2 / (4 * params.p_value**2)
+    above = {y for y, m in query_magnitudes(system, assumed).items() if m > threshold}
+    assert len(above) <= params.bound
+    sensitive = frozenset(y for y in above if long_lengths and len(y) == long_lengths[0])
+    found = None
+    for y in sorted(sensitive):
+        query_log.append(y)
+        if condition.value(y):
+            found = y
+    final = assumed if found is None else OracleAssignment(system.universe_length, ones | {found})
+    prob = acceptance_prob_rel(system, final).as_fraction()
+    assert not Fraction(1, 3) < prob < Fraction(2, 3)
+    return DeciderResult(
+        accept=prob >= Fraction(2, 3),
+        query_log=tuple(query_log),
+        sensitive=sensitive,
+        found_long_string=found,
+        probe_budget=params.bound + sum(2**n for n in short),
+    )
+
+
+def _short_and_long_system():
+    """Classical chain: accept only if "10" (a short length) and "0110" (the long one) are 1."""
+    d = Draft()
+    s, sp = d.cfg("s"), d.cfg("s_p")
+    u, dead1, up = d.cfg("u"), d.cfg("dead1"), d.cfg("u_p")
+    hit, dead2 = d.cfg("hit"), d.cfg("dead2")
+    d.cond_swap(s, sp, dead1, u, "10", 0)
+    d.cond_swap(u, up, dead2, hit, "0110", 1)
+    d.delay_chain(dead1, "sink1", 1)
+    return d.query_system(s, hit, 2, 4)
+
+
+def test_decider_matches_its_reference_on_the_corpus():
+    # the last machine's decision needs a short string's bit and the found long string's
+    for name, system in decider_corpus() + [("short_and_long", _short_and_long_system())]:
+        for cond_name, condition in decider_conditions():
+            for x in ("", "0", "1", "00", "0110"):
+                params = params_for(system, x)
+                want = _reference_decide(system, condition, x, params)
+                assert rerelativized_decide(system, condition, x, params) == want, (
+                    name,
+                    cond_name,
+                    x,
+                )
+
+
+_TWO_LONG = TowerCondition(
+    frozenset({2, 4, 16}), frozenset(range(17)), frozenset({"10", "0110", "0" * 16})
+)
+_SHORT_ONE = TowerCondition(frozenset({2}), frozenset(range(5)), frozenset({"10"}))
+
+
+def _narrow_machine():
+    # no queries, universe of length 1: the condition's short "10" lies past it
+    return OracleQuerySystem(make_system(1, [(0, 0, 5)], 0, 0, 1), {}, {}, 1)
+
+
+@pytest.mark.parametrize(
+    "system,condition,refusal",
+    [
+        (
+            oracle_free_system(),
+            _TWO_LONG,
+            ModelError(
+                "lengths [4, 16] all exceed the probe budget; tower spacing admits at most one"
+            ),
+        ),
+        (_narrow_machine(), _SHORT_ONE, OracleError("'10' is longer than the declared universe")),
+        (
+            four_way_phase_system(),
+            _SHORT_ONE,
+            CategoricalityError(
+                "probability 9216/15625 on input '01' under bits "
+                "{'000': 0, '001': 0, '010': 1, '011': 0}"
+            ),
+        ),
+        # several faults: the promise first, then the long lengths, then the universe
+        (
+            four_way_phase_system(),
+            _TWO_LONG,
+            CategoricalityError(
+                "probability 9216/15625 on input '01' under bits "
+                "{'000': 0, '001': 0, '010': 1, '011': 0}"
+            ),
+        ),
+        (
+            _narrow_machine(),
+            _TWO_LONG,
+            ModelError(
+                "lengths [4, 16] all exceed the probe budget; tower spacing admits at most one"
+            ),
+        ),
+    ],
+    ids=["two_long", "short_past_universe", "not_categorical", "promise_first", "lengths_first"],
+)
+def test_decider_refusals_keep_their_text_and_order(system, condition, refusal):
+    with pytest.raises(type(refusal)) as info:
+        rerelativized_decide(system, condition, "01", params_for(system, "01"))
+    assert type(info.value) is type(refusal)
+    assert str(info.value) == str(refusal)
+
+
+def test_decider_reads_the_short_lengths_once_per_condition(monkeypatch):
+    reads = []
+    value = TowerCondition.value
+    monkeypatch.setattr(TowerCondition, "value", lambda self, y: reads.append(y) or value(self, y))
+    conditions = [condition for _, condition in decider_conditions()]
+    for _ in range(2):
+        for condition in conditions:
+            for name, system in decider_corpus():
+                for x in ("", "0110"):
+                    rerelativized_decide(system, condition, x, params_for(system, x))
+    shorts = [y for y in reads if len(y) == 2]
+    assert len(conditions) == 32 and len(shorts) == 32 * 4
+    assert all(len(y) == 4 for y in reads if len(y) != 2)  # the long probes, per decision
+
+
 def _column_in(blocks, config):
     """Sorted (row, numerator) entries of one configuration's column in (pairs, singles)."""
     pairs, singles = blocks
@@ -501,6 +629,7 @@ for t in (10, 10**6):
 _RUN_SCRIPT = """
 import resource
 from gapsim.model import make_system
+from gapsim.strings import strings_of_length
 from gapsim.oracle import OracleAssignment, OracleQuerySystem, acceptance_prob_rel
 
 t = 10**5
