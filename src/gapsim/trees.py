@@ -1,75 +1,92 @@
 """Finite computation trees with accept/reject leaves.
 
-Trees are immutable and may share subtrees: the in-memory object is a DAG
-whose unfolding is the computation tree.  Branch weights are nonzero
-signed ints: child i stands for |weights[i]| copies of itself, negated
-(accept and reject swapped) when weights[i] < 0, so g equal subtrees are
-one edge and a -1 weight is GapP closure under subtraction.  A product node
-is GapP closure under products in one node: its unfolding is `left` with
-every accept leaf replaced by `right` and every reject leaf by `right`
-negated, so its gap is the product of theirs.  Every node stores the
+Trees may share subtrees: the in-memory object is a DAG whose unfolding is
+the computation tree.  Nodes are plain slotted objects: __init__ sets each
+slot once, any later assignment or deletion raises AttributeError, and two
+nodes are equal (and hash alike) only when they are the same object.  Branch
+weights are nonzero signed ints: child i stands for |weights[i]| copies of
+itself, negated (accept and reject swapped) when weights[i] < 0, so g equal
+subtrees are one edge and a -1 weight is GapP closure under subtraction.  A
+product node is GapP closure under products in one node: its unfolding is
+`left` with every accept leaf replaced by `right` and every reject leaf by
+`right` negated, so its gap is the product of theirs.  Every node stores the
 (accepting, rejecting) leaf counts of its unfolding when it is built, so
-gaps are read, never recomputed.  The walks below visit each distinct node
-once.  Size caps live in the builders (gapp, lowness), which refuse a tree
-over its bound before allocating it.  Nodes built bottom-up hold no cycle,
-so gapp.system_tree pauses the garbage collector while it builds; the pause
-is process-global, and other threads run without the collector then.
+gaps are read, never recomputed.  stored_size is one walk that reads each
+distinct node's children once and sums its edges as it goes.  Size caps live
+in the builders (gapp, lowness), which refuse a tree over its bound before
+allocating it.  Nodes built bottom-up hold no cycle, so gapp.system_tree
+pauses the garbage collector while it builds; the pause is process-global,
+and other threads run without the collector then.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+_set = object.__setattr__  # writes a slot past the refusals below
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Leaf:
-    accepting: bool
-    counts: tuple[int, int] = field(init=False, repr=False)
+class _Node:
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", (1, 0) if self.accepting else (0, 1))
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # pickle and copy pass (None, {slot: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Branch:
-    children: tuple
+class Leaf(_Node):
+    __slots__ = ("accepting", "counts")
+
+    def __init__(self, accepting: bool):
+        _set(self, "accepting", accepting)
+        _set(self, "counts", (1, 0) if accepting else (0, 1))
+
+    def __repr__(self) -> str:
+        return f"Leaf(accepting={self.accepting!r})"
+
+
+class Branch(_Node):
     # Child i repeated |weights[i]| != 0 times, negated if negative; None: each once.
-    weights: tuple[int, ...] | None = None
-    counts: tuple[int, int] = field(init=False, repr=False)
+    __slots__ = ("children", "weights", "counts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, children: tuple, weights: tuple[int, ...] | None = None):
         acc = rej = 0
-        if self.weights is None:
-            for child in self.children:
+        if weights is None:
+            for child in children:
                 a, r = child.counts
                 acc += a
                 rej += r
         else:
-            for child, w in zip(self.children, self.weights, strict=True):
+            for child, w in zip(children, weights, strict=True):
                 a, r = child.counts
                 if w < 0:  # -w copies of the child negated
                     a, r, w = r, a, -w
                 acc += w * a
                 rej += w * r
-        object.__setattr__(self, "counts", (acc, rej))
+        _set(self, "children", children)
+        _set(self, "weights", weights)
+        _set(self, "counts", (acc, rej))
 
     def __repr__(self) -> str:
-        # Constant size: the default repr unfolds the shared DAG as a tree.
+        # Constant size: a repr that recursed would unfold the shared DAG as a tree.
         return f"Branch(<{len(self.children)} children>, weights={self.weights})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Product:
+class Product(_Node):
     """left with accept leaves replaced by right and reject leaves by right negated."""
 
-    left: Node
-    right: Node
-    counts: tuple[int, int] = field(init=False, repr=False)
+    __slots__ = ("left", "right", "counts")
 
-    def __post_init__(self) -> None:
-        a1, r1 = self.left.counts
-        a2, r2 = self.right.counts
-        object.__setattr__(self, "counts", (a1 * a2 + r1 * r2, a1 * r2 + r1 * a2))
+    def __init__(self, left: Node, right: Node):
+        a1, r1 = left.counts
+        a2, r2 = right.counts
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "counts", (a1 * a2 + r1 * r2, a1 * r2 + r1 * a2))
 
     def __repr__(self) -> str:
         return "Product(<left>, <right>)"
@@ -92,29 +109,37 @@ def gap(root: Node, node_budget: int | None = None) -> int:
     return acc - rej
 
 
-def _stored_children(node: Node) -> tuple:
-    if isinstance(node, Branch):
-        return node.children
-    if isinstance(node, Product):
-        return node.left, node.right
-    return ()
-
-
-def _distinct(root: Node) -> list[Node]:
+def _walk(root: Node) -> tuple[dict[int, Node], int]:
+    """Each distinct node by id, and their stored child edges; no recursion."""
     seen: dict[int, Node] = {}
+    edges = 0
     stack = [root]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        key = id(node)
+        if key in seen:
             continue
-        seen[id(node)] = node
-        stack.extend(_stored_children(node))
-    return list(seen.values())
+        seen[key] = node
+        kind = type(node)
+        if kind is Branch:
+            children = node.children
+        elif kind is Product:
+            children = node.left, node.right
+        else:
+            continue
+        edges += len(children)
+        stack += children
+    return seen, edges
+
+
+def _distinct(root: Node) -> list[Node]:
+    return list(_walk(root)[0].values())
 
 
 def stored_size(root: Node) -> int:
     """Distinct nodes plus stored child edges: the memory a tree holds."""
-    return sum(1 + len(_stored_children(node)) for node in _distinct(root))
+    seen, edges = _walk(root)
+    return len(seen) + edges
 
 
 def unfolded_leaves(root: Node) -> int:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
@@ -122,10 +124,18 @@ def test_builders_refuse_before_allocating(make, message, monkeypatch):
     """Each row makes its inputs, then hands back the one call under test."""
     build = make()
     built = []
-    post_init = Branch.__post_init__
+    init = Branch.__init__
+
+    def counted_init(node, *args, **kwargs):
+        built.append(1)
+        init(node, *args, **kwargs)
+
     # Counts every Branch made anywhere, so a builder that allocated part of
     # the tree (or let a helper do it) before refusing fails here.
-    monkeypatch.setattr(Branch, "__post_init__", lambda node: (built.append(1), post_init(node)))
+    monkeypatch.setattr(Branch, "__init__", counted_init)
+    assert gap(Branch((ACCEPT, REJECT), (3, 1))) == 2
+    assert built == [1]  # the hook sees a Branch, so an empty count below means none was made
+    built.clear()
     with pytest.raises(ResourceError, match=message):
         build()
     assert built == []
@@ -292,6 +302,84 @@ def test_product_is_one_node_over_shared_factors():
     assert len(_distinct(square)) == 1 + len(_distinct(factor))
     assert gap(square) == 1 and unfolded_leaves(square) == 9
     assert json_nodes(tree_to_json(square)) == 1 + 3 * 4
+
+
+def stored_children(node):
+    if isinstance(node, Branch):
+        return node.children
+    if isinstance(node, Product):
+        return node.left, node.right
+    return ()
+
+
+def reference_distinct(root):
+    """The distinct nodes by id, found by a recursive visit."""
+    seen = {}
+
+    def visit(node):
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for child in stored_children(node):
+                visit(child)
+
+    visit(root)
+    return seen
+
+
+@given(tree_strategy(), tree_strategy())
+def test_stored_size_counts_each_distinct_node_once(a, b):
+    shared = Branch((a, b, a, a), (1, -1, 2, 3))  # a three times, and maybe leaves of b
+    for root in (
+        a,
+        shared,
+        Product(a, b),
+        Product(a, a),
+        Product(shared, a),
+        signed_negation(a),
+        signed_negation(Product(a, shared)),
+        Branch((a, signed_negation(a), Product(b, a))),
+    ):
+        distinct = reference_distinct(root)
+        assert stored_size(root) == sum(1 + len(stored_children(n)) for n in distinct.values())
+        assert sorted(map(id, _distinct(root))) == sorted(distinct)
+
+
+def test_nodes_are_immutable_and_compare_by_identity():
+    branch = Branch((ACCEPT, REJECT, ACCEPT))
+    product = Product(branch, REJECT)
+    for node, field in ((ACCEPT, "accepting"), (branch, "children"), (product, "left")):
+        for name in (field, "counts", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert ACCEPT.accepting and ACCEPT.counts == (1, 0)
+    assert branch.children == (ACCEPT, REJECT, ACCEPT) and branch.counts == (2, 1)
+    assert product.left is branch and product.counts == (1, 2)
+    twin = Branch((ACCEPT, REJECT, ACCEPT))
+    assert branch == branch and branch != twin and twin.counts == branch.counts
+    assert Leaf(True) != ACCEPT and Product(branch, REJECT) != product
+    assert hash(branch) == object.__hash__(branch) and hash(twin) == object.__hash__(twin)
+    assert len({branch, twin, Branch((ACCEPT, REJECT, ACCEPT))}) == 3
+    for copied in (pickle.loads(pickle.dumps(product)), copy.deepcopy(product)):
+        assert copied is not product and copied.counts == product.counts
+        assert tree_to_json(copied) == tree_to_json(product)
+    assert copy.copy(branch).children is branch.children
+
+
+def test_node_reprs_are_constant_size():
+    assert repr(ACCEPT) == "Leaf(accepting=True)"
+    assert repr(REJECT) == "Leaf(accepting=False)"
+    assert repr(Branch((ACCEPT,) * 1000)) == "Branch(<1000 children>, weights=None)"
+    assert repr(Branch((ACCEPT, REJECT), (2, -1))) == "Branch(<2 children>, weights=(2, -1))"
+    assert repr(Product(ACCEPT, Branch((REJECT,)))) == "Product(<left>, <right>)"
+
+
+def test_weights_must_match_children():
+    with pytest.raises(ValueError):
+        Branch((ACCEPT,), (1, 2))
+    with pytest.raises(ValueError):
+        Branch((ACCEPT, REJECT), (1,))
 
 
 def _listed_signed_tree(value, noise=0):
