@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .errors import StructuralError
+from .errors import DecodeError, StructuralError
 from .gapp import GapMachine, tree_to_json
 from .lowness import (
     LownessInstance,
@@ -134,10 +134,7 @@ class Draft:
 
 def rotation_system(matrix, start: int, accept: int, t: int) -> UnitarySystem:
     """Single 2x2 block as a full system."""
-    d = Draft()
-    c0, c1 = d.cfg("0"), d.cfg("1")
-    d.block(c0, c1, c0, c1, matrix)
-    return d.system(start, accept, t)
+    return block_diagonal_system([matrix], start, accept, t)
 
 
 def identity_system(n: int, start: int, accept: int, t: int, signs=None) -> UnitarySystem:
@@ -235,49 +232,31 @@ def unitary_corpus() -> list[tuple[str, UnitarySystem]]:
 # --- machine families ------------------------------------------------------
 
 
-def _accepting_system(t: int) -> UnitarySystem:
-    return identity_system(1, 0, 0, t)
-
-
-def _rejecting_system(t: int) -> UnitarySystem:
-    return identity_system(2, 0, 1, t)
-
-
 def parity_language(x: str) -> bool:
     return x.count("1") % 2 == 0
 
 
+def _parity_family(member: UnitarySystem) -> tuple[MachineFamily, Callable[[str], bool]]:
+    """member on even-parity inputs, exact rejection in as many steps otherwise."""
+    t = member.t_bound
+    rejecting = identity_system(2, 0, 1, t)
+    family = MachineFamily(lambda x, _m: member if parity_language(x) else rejecting, (t,))
+    return family, parity_language
+
+
 def zero_error_family() -> tuple[MachineFamily, Callable[[str], bool]]:
     """Probability exactly 1 on even-parity inputs, exactly 0 otherwise, in 3 steps."""
-    t = 3
-
-    def builder(x: str, m: int) -> UnitarySystem:
-        return _accepting_system(t) if parity_language(x) else _rejecting_system(t)
-
-    return MachineFamily(builder, (t,)), parity_language
+    return _parity_family(identity_system(1, 0, 0, 3))
 
 
 def amplified_family() -> tuple[MachineFamily, Callable[[str], bool]]:
     """Error below 2**-8 on every input: a 22-step rotation versus exact zero."""
-    t = 22
-
-    def builder(x: str, m: int) -> UnitarySystem:
-        if parity_language(x):
-            return rotation_system(BLOCK_ROTATE, 0, 1, t)
-        return _rejecting_system(t)
-
-    return MachineFamily(builder, (t,)), parity_language
+    return _parity_family(rotation_system(BLOCK_ROTATE, 0, 1, 22))
 
 
 def leaky_family() -> tuple[MachineFamily, Callable[[str], bool]]:
     """Members accepted with probability 16/25: violates any sharp promise."""
-
-    def builder(x: str, m: int) -> UnitarySystem:
-        if parity_language(x):
-            return rotation_system(BLOCK_REFLECT, 0, 1, 1)
-        return _rejecting_system(1)
-
-    return MachineFamily(builder, (1,)), parity_language
+    return _parity_family(rotation_system(BLOCK_REFLECT, 0, 1, 1))
 
 
 # --- gap machine corpus ----------------------------------------------------
@@ -306,7 +285,7 @@ def gap_machine_corpus() -> list[tuple[str, GapMachine]]:
     def unpair_diff(z: str) -> int:
         try:
             a, b = unpair(z)
-        except Exception:
+        except DecodeError:
             return -1
         return len(a) - len(b) + 2
 
@@ -464,29 +443,27 @@ def classical_route_system(query: str, accept_on: int = 1) -> OracleQuerySystem:
     return d.query_system(s, acc, 2, max(3, len(query)))
 
 
-def phase_split_system(query: str) -> OracleQuerySystem:
-    """Split, phase-query on the lighter arm, recombine: bit 1 costs 1 - 7/25."""
+def _split_phases(recombine, *queries: str) -> OracleQuerySystem:
+    """Split into arms c1 (3/5) and c2 (4/5), phase-query queries[i] on arm i, recombine."""
     d = Draft()
     s, sp = d.cfg("s"), d.cfg("s_p")
     c1, c2 = d.cfg("c1"), d.cfg("c2")
     acc, w = d.cfg("acc"), d.cfg("w")
     d.block(s, sp, c1, c2)
-    d.block(c1, c2, acc, w, ((3, 4), (-4, 3)))
-    d.cond_phase(c1, query, 1)
+    d.block(c1, c2, acc, w, recombine)
+    for arm, query in zip((c1, c2), queries):
+        d.cond_phase(arm, query, 1)
     return d.query_system(s, acc, 2, 3)
+
+
+def phase_split_system(query: str) -> OracleQuerySystem:
+    """Split, phase-query on the lighter arm, recombine: bit 1 costs 1 - 7/25."""
+    return _split_phases(((3, 4), (-4, 3)), query)
 
 
 def double_phase_system(qa: str, qb: str) -> OracleQuerySystem:
     """Both arms carry phase queries on different strings."""
-    d = Draft()
-    s, sp = d.cfg("s"), d.cfg("s_p")
-    c1, c2 = d.cfg("c1"), d.cfg("c2")
-    acc, w = d.cfg("acc"), d.cfg("w")
-    d.block(s, sp, c1, c2)
-    d.block(c1, c2, acc, w, ((3, 4), (4, -3)))
-    d.cond_phase(c1, qa, 1)
-    d.cond_phase(c2, qb, 1)
-    return d.query_system(s, acc, 2, 3)
+    return _split_phases(BLOCK_REFLECT, qa, qb)
 
 
 def four_way_phase_system() -> OracleQuerySystem:

@@ -19,8 +19,7 @@ from typing import Callable, Iterable, Sequence
 from . import trees
 from .errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from .evolve import accept_probability
-from .model import MachineFamily, UnitarySystem, load_json_object, load_system
-from .poly import eval_poly
+from .model import MachineFamily, UnitarySystem, eval_poly, load_json_object, load_system
 from .strings import pair, pair_codes, unpair
 from .trees import ACCEPT, REJECT, Branch, Node, Product
 

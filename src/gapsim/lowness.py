@@ -24,8 +24,7 @@ from .gapp import (
     check_awpp,
     tree_from_json,
 )
-from .model import load_json_object
-from .poly import eval_poly
+from .model import eval_poly, load_json_object
 from .strings import is_binary, pair, unpair
 from .trees import Branch, Node, Product
 

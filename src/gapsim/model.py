@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AmplitudeError, ModelError, ParseError, StructuralError
-from .poly import eval_poly
 
 ALLOWED_NUMERATORS = frozenset({-5, -4, -3, 0, 3, 4, 5})
 _NONZERO_NUMERATORS = ALLOWED_NUMERATORS - {0}
@@ -218,9 +217,11 @@ def make_system(
     accept: int,
     t: int,
 ) -> UnitarySystem:
-    """Build and validate a system from already-typed fields, entries in any order."""
-    ordered = tuple(sorted((int(r), int(c), int(w)) for r, c, w in entries))
-    return _checked_system(n_configs, ordered, start, accept, t, DEFAULT_MAX_CONFIGS)
+    """Build and validate a system from int fields and (row, col, numerator) int triples.
+
+    The entries may come in any order; the system keeps them sorted.
+    """
+    return _checked_system(n_configs, tuple(sorted(entries)), start, accept, t, DEFAULT_MAX_CONFIGS)
 
 
 def _checked_system(
@@ -339,6 +340,14 @@ def load_json_object(path: str) -> dict:
 def load_system(path: str, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
     """Read a machine file from disk."""
     return build_system(load_json_object(path), max_configs=max_configs)
+
+
+def eval_poly(coeffs: Sequence[int], n: int) -> int:
+    """Evaluate sum(c_i * n**i), coefficients constant term first, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,6 @@ def _walk(root: Node) -> tuple[dict[int, Node], int]:
     return seen, edges
 
 
-def _distinct(root: Node) -> list[Node]:
-    return list(_walk(root)[0].values())
-
-
 def stored_size(root: Node) -> int:
     """Distinct nodes plus stored child edges: the memory a tree holds."""
     seen, edges = _walk(root)

@@ -198,7 +198,7 @@ def _loaded(*argv):
 
 def test_simulate_loads_only_the_model_and_evolve_layers():
     loaded = _loaded("simulate", "corpus/machines/reflect_t1.json")
-    assert loaded == {"gapsim", "cli", "errors", "evolve", "model", "poly"}
+    assert loaded == {"gapsim", "cli", "errors", "evolve", "model"}
 
 
 def test_gap_eval_loads_no_suites_corpus_oracle_or_lowness():

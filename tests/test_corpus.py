@@ -1,8 +1,11 @@
 from pathlib import Path
 
+import pytest
+
 from gapsim import corpus
 from gapsim.corpus import write_corpus
 from gapsim.gapp import exp_sum, poly_product, tree_to_json
+from gapsim.trees import gap
 
 SHIPPED = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -55,3 +58,48 @@ def test_shared_signed_trees_build_the_same_closures(monkeypatch):
     monkeypatch.setattr(corpus, "_signed_tree", fresh)
     assert fresh(3, 1) is not fresh(3, 1)
     assert _closures() == shared
+
+
+def test_pair_shape_reads_pair_codes_and_only_decode_errors_as_minus_one(monkeypatch):
+    pair_shape = dict(corpus.gap_machine_corpus())["pair_shape"]
+    assert gap(pair_shape.evaluator("1")) == -1  # "1" numbers 3, which pair never makes
+    assert gap(pair_shape.evaluator("00111")) == 3  # <"01", "1">: 2 - 1 + 2
+
+    def broken(_z):
+        raise RuntimeError("unpair is broken")
+
+    monkeypatch.setattr(corpus, "unpair", broken)
+    with pytest.raises(RuntimeError, match="unpair is broken"):
+        pair_shape.evaluator("00111")
+
+
+IDENTITY_1 = {"n_configs": 1, "entries": [[0, 0, 5]], "start": 0, "accept": 0}
+IDENTITY_2 = {"n_configs": 2, "entries": [[0, 0, 5], [1, 1, 5]], "start": 0, "accept": 1}
+ROTATE = {"entries": [[0, 0, 3], [0, 1, -4], [1, 0, 4], [1, 1, 3]]}
+REFLECT = {"entries": [[0, 0, 3], [0, 1, 4], [1, 0, 4], [1, 1, -3]]}
+
+
+@pytest.mark.parametrize(
+    "make, t, member",
+    [
+        (corpus.zero_error_family, 3, IDENTITY_1),
+        (corpus.amplified_family, 22, {**IDENTITY_2, **ROTATE}),
+        (corpus.leaky_family, 1, {**IDENTITY_2, **REFLECT}),
+    ],
+)
+def test_parity_families_pick_the_member_system_or_reject(make, t, member):
+    family, language = make()
+    assert family.t_poly == (t,)
+    for x, system in (("", member), ("11", member), ("1", IDENTITY_2)):
+        assert language(x) == (system is member)
+        for m in (len(x), len(x) + 3):
+            assert family.system(x, m).to_file_dict() == {**system, "t": t}
+
+
+def test_split_phase_systems_query_their_arms_at_step_one():
+    split = corpus.phase_split_system("00")
+    assert split.query_slots == {1: {2: "00"}}
+    assert split.alt_columns == {2: ((4, -3), (5, 4))}
+    double = corpus.double_phase_system("01", "10")
+    assert double.query_slots == {1: {2: "01", 3: "10"}}
+    assert double.alt_columns == {2: ((4, -3), (5, -4)), 3: ((4, -4), (5, 3))}

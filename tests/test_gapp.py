@@ -43,7 +43,7 @@ from gapsim.gapp import (
 )
 from gapsim.model import make_system
 from gapsim.strings import index_string, pair, strings_up_to, unpair
-from gapsim.trees import ACCEPT, REJECT, Branch, _distinct, gap, stored_size, unfolded_leaves
+from gapsim.trees import ACCEPT, REJECT, Branch, _walk, gap, stored_size, unfolded_leaves
 
 
 def constant_machine(value):
@@ -261,7 +261,7 @@ def test_system_tree_gap_is_the_squared_amplitude(system):
 @settings(deadline=None, max_examples=60)
 @given(system=pb_systems)
 def test_system_tree_stays_inside_the_corridor(system):
-    size = len(_distinct(system_tree(system)))  # a failing assert must not repr the DAG
+    size = len(_walk(system_tree(system))[0])  # a failing assert must not repr the DAG
     assert size <= corridor_pairs(system) + 3
 
 
@@ -352,7 +352,7 @@ def same_dag(a, b, matched):
 def test_system_tree_is_the_forward_pass_dag(system):
     cone, forward = system_tree(system), forward_pass_tree(system)
     assert same_dag(cone, forward, set())  # a failing assert must not repr the DAG
-    assert len(_distinct(cone)) == len(_distinct(forward))
+    assert len(_walk(cone)[0]) == len(_walk(forward)[0])
     assert stored_size(cone) == stored_size(forward)
 
 
@@ -416,7 +416,7 @@ def test_system_tree_leaves_the_collector_as_it_found_it(monkeypatch):
 def test_system_tree_of_an_unreached_accept_is_tiny():
     ident = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 6)
     tree = system_tree(ident)
-    size, value = len(_distinct(tree)), gap(tree)
+    size, value = len(_walk(tree)[0]), gap(tree)
     assert corridor_pairs(ident) == 0 and size == 3 and value == 0
 
 

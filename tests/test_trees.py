@@ -25,7 +25,7 @@ from gapsim.trees import (
     Branch,
     Leaf,
     Product,
-    _distinct,
+    _walk,
     gap,
     stored_size,
     unfolded_leaves,
@@ -77,7 +77,7 @@ def test_shared_subtrees_count_with_multiplicity():
     assert gap(tree) == 6
     assert unfolded_leaves(tree) == 6
     assert json_nodes(tree_to_json(tree)) == 1 + 3 * 3
-    assert len(_distinct(tree)) == 3  # root, inner, shared leaf
+    assert len(_walk(tree)[0]) == 3  # root, inner, shared leaf
 
 
 def _inline_over_bound():
@@ -299,7 +299,7 @@ def test_product_is_one_node_over_shared_factors():
     factor = Branch((ACCEPT, REJECT, ACCEPT))
     square = Product(factor, factor)
     assert stored_size(square) == 3 + stored_size(factor)  # one node, two edges
-    assert len(_distinct(square)) == 1 + len(_distinct(factor))
+    assert len(_walk(square)[0]) == 1 + len(_walk(factor)[0])
     assert gap(square) == 1 and unfolded_leaves(square) == 9
     assert json_nodes(tree_to_json(square)) == 1 + 3 * 4
 
@@ -341,7 +341,7 @@ def test_stored_size_counts_each_distinct_node_once(a, b):
     ):
         distinct = reference_distinct(root)
         assert stored_size(root) == sum(1 + len(stored_children(n)) for n in distinct.values())
-        assert sorted(map(id, _distinct(root))) == sorted(distinct)
+        assert sorted(map(id, _walk(root)[0].values())) == sorted(distinct)
 
 
 def test_nodes_are_immutable_and_compare_by_identity():
