@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gapsim import corpus
 from gapsim.corpus import write_corpus
 from gapsim.gapp import exp_sum, poly_product, tree_to_json
+from gapsim.strings import pair
 from gapsim.trees import gap
 
 SHIPPED = Path(__file__).resolve().parents[1] / "corpus"
@@ -103,3 +105,85 @@ def test_split_phase_systems_query_their_arms_at_step_one():
     double = corpus.double_phase_system("01", "10")
     assert double.query_slots == {1: {2: "01", 3: "10"}}
     assert double.alt_columns == {2: ((4, -3), (5, -4)), 3: ((4, -4), (5, 3))}
+
+
+INPUTS = ("00", "01", "10", "11")
+
+
+def _asks_input(no, yes):
+    return {x: ({"": x}, {"0": no, "1": yes}) for x in INPUTS}
+
+
+def _members(*oracle):
+    return {y: 1023 if y in oracle else 1 for y in INPUTS}
+
+
+# name: (query_count, oracle, g(2), q(2), approximator gap at <y, "00">,
+#        {input: ({answer prefix: query}, {full answers: finish gap})})
+LOWNESS_SHAPES = {
+    **{
+        f"self_query_{i}": (1, oracle, 1024, 8, _members(*oracle), _asks_input(-1, 1))
+        for i, oracle in enumerate([["00"], ["01", "10"], list(INPUTS), [], ["01", "11"]])
+    },
+    **{
+        f"skewed_{i}": (1, oracle, 1024, 8, _members(*oracle), _asks_input(-2, 3))
+        for i, oracle in enumerate([["00"], ["01", "10"], list(INPUTS)])
+    },
+    "no_query": (
+        0, ["00"], 1024, 8, _members("00"),
+        {"00": ({}, {"": 2}), "01": ({}, {"": -2}), "10": ({}, {"": -2}), "11": ({}, {"": 2})},
+    ),
+    "two_query": (
+        2, ["00", "11"], 1024, 8, _members("00", "11"),
+        {
+            x: ({"": x, "0": "01", "1": "11"}, {"00": -3, "01": 2, "10": -1, "11": 3})
+            for x in INPUTS
+        },
+    ),
+    "fixed_query": (
+        1, ["10"], 1024, 8, _members("10"),
+        {x: ({"": "10"}, {"0": -3, "1": 2}) for x in INPUTS},
+    ),
+}
+
+
+def _bits(answers) -> str:
+    return "".join("1" if a else "0" for a in answers)
+
+
+def _lowness_shape(instance, inputs):
+    machine, approximator = instance.machine, instance.approximator
+    k = machine.query_count
+    rows = {}
+    for x in inputs:
+        prefixes = [p for n in range(k) for p in itertools.product((False, True), repeat=n)]
+        full = itertools.product((False, True), repeat=k)
+        rows[x] = (
+            {_bits(p): machine.next_query(x, p) for p in prefixes},
+            {_bits(a): gap(machine.finish(x, a)) for a in full},
+        )
+    return (
+        k,
+        sorted(instance.oracle),
+        approximator.g_value(2),
+        approximator.q_value(2),
+        {y: gap(approximator.f.evaluator(pair(y, "00"))) for y in INPUTS},
+        rows,
+    )
+
+
+def test_lowness_instances_keep_their_queries_gaps_and_certificates():
+    named = corpus.lowness_corpus()
+    assert [name for name, _, _ in named] == list(LOWNESS_SHAPES)
+    for name, instance, inputs in named:
+        assert inputs == INPUTS, name
+        assert _lowness_shape(instance, inputs) == LOWNESS_SHAPES[name], name
+
+
+def test_adversarial_lowness_instance_keeps_its_shape():
+    instance, inputs, fraction, no_gap = corpus.adversarial_lowness_search()
+    assert (inputs, fraction, no_gap) == (("00",), 66, -2)
+    assert _lowness_shape(instance, inputs) == (
+        1, ["00"], 1024, 1, {"00": 682, "01": 1, "10": 1, "11": 1},
+        {"00": ({"": "00"}, {"0": -2, "1": 1})},
+    )
