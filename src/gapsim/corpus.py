@@ -307,41 +307,17 @@ def gap_machine_corpus() -> list[tuple[str, GapMachine]]:
 # --- lowness instances -----------------------------------------------------
 
 
-def _const_tree_machine(
-    yes_gap: int, no_gap: int, query: str | None = None
-) -> OracleGapMachine:
-    """Single-query machine; by default the query is the input itself."""
-    if query is None:
-        return OracleGapMachine(
-            query_count=1,
-            next_query=lambda x, _answers: x,
-            finish=lambda _x, answers: _signed_tree(yes_gap if answers[0] else no_gap, 0),
-        )
-    return machine_from_tables(
-        1, {"": query}, {"1": _signed_tree(yes_gap, 0), "0": _signed_tree(no_gap, 0)}
-    )
-
-
-def _two_query_machine() -> OracleGapMachine:
-    """Second query depends on the first answer; four asymmetric outcomes."""
-    outcomes = {
-        (False, False): -3,
-        (False, True): 2,
-        (True, False): -1,
-        (True, True): 3,
-    }
+def _asks_input(yes_gap: int, no_gap: int) -> OracleGapMachine:
+    """Single-query machine that asks its input and finishes on one signed gap."""
     return OracleGapMachine(
-        query_count=2,
-        next_query=lambda x, a: x if not a else ("11" if a[0] else "01"),
-        finish=lambda _x, a: _signed_tree(outcomes[tuple(a)], 0),
+        query_count=1,
+        next_query=lambda x, _answers: x,
+        finish=lambda _x, answers: _signed_tree(yes_gap if answers[0] else no_gap, 0),
     )
 
 
 def lowness_corpus() -> list[tuple[str, LownessInstance, tuple[str, ...]]]:
     """Instances meeting the path-count budget, with q(n) = 4n and g = 2**(q+2)."""
-    inputs = ("00", "01", "10", "11")
-    q = (0, 4)
-    g_pow2 = (2, 4)
     oracles = [
         frozenset({"00"}),
         frozenset({"01", "10"}),
@@ -349,50 +325,40 @@ def lowness_corpus() -> list[tuple[str, LownessInstance, tuple[str, ...]]]:
         frozenset(),
         frozenset({"11", "01"}),
     ]
-    named: list[tuple[str, LownessInstance, tuple[str, ...]]] = []
-    for i, oracle in enumerate(oracles):
-        machine = _const_tree_machine(1, -1)
-        named.append(
-            (f"self_query_{i}", near_extreme_instance(machine, oracle, g_pow2, q), inputs)
-        )
-    for i, oracle in enumerate(oracles[:3]):
-        machine = _const_tree_machine(3, -2)
-        named.append(
-            (f"skewed_{i}", near_extreme_instance(machine, oracle, g_pow2, q), inputs)
-        )
-    named.append(
+    # two_query's second query depends on the first answer; four asymmetric outcomes.
+    two_query = {(False, False): -3, (False, True): 2, (True, False): -1, (True, True): 3}
+    rows = [
+        *((f"self_query_{i}", _asks_input(1, -1), oracle) for i, oracle in enumerate(oracles)),
+        *((f"skewed_{i}", _asks_input(3, -2), oracle) for i, oracle in enumerate(oracles[:3])),
         (
             "no_query",
-            near_extreme_instance(
-                OracleGapMachine(
-                    query_count=0,
-                    next_query=lambda _x, _a: "",
-                    finish=lambda x, _a: _signed_tree(2 if parity_language(x) else -2, 0),
-                ),
-                frozenset({"00"}),
-                g_pow2,
-                q,
+            OracleGapMachine(
+                query_count=0,
+                next_query=lambda _x, _a: "",
+                finish=lambda x, _a: _signed_tree(2 if parity_language(x) else -2, 0),
             ),
-            inputs,
-        )
-    )
-    named.append(
+            frozenset({"00"}),
+        ),
         (
             "two_query",
-            near_extreme_instance(_two_query_machine(), frozenset({"00", "11"}), g_pow2, q),
-            inputs,
-        )
-    )
-    named.append(
+            OracleGapMachine(
+                query_count=2,
+                next_query=lambda x, a: x if not a else ("11" if a[0] else "01"),
+                finish=lambda _x, a: _signed_tree(two_query[a], 0),
+            ),
+            frozenset({"00", "11"}),
+        ),
         (
             "fixed_query",
-            near_extreme_instance(
-                _const_tree_machine(2, -3, query="10"), frozenset({"10"}), g_pow2, q
-            ),
-            inputs,
-        )
-    )
-    return named
+            machine_from_tables(1, {"": "10"}, {"1": _signed_tree(2, 0), "0": _signed_tree(-3, 0)}),
+            frozenset({"10"}),
+        ),
+    ]
+    inputs = ("00", "01", "10", "11")
+    return [
+        (name, near_extreme_instance(machine, oracle, (2, 4), (0, 4)), inputs)
+        for name, machine, oracle in rows
+    ]
 
 
 def adversarial_lowness_search() -> tuple[LownessInstance, tuple[str, ...], int, int]:
@@ -406,9 +372,8 @@ def adversarial_lowness_search() -> tuple[LownessInstance, tuple[str, ...], int,
     oracle = frozenset({"00"})
     for no_gap in (-2, -3, -4):
         for num, den in ((3, 4), (2, 3), (1, 2)):
-            machine = _const_tree_machine(1, no_gap)
             instance = near_extreme_instance(
-                machine,
+                _asks_input(1, no_gap),
                 oracle,
                 g_pow2=(2, 4),
                 q_coeffs=(1,),  # undersized: paths**2 >= 2**1

@@ -94,18 +94,12 @@ def trajectory(
 def evolve(system: UnitarySystem, t: int) -> AmplitudeVector:
     """Apply the scaled transition matrix t times to the start vector.
 
-    Step k takes the blocks with a column within k steps of start, which
-    are all the blocks whose inputs can be nonzero, so every entry is exact.
+    Every step takes all of system.blocks; trajectory skips the blocks
+    whose inputs are zero, so every entry is exact.
     """
     if t < 0 or t > system.t_bound:
         raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
-    (pairs, singles), counts = system._cone_order[0]
-
-    def blocks_at(step: int) -> Blocks:
-        p, s = counts[min(step, len(counts) - 1)]
-        return pairs[:p], singles[:s]
-
-    for current in trajectory(system, t, blocks_at):
+    for current in trajectory(system, t, lambda _step: system.blocks):
         pass
     return AmplitudeVector(tuple(current))
 
@@ -181,18 +175,16 @@ def float_check(system: UnitarySystem) -> float:
     Agrees with accept_probability within 1e-9 for t <= 20 and up to 4096
     configurations; used as a rounding-error witness, never as truth.
     """
-    return _accept_run(system, _scaled(system), 1.0) ** 2
+    return _accept_run(system, _scaled, 1.0) ** 2
 
 
-def _scaled(system: UnitarySystem) -> Callable[[Blocks], Blocks]:
-    """A map of a walk's blocks to their weights w / 5.0.
-
-    Each block of system.blocks is scaled once, and both walks map through
-    that one scaled tuple, found under the block's first column.
-    """
-    scaled: list = [None] * system.n_configs
-    for c1, c2, r1, r2, a, b, c, d in system.blocks[0]:
-        scaled[c1] = (c1, c2, r1, r2, a / 5.0, b / 5.0, c / 5.0, d / 5.0)
-    for c, r, w in system.blocks[1]:
-        scaled[c] = (c, r, w / 5.0)
-    return lambda blocks: tuple(tuple([scaled[b[0]] for b in part]) for part in blocks)
+def _scaled(blocks: Blocks) -> Blocks:
+    """A walk's blocks with their weights w / 5.0."""
+    pairs, singles = blocks
+    return (
+        tuple([
+            (c1, c2, r1, r2, a / 5.0, b / 5.0, c / 5.0, d / 5.0)
+            for c1, c2, r1, r2, a, b, c, d in pairs
+        ]),
+        tuple([(c, r, w / 5.0) for c, r, w in singles]),
+    )

@@ -370,33 +370,24 @@ def test_accept_probability_steps_only_the_two_sided_cone(monkeypatch):
     assert sum(handed) < 0.1 * (n // 2) * t  # a dense run hands (n/2)*t blocks
 
 
-def test_float_check_scales_each_block_once(monkeypatch):
+def test_float_check_scales_only_the_blocks_of_its_two_walks(monkeypatch):
     rng = random.Random(5)
-    n, t = 256, 25
-    perm = list(range(n))
-    rng.shuffle(perm)
-    entries = [
-        (perm[2 * k + i], 2 * k + j, w)
-        for k in range(n // 2)
-        for (i, j), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), rng.choice(BLOCKS))
-        if w
-    ]
-    system = make_system(n, entries, 0, rng.randrange(n), t)
-    (ahead, _), (behind, _) = system._cone_order
-    assert sorted(ahead[0]) == sorted(behind[0]) == sorted(system.blocks[0])  # mixing
+    pair_blocks = [block for block in BLOCKS if all(block)]
+    system = _banded_system([rng.choice(pair_blocks) for _ in range(1024)], 3, 0, 7, 25)
     module = importlib.import_module("gapsim.evolve")
     scaler = module._scaled
-    walks = []
+    handed = []
 
-    def kept(system):
-        convert = scaler(system)
-        return lambda blocks: walks.append(convert(blocks)) or walks[-1]
+    def kept(blocks):
+        handed.append(blocks)
+        return scaler(blocks)
 
     monkeypatch.setattr(module, "_scaled", kept)
     float_check(system)
-    assert len(walks) == 2
-    scaled = {id(block) for pairs, singles in walks for block in pairs + singles}
-    assert len(scaled) == len(system.blocks[0]) + len(system.blocks[1])
+    (ahead, _), (behind, _) = system._cone_order
+    assert handed == [ahead, behind]
+    scaled = sum(len(pairs) + len(singles) for pairs, singles in handed)
+    assert scaled < len(system.blocks[0]) + len(system.blocks[1])
 
 
 def test_cone_walks_stop_once_a_layer_takes_no_block():
@@ -421,6 +412,7 @@ def test_only_a_run_that_steps_computes_the_cone_order(monkeypatch, capsys):
     build_system(system.to_file_dict())
     make_system(system.n_configs, system.entries, system.start, system.accept, system.t_bound)
     system_tree(system)
+    evolve(system, system.t_bound)  # steps every block, with no cone
     assert main(["gap-eval", str(corpus_dir / "trees" / "reflect_t1_compiled.json")]) == 0
     capsys.readouterr()
     with pytest.raises(AssertionError, match="cone order computed"):
