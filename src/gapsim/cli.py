@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import GapsimError, ParseError, PromiseViolation
 from .model import DEFAULT_MAX_CONFIGS, load_system
@@ -38,26 +38,48 @@ def _digest(path: str) -> str:
 
 def _decimal(value: int) -> str:
     """Every digit of value; str() stops at sys.get_int_max_str_digits()."""
-    return str(Decimal(value))
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
-def _canonical(value):
-    """JSON-ready form: exact ints as strings, rationals as pairs, floats at 12 digits."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return _decimal(value)
-    if isinstance(value, Fraction):
-        return {"den": _decimal(value.denominator), "num": _decimal(value.numerator)}
-    if isinstance(value, float):
-        return format(value, ".12g")
+def _emit(value, out: list, newline: str = "\n") -> None:
+    """Append the canonical JSON text of value to out, at the indent that newline ends with.
+
+    Exact ints become decimal strings, rationals {"den", "num"} pairs and
+    floats strings at 12 digits.  Dict keys are str()ed, the last of two
+    equal ones winning, and sorted.  Items nest two spaces deeper.
+    """
     if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_canonical(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(f'"{_decimal(value)}"')
+    elif isinstance(value, dict):
+        items = {str(k): v for k, v in value.items()}
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _emit(items[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}" if items else "{}")
+    elif isinstance(value, list):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, Fraction):
+        _emit({"den": value.denominator, "num": value.numerator}, out, newline)
+    elif isinstance(value, float):
+        out.append(f'"{value:.12g}"')
+    else:
+        raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _write_report(args, command: str, input_paths: list, results, pass_fail: dict) -> None:
@@ -65,9 +87,11 @@ def _write_report(args, command: str, input_paths: list, results, pass_fail: dic
         "command": command,
         "inputs": {path: _digest(path) for path in input_paths},
         "pass_fail": {k: bool(v) for k, v in pass_fail.items()},
-        "results": _canonical(results),
+        "results": results,
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out: list = []
+    _emit(report, out)
+    text = "".join(out) + "\n"
     if args.json_out:
         try:
             with open(args.json_out, "w", encoding="utf-8") as handle:
@@ -87,14 +111,15 @@ def cmd_simulate(args) -> int:
     beta = path_sum(system, system.t_bound)
     path_square = beta.entries[system.accept] ** 2
     approx = float_check(system)
+    exact = prob.as_fraction()
     cross_ok = path_square == prob.numerator
-    float_ok = abs(approx - float(prob.as_fraction())) <= 1e-9
+    float_ok = abs(approx - float(exact)) <= 1e-9
     results = {
         "float_check": approx,
         "log5_denominator": prob.log5_denominator,
         "numerator": prob.numerator,
         "path_square": path_square,
-        "probability": prob.as_fraction(),
+        "probability": exact,
     }
     _write_report(
         args,

@@ -185,8 +185,8 @@ class UnitarySystem:
     def _cone_order(self) -> tuple[tuple[Blocks, list[tuple[int, int]]], ...]:
         """The blocks walked forward from start and backward from accept.
 
-        Each walk is (blocks, counts), see _breadth_first.  Computed on the
-        first run that steps, never by validation.
+        Each walk is (blocks, counts), see _breadth_first.  Computed on the first
+        accept run (accept_probability or float_check), never by validation.
         """
         pairs, singles = self.blocks
         reads, writes = [None] * self.n_configs, [None] * self.n_configs

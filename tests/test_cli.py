@@ -1,13 +1,18 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapsim.cli import main
+from gapsim.cli import _emit, main
 from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,3 +350,83 @@ def test_oversized_tree_file_exits_1_with_one_line(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "branch_bound" in err
+
+
+def _reference_canonical(value):
+    # reference: the JSON-ready copy that json.dumps(indent=2, sort_keys=True) used to lay out
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(Decimal(value))
+    if isinstance(value, Fraction):
+        return {"den": str(Decimal(value.denominator)), "num": str(Decimal(value.numerator))}
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _reference_canonical(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_reference_canonical(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _reference_text(value):
+    return json.dumps(_reference_canonical(value), indent=2, sort_keys=True) + "\n"
+
+
+def _written(value):
+    out = []
+    _emit(value, out)
+    return "".join(out) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, a line separator, an astral character
+REPORT_CHARS = st.one_of(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u2028\U0001f600'), st.characters()
+)
+REPORT_LEAVES = st.one_of(
+    st.text(REPORT_CHARS),
+    st.booleans(),
+    st.integers(),
+    # past the default int-to-str limit of 4,300 digits, either sign
+    st.builds(
+        lambda digits, low, sign: sign * (10**digits + low),
+        st.integers(4300, 4400),
+        st.integers(0, 10**9),
+        st.sampled_from([1, -1]),
+    ),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+)
+# int keys collide with their str() twins, and the values beside them may not be orderable
+REPORT_KEYS = st.one_of(
+    st.text(REPORT_CHARS, max_size=3), st.integers(-3, 3), st.integers(-3, 3).map(str)
+)
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(REPORT_KEYS, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(deadline=None)
+@given(value=REPORTS)
+def test_report_writer_lays_out_what_json_dumps_did(value):
+    assert _written(value) == _reference_text(value)
+
+
+def test_report_writer_keeps_the_last_of_two_equal_keys_and_never_compares_values():
+    # "1" then 1: both str() to "1", and a list beside a dict cannot be ordered
+    value = {"1": [True], 1: {"a": Fraction(-3, 7)}, "0": []}
+    assert _written(value) == _reference_text(value)
+    assert json.loads(_written(value)) == {"0": [], "1": {"a": {"den": "7", "num": "-3"}}}
+
+
+@pytest.mark.parametrize("bad", [(1, 2), {1}, None], ids=["tuple", "set", "none"])
+def test_report_writer_refuses_what_the_old_path_refused(bad):
+    with pytest.raises(TypeError):
+        _reference_text({"rows": [1, bad]})
+    with pytest.raises(TypeError):
+        _written({"rows": [1, bad]})

@@ -401,7 +401,7 @@ def test_cone_walks_stop_once_a_layer_takes_no_block():
     assert behind_counts == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
 
-def test_only_a_run_that_steps_computes_the_cone_order(monkeypatch, capsys):
+def test_only_an_accept_run_computes_the_cone_order(monkeypatch, capsys):
     def refused(_system):
         raise AssertionError("cone order computed")
 
@@ -417,6 +417,8 @@ def test_only_a_run_that_steps_computes_the_cone_order(monkeypatch, capsys):
     capsys.readouterr()
     with pytest.raises(AssertionError, match="cone order computed"):
         accept_probability(system)
+    with pytest.raises(AssertionError, match="cone order computed"):
+        float_check(system)
 
 
 def _second_column_phase_system():
