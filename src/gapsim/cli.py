@@ -23,17 +23,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import GapsimError, ParseError, PromiseViolation
-from .model import DEFAULT_MAX_CONFIGS, load_system
+from .model import DEFAULT_MAX_CONFIGS, build_system, load_file
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
-
-
-def _digest(path: str) -> str:
-    sha = hashlib.sha256()
-    with open(path, "rb") as handle:
-        sha.update(handle.read())
-    return sha.hexdigest()
 
 
 def _decimal(value: int) -> str:
@@ -82,10 +75,11 @@ def _emit(value, out: list, newline: str = "\n") -> None:
         raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_report(args, command: str, input_paths: list, results, pass_fail: dict) -> None:
+def _write_report(args, command: str, inputs: dict, results, pass_fail: dict) -> None:
+    """Write the report; inputs maps each input file's path to the bytes its loader read."""
     report = {
         "command": command,
-        "inputs": {path: _digest(path) for path in input_paths},
+        "inputs": {path: hashlib.sha256(data).hexdigest() for path, data in inputs.items()},
         "pass_fail": {k: bool(v) for k, v in pass_fail.items()},
         "results": results,
     }
@@ -106,7 +100,7 @@ def cmd_simulate(args) -> int:
 
     if args.max_configs < 1:
         raise ParseError(f"--max-configs must be positive, got {args.max_configs}")
-    system = load_system(args.machine, max_configs=args.max_configs)
+    system, data = load_file(args.machine, build_system, args.max_configs)
     prob = accept_probability(system)
     beta = path_sum(system, system.t_bound)
     path_square = beta.entries[system.accept] ** 2
@@ -124,7 +118,7 @@ def cmd_simulate(args) -> int:
     _write_report(
         args,
         "simulate",
-        [args.machine],
+        {args.machine: data},
         results,
         {"float_agrees": float_ok, "path_sum_agrees": cross_ok},
     )
@@ -133,22 +127,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_gap_eval(args) -> int:
     from . import strings
-    from .gapp import gap_of, load_gap_machine
+    from .gapp import gap_of, read_gap_machine
 
     if not strings.is_binary(args.input):
         raise ParseError(f"--input must be a binary string, got {args.input!r}")
-    machine = load_gap_machine(args.machine)
+    machine, data = load_file(args.machine, read_gap_machine, args.machine)
     value = gap_of(machine, args.input)
-    _write_report(
-        args, "gap-eval", [args.machine], {"gap": value, "input": args.input}, {}
-    )
+    _write_report(args, "gap-eval", {args.machine: data}, {"gap": value, "input": args.input}, {})
     return 0
 
 
 def cmd_lowness(args) -> int:
-    from .lowness import load_instance_bundle, validate_instance, verify_sign_preservation
+    from .lowness import read_instance_bundle, validate_instance, verify_sign_preservation
 
-    instance, inputs = load_instance_bundle(args.bundle)
+    (instance, inputs), data = load_file(args.bundle, read_instance_bundle)
     valid, why = validate_instance(instance, inputs)
     report = verify_sign_preservation(instance, inputs)
     results = {
@@ -167,7 +159,7 @@ def cmd_lowness(args) -> int:
         ],
     }
     ok = valid and report.ok
-    _write_report(args, "lowness", [args.bundle], results, {"signs": ok})
+    _write_report(args, "lowness", {args.bundle: data}, results, {"signs": ok})
     return 0 if ok else FAIL_EXIT
 
 
@@ -185,7 +177,7 @@ def cmd_verify(args) -> int:
             f"{', '.join(sorted(suites.READS_CORPUS))}"
         )
     ok, results = suites.RUNNERS[args.suite](args.corpus)
-    _write_report(args, f"verify {args.suite}", [], results, {args.suite: ok})
+    _write_report(args, f"verify {args.suite}", {}, results, {args.suite: ok})
     return 0 if ok else FAIL_EXIT
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from . import trees
+from . import model, trees
 from .errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from .evolve import accept_probability
-from .model import MachineFamily, UnitarySystem, eval_poly, load_json_object, load_system
+from .model import MachineFamily, UnitarySystem, eval_poly, load_system
 from .strings import pair, pair_codes, unpair
 from .trees import ACCEPT, REJECT, Branch, Node, Product
 
@@ -336,30 +336,30 @@ def bqp_to_awpp(
 def tree_from_json(node) -> Node:
     """Decode the nested-array tree form: "accept", "reject", or [child, ...].
 
-    The branches and edges of the document are counted first, and a tree
-    over DEFAULT_BRANCH_BOUND is refused before any node is built.
+    One walk over the document checks each node and counts the branches and
+    edges, so a tree over DEFAULT_BRANCH_BOUND is refused before any node is
+    built.  A tree nested too deeply to decode is a ParseError too.
     """
     stored, stack = 0, [node]
     while stack:
         item = stack.pop()
-        if isinstance(item, list):
+        if type(item) is list and item:
             stored += 1 + len(item)
             if stored > DEFAULT_BRANCH_BOUND:
                 raise bound_error("tree branches and edges", stored)
             stack.extend(item)
-    return _decoded(node)
+        elif item != "accept" and item != "reject":
+            raise ParseError(f"bad tree node {item!r}")
+    try:
+        return _decoded(node)
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
 
 
 def _decoded(node) -> Node:
-    if node == "accept":
-        return ACCEPT
-    if node == "reject":
-        return REJECT
-    if isinstance(node, list):
-        if not node:
-            raise ParseError("a branch needs at least one child")
+    if type(node) is list:
         return Branch(tuple(_decoded(child) for child in node))
-    raise ParseError(f"bad tree node {node!r}")
+    return ACCEPT if node == "accept" else REJECT
 
 
 def tree_to_json(node: Node, on_accept="accept", on_reject="reject"):
@@ -379,24 +379,28 @@ def tree_to_json(node: Node, on_accept="accept", on_reject="reject"):
     return [doc for doc, w in zip(docs, weights) for _ in range(abs(w))]
 
 
+# The two closed shapes of a gap-machine file, chosen by its "kind".
+GAP_MACHINE_FILES = {
+    "tree": {"kind": model.STRING, "tree": ("a tree", tree_from_json)},
+    "system": {"kind": model.STRING, "path": model.STRING},
+}
+
+
 def load_gap_machine(path: str) -> GapMachine:
     """Load a corpus machine: an explicit tree or a compiled system reference."""
-    doc = load_json_object(path)
-    kind = doc.get("kind")
-    if kind == "tree":
-        try:
-            tree = tree_from_json(doc.get("tree"))
-        except RecursionError as exc:
-            raise ParseError(f"{path}: tree nested too deeply") from exc
-        return GapMachine(lambda _x: tree)
-    if kind == "system":
-        target = doc.get("path")
-        if not isinstance(target, str):
-            raise ParseError(f"{path}: a system reference needs a string 'path'")
-        return system_to_gap_machine(
-            load_system(os.path.join(os.path.dirname(path), target))
-        )
-    raise ParseError(f"{path}: kind must be 'tree' or 'system'")
+    return model.load_file(path, read_gap_machine, path)[0]
+
+
+def read_gap_machine(doc: dict, path: str) -> GapMachine:
+    """The machine of the gap-machine object doc read from the file at path."""
+    match doc:
+        case {"kind": "tree"}:
+            tree = model.read_fields(doc, GAP_MACHINE_FILES["tree"])["tree"]
+            return GapMachine(lambda _x: tree)
+        case {"kind": "system"}:
+            target = model.read_fields(doc, GAP_MACHINE_FILES["system"])["path"]
+            return system_to_gap_machine(load_system(os.path.join(os.path.dirname(path), target)))
+    raise ParseError("field 'kind' must be 'tree' or 'system'")
 
 
 def eqp_to_lwpp(

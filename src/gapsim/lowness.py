@@ -24,7 +24,7 @@ from .gapp import (
     check_awpp,
     tree_from_json,
 )
-from .model import eval_poly, load_json_object
+from .model import NAT, NAT_LIST, STRING, eval_poly, kind_of, read_fields
 from .strings import is_binary, pair, unpair
 from .trees import Branch, Node, Product
 
@@ -278,64 +278,53 @@ def machine_from_tables(
     return machine
 
 
-def load_instance_bundle(path: str) -> tuple[LownessInstance, tuple[str, ...]]:
-    """Read an instance bundle file; returns the instance and its input list."""
-    doc = load_json_object(path)
-    try:
-        table = doc["machine"]
-        k = table["query_count"]
-        if type(k) is not int or k < 0:
-            raise ParseError(f"{path}: 'query_count' must be a non-negative integer")
-        queries = _object(path, "queries", table["queries"])
-        if not all(is_binary(y) for y in queries.values()):
-            raise ParseError(f"{path}: 'queries' values must be binary strings")
-        tree_docs = _object(path, "trees", table["trees"])
-        machine = machine_from_tables(
-            k, queries, {key: tree_from_json(node) for key, node in tree_docs.items()}
-        )
-        cert = doc["certificate"]
-        if cert["style"] != "near-extreme":
-            raise ParseError(f"{path}: unknown certificate style {cert['style']!r}")
-        inputs = _binary_strings(path, "inputs", doc["inputs"])
-        g_pow2 = _exponents(path, "g_pow2", cert["g_pow2"], inputs)
-        for x in inputs:  # the table's member value g - 1 must be positive
-            if eval_poly(g_pow2, len(x)) == 0:
-                raise ParseError(f"{path}: log2 g is 0 at input {x!r}; it must be at least 1")
-        instance = near_extreme_instance(
-            machine,
-            frozenset(_binary_strings(path, "oracle", doc["oracle"])),
-            g_pow2,
-            _exponents(path, "q", doc["q"], inputs),
-        )
-        return instance, inputs
-    except (KeyError, TypeError, RecursionError, ModelError) as exc:
-        raise ParseError(f"{path}: malformed instance bundle ({exc})") from exc
-
-
-def _object(path: str, key: str, value) -> dict:
+def _trees(value) -> dict[str, Node]:
     if not isinstance(value, dict):
-        raise ParseError(f"{path}: {key!r} must be a JSON object")
-    return value
+        raise ParseError()
+    return {key: tree_from_json(node) for key, node in value.items()}
 
 
-def _exponents(path: str, key: str, value, inputs: Sequence[str]) -> tuple[int, ...]:
-    """Polynomial coefficients, refused if the value at any input passes the cap."""
-    if not isinstance(value, list) or not all(type(v) is int and v >= 0 for v in value):
-        raise ParseError(f"{path}: {key!r} must be a list of non-negative integers")
-    for x in inputs:
-        exponent = eval_poly(value, len(x))
-        if exponent > MAX_BUNDLE_EXPONENT:
-            raise ParseError(
-                f"{path}: {key!r} is {Decimal(exponent)} at input {x!r}, above "
-                f"the cap of {MAX_BUNDLE_EXPONENT} (lowness.MAX_BUNDLE_EXPONENT)"
-            )
-    return tuple(value)
+BINARY_LIST = kind_of(
+    "a list of binary strings", lambda v: type(v) is list and all(map(is_binary, v))
+)
+BUNDLE_FILE = {
+    "machine": {
+        "query_count": NAT,
+        "queries": kind_of(
+            "an object of binary strings",
+            lambda v: isinstance(v, dict) and all(map(is_binary, v.values())),
+        ),
+        "trees": ("an object of trees", _trees),
+    },
+    "certificate": {"style": STRING, "g_pow2": NAT_LIST},
+    "oracle": BINARY_LIST,
+    "q": NAT_LIST,
+    "inputs": BINARY_LIST,
+}
 
 
-def _binary_strings(path: str, key: str, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(is_binary(v) for v in value):
-        raise ParseError(f"{path}: {key!r} must be a list of binary strings")
-    return tuple(value)
+def read_instance_bundle(doc: dict) -> tuple[LownessInstance, tuple[str, ...]]:
+    """The instance and the input list of an instance-bundle object."""
+    fields = read_fields(doc, BUNDLE_FILE)
+    table, cert = fields["machine"], fields["certificate"]
+    try:
+        machine = machine_from_tables(table["query_count"], table["queries"], table["trees"])
+    except ModelError as exc:
+        raise ParseError(f"malformed instance bundle ({exc})") from exc
+    if cert["style"] != "near-extreme":
+        raise ParseError(f"unknown certificate style {cert['style']!r}")
+    inputs, g_pow2, q = tuple(fields["inputs"]), tuple(cert["g_pow2"]), tuple(fields["q"])
+    for x in inputs:  # exponents are capped before any power of two is built
+        for key, coeffs in ("certificate.g_pow2", g_pow2), ("q", q):
+            exponent = eval_poly(coeffs, len(x))
+            if exponent > MAX_BUNDLE_EXPONENT:
+                raise ParseError(
+                    f"{key!r} is {Decimal(exponent)} at input {x!r}, above "
+                    f"the cap of {MAX_BUNDLE_EXPONENT} (lowness.MAX_BUNDLE_EXPONENT)"
+                )
+        if eval_poly(g_pow2, len(x)) == 0:  # the table's member value g - 1 must be positive
+            raise ParseError(f"log2 g is 0 at input {x!r}; it must be at least 1")
+    return near_extreme_instance(machine, frozenset(fields["oracle"]), g_pow2, q), inputs
 
 
 def validate_instance(

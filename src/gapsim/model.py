@@ -271,25 +271,11 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
     The canonical file form has entries sorted by (row, col) with no
     duplicates and no explicit zeros; anything else is a ParseError.
     """
-    required = {"n_configs", "entries", "start", "accept", "t"}
-    if not isinstance(description, Mapping):
-        raise ParseError("machine description must be a JSON object")
-    missing = required - description.keys()
-    if missing:
-        raise ParseError(f"missing fields: {sorted(missing)}")
-    extra = description.keys() - required
-    if extra:
-        raise ParseError(f"unknown fields: {sorted(extra)}")
-    for field in ("n_configs", "start", "accept", "t"):
-        if type(description[field]) is not int:
-            raise ParseError(f"field {field!r} must be an integer")
-    raw = description["entries"]
-    if not isinstance(raw, list):
-        raise ParseError("entries must be an array of [row, col, numerator]")
+    fields = read_fields(description, MACHINE_FILE)
     entries: list[Entry] = []
     increasing = True
     last_r = last_c = float("-inf")
-    for item in raw:
+    for item in fields["entries"]:
         try:
             r, c, w = item
         except (TypeError, ValueError):
@@ -308,24 +294,82 @@ def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -
             raise ParseError("entries must be sorted by (row, col)")
         raise ParseError("duplicate entries")
     return _checked_system(
-        description["n_configs"],
+        fields["n_configs"],
         tuple(entries),
-        description["start"],
-        description["accept"],
-        description["t"],
+        fields["start"],
+        fields["accept"],
+        fields["t"],
         max_configs,
     )
 
 
-def load_json_object(path: str) -> dict:
-    """Read a JSON file whose top-level value must be an object.
+def kind_of(what: str, test: Callable[[object], bool]) -> tuple:
+    """The field kind (what, read) of the values that pass test.
 
-    Unreadable files, undecodable or too deeply nested contents and any
-    other top-level value are ParseErrors naming the path.
+    read keeps such a value and raises ParseError for any other.  A kind
+    whose read converts, such as a tree's (gapp.tree_from_json), may give
+    the ParseError a detail.
+    """
+
+    def read(value):
+        if not test(value):
+            raise ParseError()
+        return value
+
+    return what, read
+
+
+INT = kind_of("an integer", lambda v: type(v) is int)
+NAT = kind_of("a non-negative integer", lambda v: type(v) is int and v >= 0)
+STRING = kind_of("a string", lambda v: type(v) is str)
+NAT_LIST = kind_of(
+    "a list of non-negative integers",
+    lambda v: type(v) is list and all(type(c) is int and c >= 0 for c in v),
+)
+ENTRIES = kind_of("a list of [row, col, numerator] entries", lambda v: type(v) is list)
+MACHINE_FILE = {"n_configs": INT, "entries": ENTRIES, "start": INT, "accept": INT, "t": INT}
+
+
+def read_fields(doc, table: Mapping, prefix: str = "") -> dict:
+    """Each field of the object doc read by its kind in table, or by a nested table.
+
+    Refuses a doc that is not an object, an unknown key, then the first
+    field in table order that is missing or not of its kind, in one line
+    that names the key (dotted after prefix) and what the field must be.
+    """
+    if not isinstance(doc, Mapping):
+        raise ParseError(f"field {prefix[:-1]!r} must be an object" if prefix else "not an object")
+    unknown = doc.keys() - table.keys()
+    if unknown:
+        raise ParseError(f"unknown field {prefix + min(map(str, unknown))!r}")
+    fields = {}
+    for key, kind in table.items():
+        name = prefix + key
+        nested = isinstance(kind, dict)
+        if key not in doc:
+            raise ParseError(f"missing field {name!r} ({'an object' if nested else kind[0]})")
+        if nested:
+            fields[key] = read_fields(doc[key], kind, name + ".")
+            continue
+        try:
+            fields[key] = kind[1](doc[key])
+        except ParseError as exc:
+            detail = f" ({exc})" if exc.args else ""
+            raise ParseError(f"field {name!r} must be {kind[0]}{detail}") from None
+    return fields
+
+
+def load_file(path: str, read: Callable, *args) -> tuple:
+    """read(doc, *args) of the JSON object in the file at path, and the bytes read.
+
+    Every ParseError names the path: an unreadable file, undecodable or too
+    deeply nested contents, a top-level value that is not an object, and
+    each refusal of read.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ParseError(f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -334,12 +378,15 @@ def load_json_object(path: str) -> dict:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be a JSON object")
-    return doc
+    try:
+        return read(doc, *args), data
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_system(path: str, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
     """Read a machine file from disk."""
-    return build_system(load_json_object(path), max_configs=max_configs)
+    return load_file(path, build_system, max_configs)[0]
 
 
 def eval_poly(coeffs: Sequence[int], n: int) -> int:

@@ -14,11 +14,16 @@ from hypothesis import strategies as st
 
 from gapsim.cli import _emit, main
 from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
+from gapsim.gapp import GAP_MACHINE_FILES
+from gapsim.lowness import BUNDLE_FILE
+from gapsim.model import MACHINE_FILE
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
 BUNDLE = CORPUS / "lowness" / "fixed_query.json"
 PARITY_TREE = CORPUS / "trees" / "parity_step.json"
+# a system reference that resolves from any directory
+REFLECT_REFERENCE = {"kind": "system", "path": str(CORPUS / "machines" / "reflect_t1.json")}
 
 
 @pytest.fixture()
@@ -253,6 +258,12 @@ def _lowness(tmp_path, **fields):
     return ["lowness", "--bundle", _bundle_with(tmp_path, **fields)]
 
 
+def _mangled_bundle(tmp_path, mangle):
+    doc = json.loads(BUNDLE.read_text())
+    mangle(doc)
+    return ["lowness", "--bundle", _file(tmp_path, json.dumps(doc))]
+
+
 def _table(query_count, trees):
     return {"query_count": query_count, "queries": {}, "trees": trees}
 
@@ -263,6 +274,16 @@ def _shipped_table(**fields):
 
 CORPUS_BLIND_SUITES = ("awpp", "lwpp", "lowness", "bbbv", "rerelativize")
 CORPUS_SUITES = ("unitarity", "closure", "gaplem")
+# ids of the cases whose fault is a flag, an environment variable or a corpus
+# directory; every other refusal names the file it read
+FAULTS_OUTSIDE_THE_FILE = (
+    "bad_path_cap",
+    "negative_path_cap",
+    "negative_max_configs",
+    "non_binary_gap_input",
+    "corpus_ignored_by_",
+    "missing_corpus_dir_",
+)
 
 
 def _machine_with(tmp_path, **fields):
@@ -311,6 +332,14 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, g_pow2=[0]), {}),
         (lambda tmp: _lowness(tmp, certificate={"style": "far-extreme", "g_pow2": [2]}), {}),
         (lambda tmp: ["gap-eval", str(PARITY_TREE), "--input", "0a"], {}),
+        (lambda tmp: ["gap-eval", _file(tmp, '{"kind": "tree"}')], {}),
+        (lambda tmp: _lowness(tmp, certificate=[1]), {}),
+        (lambda tmp: _mangled_bundle(tmp, lambda d: d.pop("machine")), {}),
+        (lambda tmp: _mangled_bundle(tmp, lambda d: d.update(extra=1)), {}),
+        (lambda tmp: _mangled_bundle(tmp, lambda d: d["machine"].update(extra=1)), {}),
+        (lambda tmp: _mangled_bundle(tmp, lambda d: d["certificate"].update(extra=1)), {}),
+        (lambda tmp: ["gap-eval", _file(tmp, '{"kind": "tree", "tree": "accept", "x": 1}')], {}),
+        (lambda tmp: ["gap-eval", _file(tmp, json.dumps({**REFLECT_REFERENCE, "x": 1}))], {}),
         *[
             (lambda tmp, suite=suite: ["verify", suite, "--corpus", str(tmp)], {})
             for suite in CORPUS_BLIND_SUITES
@@ -328,11 +357,16 @@ def _file(tmp_path, text):
         "string_queries", "list_trees", "incomplete_tables", "huge_query_count",
         "missing_query", "junk_query_key", "tally_above_cap", "q_above_cap",
         "tally_of_one", "unknown_certificate_style", "non_binary_gap_input",
+        "tree_file_without_tree", "list_certificate", "bundle_without_machine",
+        "unknown_bundle_key", "unknown_machine_key", "unknown_certificate_key",
+        "unknown_tree_file_key", "unknown_system_file_key",
         *[f"corpus_ignored_by_{suite}" for suite in CORPUS_BLIND_SUITES],
         *[f"missing_corpus_dir_{suite}" for suite in CORPUS_SUITES],
     ],
 )
-def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeypatch, capsys):
+def test_malformed_inputs_exit_2_with_one_line(
+    make_argv, env, tmp_path, monkeypatch, capsys, request
+):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = make_argv(tmp_path)
@@ -340,8 +374,60 @@ def test_malformed_inputs_exit_2_with_one_line(make_argv, env, tmp_path, monkeyp
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
-    if argv[0] == "lowness":
-        assert err.startswith(f"error: {argv[2]}: ")
+    if not request.node.callspec.id.startswith(FAULTS_OUTSIDE_THE_FILE):
+        path = argv[2] if argv[0] == "lowness" else argv[1]
+        assert err.startswith(f"error: {path}: ")
+
+
+# a value close to each kind that is not of it
+NEAR_MISSES = {
+    "an integer": True,
+    "a non-negative integer": -1,
+    "a string": 5,
+    "a list of [row, col, numerator] entries": {},
+    "a list of non-negative integers": [True],
+    "a list of binary strings": "01",
+    "an object of binary strings": {"": "0a"},
+    "a tree": ["maybe"],
+    "an object of trees": {"0": []},
+}
+SHIPPED_FILES = [
+    ("simulate", CORPUS / "machines" / "reflect_t1.json", MACHINE_FILE),
+    ("gap-eval", CORPUS / "trees" / "const_seven.json", GAP_MACHINE_FILES["tree"]),
+    ("gap-eval", CORPUS / "trees" / "reflect_t1_compiled.json", GAP_MACHINE_FILES["system"]),
+    ("lowness", BUNDLE, BUNDLE_FILE),
+]
+
+
+def _variants(doc, table, prefix=""):
+    """(dotted key, copy of doc) for an unknown key in each object, and each
+    field of table missing and of a wrong kind."""
+    yield prefix + "unknown", {**doc, "unknown": 1}
+    for key, kind in table.items():
+        name = prefix + key
+        nested = isinstance(kind, dict)
+        yield name, {k: v for k, v in doc.items() if k != key}
+        yield name, {**doc, key: [] if nested else NEAR_MISSES[kind[0]]}
+        if nested:
+            for inner, value in _variants(doc[key], kind, name + "."):
+                yield inner, {**doc, key: value}
+
+
+def test_derived_malformed_variants_exit_2_naming_the_field(tmp_path, capsys):
+    path = str(tmp_path / "variant.json")
+    count = 0
+    for command, shipped, table in SHIPPED_FILES:
+        for name, doc in _variants(json.loads(shipped.read_text()), table):
+            Path(path).write_text(json.dumps(doc))
+            argv = [command, "--bundle", path] if command == "lowness" else [command, path]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (shipped.name, name, err)
+            assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+            assert repr(name) in err, (name, err)
+            count += 1
+    # two per field and one per object: 5 machine fields, 2 in each gap-machine
+    # shape, and 10 bundle fields over 3 objects
+    assert count == 11 + 5 + 5 + 23
 
 
 def test_oversized_tree_file_exits_1_with_one_line(tmp_path, capsys):

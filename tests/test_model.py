@@ -108,8 +108,8 @@ NON_CANONICAL = [
         "explicit zero entries must be omitted",
     ),
     (lambda d: d.update(t="3"), "field 't' must be an integer"),
-    (lambda d: d.update(extra=1), "unknown fields: ['extra']"),
-    (lambda d: d.pop("start"), "missing fields: ['start']"),
+    (lambda d: d.update(extra=1), "unknown field 'extra'"),
+    (lambda d: d.pop("start"), "missing field 'start' (an integer)"),
     (lambda d: d.update(n_configs=True), "field 'n_configs' must be an integer"),
     (lambda d: d["entries"][0].__setitem__(2, True), "bad entry [0, 0, True]"),
     (lambda d: d["entries"][0].__setitem__(2, 3.0), "bad entry [0, 0, 3.0]"),
