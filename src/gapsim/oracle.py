@@ -146,7 +146,12 @@ class TowerCondition:
 
 @dataclass(frozen=True)
 class SensitivityParams:
-    """Exact perturbation bound epsilon and the derived set-size bound."""
+    """Exact perturbation bound epsilon and the derived set-size bound.
+
+    The bound and the magnitude threshold are computed once per object, the
+    threshold also as an int (numerator, denominator) pair: a warm decision
+    reads only the bound and that pair (see _sensitive).
+    """
 
     epsilon: Fraction
     p_value: int
@@ -164,6 +169,10 @@ class SensitivityParams:
     @cached_property
     def magnitude_threshold(self) -> Fraction:
         return self.epsilon**2 / (4 * self.p_value**2)
+
+    @cached_property
+    def _threshold(self) -> tuple[int, int]:
+        return self.magnitude_threshold.as_integer_ratio()
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,11 +377,9 @@ def _sensitive(
     A magnitude numerator / denominator is compared with the threshold by
     cross-multiplying.
     """
-    threshold = params.magnitude_threshold
-    bar = threshold.numerator * denominator
-    result = frozenset(
-        y for y, num in numerators.items() if num * threshold.denominator > bar
-    )
+    over, under = params._threshold
+    bar = over * denominator
+    result = frozenset(y for y, num in numerators.items() if num * under > bar)
     if len(result) > params.bound:
         raise ModelError(
             f"sensitive set of size {len(result)} exceeds the bound {params.bound}"
@@ -481,12 +488,14 @@ def rerelativized_decide(
 ) -> DeciderResult:
     """Decide the machine's answer with polynomially many condition probes.
 
-    Short acceptable lengths are read exhaustively.  For the one length too
-    long to enumerate, an in-process helper computes the sensitive set of
-    the run that assumes the length is empty; only those strings are
-    probed.  Helper work is charged zero probes, mirroring free access to
-    the powering half of the oracle.  The short strings' values come from
-    the condition's plan, read once per condition (TowerCondition._probe_plan).
+    Short acceptable lengths are read exhaustively, once per condition (its
+    cached TowerCondition._probe_plan).  For the one length too long to
+    enumerate, an in-process helper computes the sensitive set of the run
+    that assumes the length is empty; only those strings are probed, through
+    condition.value; helper work is charged zero probes, mirroring free
+    access to the powering half of the oracle.  A warm decision reads only
+    the plan, the table key of its short ones (each checked against the
+    universe), one table entry and, if a probed string is set, one more.
     """
     if check_categorical:
         categorical_check(system, x)
@@ -497,26 +506,22 @@ def rerelativized_decide(
             "admits at most one"
         )
 
-    query_log = list(shorts)
-    assumed = OracleAssignment(system.universe_length, known_ones)
-    decision, numerators, denominator = _outcome(system, _key(system, assumed.value))
-    sensitive: frozenset[str] = frozenset()
-    found: str | None = None
-
+    key = 0
+    for y in known_ones:
+        if len(y) > system.universe_length:
+            raise OracleError(f"{y!r} is longer than the declared universe")
+        key |= system._position.get(y, 0)
+    decision, numerators, denominator = _outcome(system, key)
+    sensitive, probes, found = frozenset(), (), None
     if long_lengths:
-        long_length = long_lengths[0]
-        sensitive = frozenset(
-            y
-            for y in _sensitive(numerators, denominator, params)
-            if len(y) == long_length
-        )
-        for y in sorted(sensitive):
-            query_log.append(y)
+        above = _sensitive(numerators, denominator, params)
+        probes = tuple(sorted(y for y in above if len(y) == long_lengths[0]))
+        sensitive = frozenset(probes)
+        for y in probes:
             if condition.value(y) == 1:
                 found = y
         if found is not None:
-            full = OracleAssignment(system.universe_length, known_ones | {found})
-            decision = _outcome(system, _key(system, full.value))[0]
+            decision = _outcome(system, key | system._position[found])[0]
 
     accept = _verdict(decision)
     if accept is None:
@@ -524,10 +529,4 @@ def rerelativized_decide(
         raise CategoricalityError(
             f"simulation left the promise interval: {prob}", witness=prob
         )
-    return DeciderResult(
-        accept=accept,
-        query_log=tuple(query_log),
-        sensitive=sensitive,
-        found_long_string=found,
-        probe_budget=params.bound + len(shorts),
-    )
+    return DeciderResult(accept, shorts + probes, sensitive, found, params.bound + len(shorts))

@@ -36,7 +36,6 @@ from gapsim.evolve import (
 )
 from gapsim.gapp import system_tree
 from gapsim.model import (
-    ALLOWED_NUMERATORS,
     UnitarySystem,
     build_system,
     load_system,
@@ -53,6 +52,8 @@ from gapsim.oracle import (
     verify_flip_stability,
 )
 from gapsim.strings import strings_up_to
+
+from drafts import BLOCKS, draft_query_systems
 
 ROTATION = rotation_system(BLOCK_REFLECT, 0, 1, 1)
 ROTATION_T2 = rotation_system(BLOCK_REFLECT, 0, 1, 2)
@@ -217,14 +218,6 @@ def _column_dict(entries, weight=lambda w: w) -> dict[int, list]:
 
 def _dense(vector: dict, n: int, zero) -> list:
     return [vector.get(i, zero) for i in range(n)]
-
-
-# 2x2 blocks (a b; c d) over the allowed numerators with orthogonal columns of norm 25
-BLOCKS = [
-    (a, b, c, d)
-    for a, b, c, d in product(sorted(ALLOWED_NUMERATORS), repeat=4)
-    if a * a + c * c == 25 == b * b + d * d and a * b + c * d == 0
-]
 
 
 @st.composite
@@ -527,39 +520,6 @@ def test_second_phase_query_at_one_step_is_refused():
     d.cond_phase(a, "0", 0)
     with pytest.raises(StructuralError, match="already queries '0' at step 0"):
         d.cond_phase(a, "1", 0)
-
-
-@st.composite
-def draft_query_systems(draw):
-    """Small Draft machines: 2x2 blocks and +-5 routes, phase queries at steps 0..t-1.
-
-    Returns the machine and the ones of a base assignment on its universe.
-    Draft refuses a second phase query on one configuration at one step, so
-    each (configuration, step) pair takes at most one; a configuration may
-    be queried at several steps.
-    """
-    d = Draft()
-    n = draw(st.integers(min_value=1, max_value=8))
-    configs = [d.cfg(str(i)) for i in range(n)]
-    rows = draw(st.permutations(configs))
-    i = 0
-    while i < n:
-        if i + 1 < n and draw(st.booleans()):
-            a, b, c, e = draw(st.sampled_from(BLOCKS))
-            d.block(configs[i], configs[i + 1], rows[i], rows[i + 1], ((a, b), (c, e)))
-            i += 2
-        else:
-            d.route(configs[i], rows[i], draw(st.sampled_from((1, -1))))
-            i += 1
-    t = draw(st.integers(min_value=1, max_value=6))
-    universe_length = draw(st.integers(min_value=0, max_value=3))
-    universe = list(strings_up_to(universe_length))
-    slots = st.tuples(st.sampled_from(configs), st.integers(min_value=0, max_value=t - 1))
-    for config, step in draw(st.lists(slots, max_size=4, unique=True)):
-        d.cond_phase(config, draw(st.sampled_from(universe)), step)
-    start, accept = draw(st.sampled_from(configs)), draw(st.sampled_from(configs))
-    system = d.query_system(start, accept, t, universe_length)
-    return system, frozenset(draw(st.sets(st.sampled_from(universe))))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +19,8 @@ from gapsim.model import (
     column_blocks,
     make_system,
 )
+
+from drafts import BLOCKS
 
 ROTATION_DOC = {
     "n_configs": 2,
@@ -287,12 +287,6 @@ def test_single_entry_perturbations_rejected(index, entry, replacement):
             )
 
 
-# 2x2 blocks (a b; c d) over the allowed numerators with orthogonal columns of norm 25
-BLOCKS = [
-    (a, b, c, d)
-    for a, b, c, d in product(sorted(ALLOWED_NUMERATORS), repeat=4)
-    if a * a + c * c == 25 == b * b + d * d and a * b + c * d == 0
-]
 NUMERATORS = sorted(ALLOWED_NUMERATORS)
 
 

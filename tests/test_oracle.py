@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gapsim.oracle
 from gapsim.corpus import (
@@ -24,6 +26,7 @@ from gapsim.errors import (
     AmplitudeError,
     CategoricalityError,
     DomainError,
+    GapsimError,
     ModelError,
     OracleError,
     ResourceError,
@@ -45,6 +48,8 @@ from gapsim.oracle import (
     verify_flip_stability,
 )
 from gapsim.strings import strings_of_length
+
+from drafts import draft_query_systems
 
 EPS = Fraction(1, 7)
 
@@ -358,6 +363,65 @@ def test_decider_matches_its_reference_on_the_corpus():
                     cond_name,
                     x,
                 )
+
+
+@st.composite
+def _drawn_decisions(draw):
+    """A drawn machine, a decider condition and an input.
+
+    Half the draws take a condition whose long string the machine queries,
+    when it queries one; universe length 1 puts the short strings past it.
+    """
+    system, _ones = draw(draft_query_systems(st.sampled_from((4, 3, 1))))
+    conditions = [condition for _, condition in decider_conditions()]
+    long_queried = {y for y in system.queried_strings() if len(y) == 4}
+    queried = [c for c in conditions if c.ones & long_queried]
+    pool = queried if queried and draw(st.booleans()) else conditions
+    return system, draw(st.sampled_from(pool)), draw(st.sampled_from(("", "0110")))
+
+
+def _result_or_refusal(decide, *args):
+    try:
+        return decide(*args)
+    except GapsimError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_drawn_decisions())
+@example(case=(_short_and_long_system(), dict(decider_conditions())["cond_10_0110"], ""))
+@example(case=(_short_and_long_system(), dict(decider_conditions())["cond_10_0000"], "0110"))
+def test_decider_matches_its_reference_on_drawn_machines(case):
+    # the examples decide with a found long string ("0110") and with none
+    system, condition, x = case
+    if system.categorical_witness is not None:
+        return
+    params = params_for(system, x)
+    want = _result_or_refusal(_reference_decide, system, condition, x, params)
+    assert _result_or_refusal(rerelativized_decide, system, condition, x, params) == want
+
+
+def test_a_warm_decision_builds_no_assignment_and_reads_each_long_probe_once(monkeypatch):
+    system = _short_and_long_system()
+    params = params_for(system)
+    conditions = [condition for _, condition in decider_conditions()]
+    for condition in conditions:  # fills the table and every condition's plan
+        rerelativized_decide(system, condition, "", params)
+    built, reads = [], []
+    post_init, value = OracleAssignment.__post_init__, TowerCondition.value
+    monkeypatch.setattr(
+        OracleAssignment, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    monkeypatch.setattr(TowerCondition, "value", lambda self, y: reads.append(y) or value(self, y))
+    found, probed = [], 0
+    for condition in conditions:
+        reads.clear()
+        result = rerelativized_decide(system, condition, "", params)
+        assert reads == [y for y in result.query_log if len(y) == 4]
+        probed += bool(reads)
+        found.append(result.found_long_string)
+    assert built == []
+    assert probed == 16 and found.count("0110") == 1  # "0110" is probed when "10" is set
 
 
 _TWO_LONG = TowerCondition(
