@@ -24,6 +24,7 @@ from .strings import pair, pair_codes, unpair
 from .trees import ACCEPT, REJECT, Branch, Node, Product
 
 DEFAULT_BRANCH_BOUND = 1 << 20
+MAX_TREE_DEPTH = 256  # _decoded spends two frames a level: 512 of the default limit of 1000
 
 
 @dataclass(frozen=True)
@@ -336,24 +337,33 @@ def bqp_to_awpp(
 def tree_from_json(node) -> Node:
     """Decode the nested-array tree form: "accept", "reject", or [child, ...].
 
-    One walk over the document checks each node and counts the branches and
-    edges, so a tree over DEFAULT_BRANCH_BOUND is refused before any node is
-    built.  A tree nested too deeply to decode is a ParseError too.
+    One walk over the document checks each node, counts the branches and
+    edges and finds the depth, so a tree over DEFAULT_BRANCH_BOUND is
+    refused before any node is built, and one deeper than MAX_TREE_DEPTH
+    is a ParseError before the recursive decoding starts.
     """
-    stored, stack = 0, [node]
+    stored, deepest, stack = 0, 0, [iter((node,))]  # per open list, its children left to walk
     while stack:
-        item = stack.pop()
-        if type(item) is list and item:
-            stored += 1 + len(item)
-            if stored > DEFAULT_BRANCH_BOUND:
-                raise bound_error("tree branches and edges", stored)
-            stack.extend(item)
-        elif item != "accept" and item != "reject":
-            raise ParseError(f"bad tree node {item!r}")
-    try:
-        return _decoded(node)
-    except RecursionError:
-        raise ParseError("nested too deeply") from None
+        for item in stack[-1]:
+            if type(item) is list and item:
+                stored += 1 + len(item)
+                if stored > DEFAULT_BRANCH_BOUND:
+                    raise bound_error("tree branches and edges", stored)
+                stack.append(reversed(item))  # its children, last first, before its siblings
+                if len(stack) > deepest:
+                    deepest = len(stack)
+                break
+            if item != "accept" and item != "reject":
+                raise ParseError(f"bad tree node {item!r}")
+        else:
+            stack.pop()
+    deepest -= 1  # the root's own entry is not a level
+    if deepest > MAX_TREE_DEPTH:
+        raise ParseError(
+            f"tree depth {deepest} exceeds max_tree_depth {MAX_TREE_DEPTH} "
+            "(raise gapp.MAX_TREE_DEPTH)"
+        )
+    return _decoded(node)
 
 
 def _decoded(node) -> Node:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     CategoricalityError,
@@ -150,7 +150,8 @@ class SensitivityParams:
 
     The bound and the magnitude threshold are computed once per object, the
     threshold also as an int (numerator, denominator) pair: a warm decision
-    reads only the bound and that pair (see _sensitive).
+    reads only the bound and that pair, the key of its stored sensitive sets
+    (see _sensitive_sets).
     """
 
     epsilon: Fraction
@@ -193,10 +194,12 @@ class OracleQuerySystem:
     A run reads only the bits of the queried strings, packed into one int
     key (see _key), so the machine keeps a table from that key to the
     run's outcome (see _outcome), and every entry point runs each distinct
-    key once.  The table is cleared before it would pass
-    2**MAX_MIXED_STRINGS entries, the categorical check's own cap.  It is
-    the machine's one mutable part: two threads may both compute an entry,
-    and both store the same value.
+    key once, and a second table from (key, threshold, bound) to its
+    sensitive sets (see _sensitive_sets).  Each is cleared before it would
+    pass 2**MAX_MIXED_STRINGS entries, the categorical check's own cap, and
+    the sensitive sets are cleared with the outcomes.  The two tables are
+    the machine's only mutable state: two threads may both compute an
+    entry, and both store the same value.
     """
 
     system: UnitarySystem
@@ -206,6 +209,7 @@ class OracleQuerySystem:
     _position: dict = field(init=False, repr=False)  # set by __post_init__
     _step_blocks: dict = field(init=False, repr=False)  # set by __post_init__
     _outcomes: dict = field(init=False, repr=False, default_factory=dict)
+    _sensitive_sets: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for step, slots in self.query_slots.items():
@@ -351,6 +355,7 @@ def _outcome(system: OracleQuerySystem, key: int) -> tuple[ExactProbability, dic
         outcome = _run(system, key)
         if len(table) >= 1 << MAX_MIXED_STRINGS:
             table.clear()
+            system._sensitive_sets.clear()
         table[key] = outcome
     return outcome
 
@@ -385,6 +390,26 @@ def _sensitive(
             f"sensitive set of size {len(result)} exceeds the bound {params.bound}"
         )
     return result
+
+
+def _sensitive_sets(
+    system: OracleQuerySystem, key: int, outcome: tuple, params: SensitivityParams
+) -> tuple[frozenset[str], dict[int, tuple[tuple[str, ...], frozenset[str]]]]:
+    """(sensitive set, per length its strings sorted and as a set) of the run
+    of key, whose table entry is outcome, computed once per (key, threshold,
+    bound) by _sensitive; a refusal past the bound is never stored.
+    """
+    stored, token = system._sensitive_sets, (key, params._threshold, params.bound)
+    sets = stored.get(token)
+    if sets is None:
+        above = _sensitive(outcome[1], outcome[2], params)
+        ordered = sorted(above, key=lambda y: (len(y), y))
+        runs = {n: tuple(ys) for n, ys in itertools.groupby(ordered, len)}
+        sets = above, {n: (ys, frozenset(ys)) for n, ys in runs.items()}
+        if len(stored) >= 1 << MAX_MIXED_STRINGS:
+            stored.clear()
+        stored[token] = sets
+    return sets
 
 
 def acceptance_prob_rel(system: OracleQuerySystem, oracle: OracleAssignment) -> ExactProbability:
@@ -429,13 +454,13 @@ def verify_flip_stability(
     2**MAX_MIXED_STRINGS entries, so past that a key may run again; two
     threads on one machine may both run an entry, and both store the same
     value.  A sensitive set past params.bound raises ModelError (see
-    _sensitive), so a report is ok when no flip outside it deviates by
+    _sensitive_sets), so a report is ok when no flip outside it deviates by
     more than epsilon.
     """
     key = _key(system, oracle.value)
-    prob, numerators, denominator = _outcome(system, key)
-    base = prob.as_fraction()
-    sensitive = _sensitive(numerators, denominator, params)
+    outcome = _outcome(system, key)
+    base = outcome[0].as_fraction()
+    sensitive = _sensitive_sets(system, key, outcome, params)[0]
     position = system._position
     rows = []
     worst = Fraction(0)
@@ -470,8 +495,9 @@ def categorical_check(system: OracleQuerySystem, x: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DeciderResult:
+class DeciderResult(NamedTuple):
+    """One decision: a tuple of its five fields, in this order."""
+
     accept: bool
     query_log: tuple[str, ...]
     sensitive: frozenset[str]
@@ -495,7 +521,9 @@ def rerelativized_decide(
     condition.value; helper work is charged zero probes, mirroring free
     access to the powering half of the oracle.  A warm decision reads only
     the plan, the table key of its short ones (each checked against the
-    universe), one table entry and, if a probed string is set, one more.
+    universe), one table entry, the sorted long probes and their set stored
+    for that entry (see _sensitive_sets) and, if a probed string is set,
+    one more entry.
     """
     if check_categorical:
         categorical_check(system, x)
@@ -511,12 +539,11 @@ def rerelativized_decide(
         if len(y) > system.universe_length:
             raise OracleError(f"{y!r} is longer than the declared universe")
         key |= system._position.get(y, 0)
-    decision, numerators, denominator = _outcome(system, key)
-    sensitive, probes, found = frozenset(), (), None
+    outcome = _outcome(system, key)
+    decision, probes, sensitive, found = outcome[0], (), frozenset(), None
     if long_lengths:
-        above = _sensitive(numerators, denominator, params)
-        probes = tuple(sorted(y for y in above if len(y) == long_lengths[0]))
-        sensitive = frozenset(probes)
+        by_length = _sensitive_sets(system, key, outcome, params)[1]
+        probes, sensitive = by_length.get(long_lengths[0], ((), sensitive))
         for y in probes:
             if condition.value(y) == 1:
                 found = y

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gapsim.cli import _emit, main
 from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
-from gapsim.gapp import GAP_MACHINE_FILES
+from gapsim.gapp import GAP_MACHINE_FILES, MAX_TREE_DEPTH
 from gapsim.lowness import BUNDLE_FILE
 from gapsim.model import MACHINE_FILE
 
@@ -252,6 +252,25 @@ def _nested(depth):
 
 def _tree_file(tmp_path, depth):
     return _file(tmp_path, f'{{"kind": "tree", "tree": {_nested(depth)}}}')
+
+
+def _under_frames(count, call):
+    """call() under count more interpreter frames."""
+    return call() if count == 0 else _under_frames(count - 1, call)
+
+
+def test_tree_depth_cap_is_one_number_at_any_stack_depth(tmp_path, capsys):
+    at, over = tmp_path / "at.json", tmp_path / "over.json"
+    for path, depth in ((at, MAX_TREE_DEPTH), (over, MAX_TREE_DEPTH + 1)):
+        path.write_text(f'{{"kind": "tree", "tree": {_nested(depth)}}}')
+    refusal = (
+        f"error: {over}: field 'tree' must be a tree (tree depth {MAX_TREE_DEPTH + 1} exceeds "
+        f"max_tree_depth {MAX_TREE_DEPTH} (raise gapp.MAX_TREE_DEPTH))\n"
+    )
+    for extra in (0, 300):
+        code, out, err = _under_frames(extra, lambda: run(capsys, "gap-eval", str(at)))
+        assert code == 0 and err == "" and json.loads(out)["results"]["gap"] == "1"
+        assert _under_frames(extra, lambda: run(capsys, "gap-eval", str(over))) == (2, "", refusal)
 
 
 def _lowness(tmp_path, **fields):

@@ -380,6 +380,10 @@ def _drawn_decisions(draw):
     return system, draw(st.sampled_from(pool)), draw(st.sampled_from(("", "0110")))
 
 
+# the magnitude of "0110" is (9/25)**10, between the thresholds at 1/10 and 1/7 (p = 11)
+_DEEP_TEN = deep_chain_system(10, "0110", universe_length=4)
+
+
 def _result_or_refusal(decide, *args):
     try:
         return decide(*args)
@@ -391,14 +395,70 @@ def _result_or_refusal(decide, *args):
 @given(case=_drawn_decisions())
 @example(case=(_short_and_long_system(), dict(decider_conditions())["cond_10_0110"], ""))
 @example(case=(_short_and_long_system(), dict(decider_conditions())["cond_10_0000"], "0110"))
+@example(case=(_DEEP_TEN, dict(decider_conditions())["cond_00_0110"], ""))
 def test_decider_matches_its_reference_on_drawn_machines(case):
-    # the examples decide with a found long string ("0110") and with none
+    # the examples decide with a found long string ("0110") and with none,
+    # and on a machine whose "0110" is sensitive at epsilon 1/10 and not at
+    # 1/7; one machine decides at each epsilon in turn, so the sensitive
+    # sets it stores must be told apart by threshold and bound
     system, condition, x = case
     if system.categorical_witness is not None:
         return
-    params = params_for(system, x)
-    want = _result_or_refusal(_reference_decide, system, condition, x, params)
-    assert _result_or_refusal(rerelativized_decide, system, condition, x, params) == want
+    for eps in (Fraction(1, 7), Fraction(1, 10), Fraction(1, 7)):
+        params = SensitivityParams(eps, system.p(len(x)))
+        want = _result_or_refusal(_reference_decide, system, condition, x, params)
+        assert _result_or_refusal(rerelativized_decide, system, condition, x, params) == want
+
+
+def test_stored_sensitive_sets_are_told_apart_by_threshold_under_one_bound():
+    condition = dict(decider_conditions())["cond_00_0110"]
+    over = SensitivityParams(Fraction(665127, 5000000), 11)
+    under = SensitivityParams(Fraction(83141, 625000), 11)
+    assert over.bound == under.bound == 27352
+    assert over.magnitude_threshold < Fraction(9, 25) ** 10 <= under.magnitude_threshold
+    found = []
+    for params in (over, under, over):
+        result = rerelativized_decide(_DEEP_TEN, condition, "", params)
+        assert result == _reference_decide(_DEEP_TEN, condition, "", params)
+        found.append(result.found_long_string)
+    assert found == ["0110", None, "0110"]
+
+
+def test_a_refusal_past_the_bound_is_never_stored():
+    system = _short_and_long_system()
+    condition = dict(decider_conditions())["cond_10_0110"]
+    oracle = condition.to_assignment(system.universe_length)
+    params = params_for(system)
+    want = _reference_decide(system, condition, "", params)
+    assert rerelativized_decide(system, condition, "", params) == want  # warm: stored sets
+    verify_flip_stability(system, oracle, "", params)
+    tight = params_for(system)
+    tight.__dict__["bound"] = 1  # the cached bound; "10" and "0110" are sensitive
+    for call, given in ((rerelativized_decide, condition), (verify_flip_stability, oracle)):
+        for _ in range(2):  # a stored refusal, or a stored set, would change the second call
+            with pytest.raises(ModelError, match="^sensitive set of size 2 exceeds the bound 1$"):
+                call(system, given, "", tight)
+    assert rerelativized_decide(system, condition, "", params) == want
+
+
+def test_decider_result_is_a_tuple_of_five_named_fields():
+    system = _short_and_long_system()
+    params = params_for(system)
+    result = rerelativized_decide(
+        system, dict(decider_conditions())["cond_10_0110"], "", params
+    )
+    assert DeciderResult._fields == (
+        "accept", "query_log", "sensitive", "found_long_string", "probe_budget"
+    )
+    for name in DeciderResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+    # the fields perfbench reads, and the plain tuple a result equals
+    assert result.accept is True and result.found_long_string == "0110"
+    assert result.query_log == ("00", "01", "10", "11", "0110")
+    assert result.probe_budget == params.bound + 4
+    shown = (True, result.query_log, frozenset({"0110"}), "0110", params.bound + 4)
+    assert result == shown and tuple(result) == shown
 
 
 def test_a_warm_decision_builds_no_assignment_and_reads_each_long_probe_once(monkeypatch):
@@ -828,12 +888,16 @@ def test_outcome_table_stays_within_its_bound(monkeypatch):
     want = [flips(double_phase_system("01", "10"), ones) for ones in bases]
     system = double_phase_system("01", "10")  # built unpatched: one step reads both strings
     monkeypatch.setattr(gapsim.oracle, "MAX_MIXED_STRINGS", 1)
-    sizes = []
+    sizes, held = [], []  # outcomes, and sensitive sets held when the outcomes cleared
     outcome = gapsim.oracle._outcome
 
     def watched(*args):
+        full, sets = len(system._outcomes), len(system._sensitive_sets)
         result = outcome(*args)
         sizes.append(len(system._outcomes))
+        if sizes[-1] < full:
+            held.append(sets)
+            assert system._sensitive_sets == {}
         return result
 
     monkeypatch.setattr(gapsim.oracle, "_outcome", watched)
@@ -841,3 +905,4 @@ def test_outcome_table_stays_within_its_bound(monkeypatch):
     assert [flips(system, ones) for ones in bases] == want
     assert len(sizes) == 4 * 16 and max(sizes) == 2
     assert len(runs) > 4  # the table was cleared and refilled
+    assert max(held) == 1  # the sensitive sets were held, and went with the outcomes
