@@ -126,16 +126,18 @@ def system_tree(system: UnitarySystem) -> Node:
     and edges the tree will store: one branch per cone row and one edge per
     source it reads, plus four for the product and the leaf (five for the
     gap-0 tree).  Once that count passes DEFAULT_BRANCH_BOUND the walk
-    stops and the system is refused.
+    stops and the system is refused.  That walk and the build read one table
+    of each row's source columns and weights tuples (both, the first, the
+    second), shared by its nodes; layers are dicts, so a step costs its cone.
     """
-    # Each row's (source column, weight)s and each column's rows, from the blocks.
+    # Per row: source columns (-1: a single's second) and weights; per column: its rows.
     pairs, singles = system.blocks
-    sources_of, rows_of = {}, {}
+    table, rows_of = {}, {}
     for c1, c2, r1, r2, a, b, c, d in pairs:
-        sources_of[r1], sources_of[r2] = ((c1, a), (c2, b)), ((c1, c), (c2, d))
+        table[r1], table[r2] = ((c1, c2), (a, b), (a,), (b,)), ((c1, c2), (c, d), (c,), (d,))
         rows_of[c1] = rows_of[c2] = (r1, r2)
     for c, r, w in singles:
-        sources_of[r], rows_of[c] = ((c, w),), (r,)
+        table[r], rows_of[c] = ((c, -1), None, (w,), None), (r,)
 
     frontiers, frontier, total = [], {system.start}, 0
     for step in range(system.t_bound):
@@ -159,7 +161,7 @@ def system_tree(system: UnitarySystem) -> Node:
         if stored > DEFAULT_BRANCH_BOUND:
             break
         cones.append(cone)
-        read = [c for r in cone for c, _ in sources_of[r] if c in before]
+        read = [c for r in cone for c in table[r][0] if c in before]
         stored += len(cone) + len(read)
         cone = set(read)
     if stored > DEFAULT_BRANCH_BOUND:
@@ -173,13 +175,14 @@ def system_tree(system: UnitarySystem) -> Node:
         layer: dict[int, Node] = {system.start: ACCEPT}
         for cone in reversed(cones):
             pushed: dict[int, Node] = {}
-            for r in cone:
-                children, weights = [], []
-                for c, w in sources_of[r]:
-                    if c in layer:
-                        children.append(layer[c])
-                        weights.append(w)
-                pushed[r] = Branch(tuple(children), tuple(weights))
+            for r in cone:  # a cone row reads at least one of its sources from the layer
+                (c1, c2), both, first, second = table[r]
+                if c1 not in layer:
+                    pushed[r] = Branch((layer[c2],), second)
+                elif c2 in layer:
+                    pushed[r] = Branch((layer[c1], layer[c2]), both)
+                else:
+                    pushed[r] = Branch((layer[c1],), first)
             layer = pushed
         root = layer[system.accept]
         return Product(root, root)

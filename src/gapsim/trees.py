@@ -61,7 +61,9 @@ class Branch(_Node):
                 acc += a
                 rej += r
         else:
-            for child, w in zip(children, weights, strict=True):
+            if len(children) != len(weights):
+                raise ValueError(f"{len(weights)} weights for {len(children)} children")
+            for child, w in zip(children, weights):
                 a, r = child.counts
                 if w < 0:  # -w copies of the child negated
                     a, r, w = r, a, -w

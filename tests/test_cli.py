@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsim import gapp
 from gapsim.cli import _emit, main
 from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
 from gapsim.gapp import GAP_MACHINE_FILES, MAX_TREE_DEPTH
@@ -454,7 +455,21 @@ def test_oversized_tree_file_exits_1_with_one_line(tmp_path, capsys):
     code, out, err = run(capsys, "gap-eval", tree)
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and "branch_bound" in err
+    assert err == (
+        f"error: {tree}: field 'tree' must be a tree (tree branches and edges 1048578 exceeds "
+        "branch_bound 1048576 (raise gapp.DEFAULT_BRANCH_BOUND))\n"
+    )
+
+
+def test_oversized_bundle_tree_exits_1_naming_the_path_and_field(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 3)  # the shipped "0" tree stores 1 + 3
+    bundle = _bundle_with(tmp_path)
+    assert run(capsys, "lowness", "--bundle", bundle) == (
+        1,
+        "",
+        f"error: {bundle}: field 'machine.trees' must be an object of trees (tree branches "
+        "and edges 4 exceeds branch_bound 3 (raise gapp.DEFAULT_BRANCH_BOUND))\n",
+    )
 
 
 def _reference_canonical(value):

@@ -356,6 +356,36 @@ def test_system_tree_is_the_forward_pass_dag(system):
     assert stored_size(cone) == stored_size(forward)
 
 
+# Col 0 -> row 1 at 5, col 3 -> row 0 at -5, and the pair on cols (1, 2) and
+# rows (2, 3): row 2 reads them at (3, 4), row 3 at (4, -3).  From start 0 the
+# frontiers are {0}, {1}, {2, 3}, {0, 2, 3}, then every row, so a row of the
+# pair reads its first column alone at step 2, its second alone at step 3 and
+# both from step 5.
+_ROW_FORM_ENTRIES = [(0, 3, -5), (1, 0, 5), (2, 1, 3), (2, 2, 4), (3, 1, 4), (3, 2, -3)]
+
+
+@pytest.mark.parametrize(
+    "accept, t, weights",
+    [(0, 3, (-5,)), (1, 1, (5,)), (2, 2, (3,)), (3, 2, (4,)), (2, 3, (4,)), (3, 3, (-3,)),
+     (2, 5, (3, 4)), (3, 5, (4, -3))],
+    ids=["single-5", "single+5", "first", "first-b", "second", "second-b", "both", "both-b"],
+)
+def test_system_tree_builds_each_row_form(accept, t, weights):
+    system = make_system(4, _ROW_FORM_ENTRIES, 0, accept, t)
+    tree, forward = system_tree(system), forward_pass_tree(system)
+    assert tree.left.weights == weights  # the accept row's form
+    assert same_dag(tree, forward, set())
+    size = stored_size(tree)
+    total, _ = forward_frontier_total(system)
+    assert total < size  # so a bound just under the size meets the cone's pre-count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", size)
+        assert stored_size(system_tree(system)) == size
+        patch.setattr(gapp, "DEFAULT_BRANCH_BOUND", size - 1)
+        with pytest.raises(ResourceError, match=rf"^system_tree .* \(upper bound\) {size} "):
+            system_tree(system)
+
+
 # sha256 of json.dumps(tree_to_json(system_tree(s))) for the corpus systems
 # whose unfolding has at most 10**5 leaves, taken while each row was still a
 # mirrored (positive, negative) pair of branches: signed weights must not

@@ -376,9 +376,9 @@ def test_node_reprs_are_constant_size():
 
 
 def test_weights_must_match_children():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^2 weights for 1 children$"):
         Branch((ACCEPT,), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^1 weights for 2 children$"):
         Branch((ACCEPT, REJECT), (1,))
 
 
