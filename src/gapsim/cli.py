@@ -167,10 +167,7 @@ def cmd_verify(args) -> int:
     from . import suites
 
     if args.suite not in suites.SUITES:
-        sys.stderr.write(
-            f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITES)}\n"
-        )
-        return USAGE_EXIT
+        raise ParseError(f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITES)}")
     if args.corpus is not None and args.suite not in suites.READS_CORPUS:
         raise ParseError(
             f"suite {args.suite!r} reads no corpus; --corpus is for "

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 from . import model, trees
 from .errors import ParseError, PromiseViolation, ResourceError, StructuralError
 from .evolve import accept_probability
-from .model import MachineFamily, UnitarySystem, eval_poly, load_system
+from .model import MachineFamily, UnitarySystem, eval_poly
 from .strings import pair, pair_codes, unpair
 from .trees import ACCEPT, REJECT, Branch, Node, Product
 
@@ -405,14 +405,21 @@ def load_gap_machine(path: str) -> GapMachine:
 
 
 def read_gap_machine(doc: dict, path: str) -> GapMachine:
-    """The machine of the gap-machine object doc read from the file at path."""
+    """The machine of the gap-machine object doc read from the file at path.
+
+    A system reference's file is read and compiled in its own load_file, so
+    its refusals, the system_tree cap included, name it after path.
+    """
     match doc:
         case {"kind": "tree"}:
             tree = model.read_fields(doc, GAP_MACHINE_FILES["tree"])["tree"]
             return GapMachine(lambda _x: tree)
         case {"kind": "system"}:
             target = model.read_fields(doc, GAP_MACHINE_FILES["system"])["path"]
-            return system_to_gap_machine(load_system(os.path.join(os.path.dirname(path), target)))
+            target = os.path.join(os.path.dirname(path), target)
+            return model.load_file(
+                target, lambda d: system_to_gap_machine(model.build_system(d))
+            )[0]
     raise ParseError("field 'kind' must be 'tree' or 'system'")
 
 
@@ -426,14 +433,10 @@ def eqp_to_lwpp(
     """
     for x, member in labeled_inputs:
         prob = accept_probability(family.system(x))
-        if member and not prob.is_one():
+        if not (prob.is_one() if member else prob.is_zero()):
             raise PromiseViolation(
-                f"member {x!r} accepted with probability {prob.as_fraction()} != 1",
-                witness=(x, prob),
-            )
-        if not member and not prob.is_zero():
-            raise PromiseViolation(
-                f"non-member {x!r} accepted with probability {prob.as_fraction()} != 0",
+                f"{'member' if member else 'non-member'} {x!r} accepted with probability "
+                f"{prob.as_fraction()} != {int(member)}",
                 witness=(x, prob),
             )
     return ClassCertificate(_compiled(family.system), lambda n: 5 ** (2 * family.t(n)))

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import AmplitudeError, ModelError, ParseError, ResourceError, StructuralError
+from .errors import (
+    AmplitudeError, GapsimError, ModelError, ParseError, ResourceError, StructuralError
+)
 
 ALLOWED_NUMERATORS = frozenset({-5, -4, -3, 0, 3, 4, 5})
 _NONZERO_NUMERATORS = ALLOWED_NUMERATORS - {0}
@@ -330,17 +332,14 @@ ENTRIES = kind_of("a list of [row, col, numerator] entries", lambda v: type(v) i
 MACHINE_FILE = {"n_configs": INT, "entries": ENTRIES, "start": INT, "accept": INT, "t": INT}
 
 
-class _FieldCap(ResourceError):
-    """A cap met by a field's reader: named by read_fields, prefixed by load_file."""
-
-
 def read_fields(doc, table: Mapping, prefix: str = "") -> dict:
     """Each field of the object doc read by its kind in table, or by a nested table.
 
     Refuses a doc that is not an object, an unknown key, then the first
     field in table order that is missing or not of its kind, in one line
     that names the key (dotted after prefix) and what the field must be.
-    A cap that a field's reader meets is named so too, still a ResourceError.
+    A field reader's ParseError, or a cap it meets (a ResourceError), gets
+    that line in place, its own text in parentheses, and keeps its class.
     """
     if not isinstance(doc, Mapping):
         raise ParseError(f"field {prefix[:-1]!r} must be an object" if prefix else "not an object")
@@ -358,20 +357,18 @@ def read_fields(doc, table: Mapping, prefix: str = "") -> dict:
             continue
         try:
             fields[key] = kind[1](doc[key])
-        except ParseError as exc:
-            detail = f" ({exc})" if exc.args else ""
-            raise ParseError(f"field {name!r} must be {kind[0]}{detail}") from None
-        except ResourceError as exc:  # a cap the reader met, such as a tree's size
-            raise _FieldCap(f"field {name!r} must be {kind[0]} ({exc})") from None
+        except (ParseError, ResourceError) as exc:  # ResourceError: a cap, such as a tree's size
+            exc.args = (f"field {name!r} must be {kind[0]}" + (f" ({exc})" if exc.args else ""),)
+            raise
     return fields
 
 
 def load_file(path: str, read: Callable, *args) -> tuple:
     """read(doc, *args) of the JSON object in the file at path, and the bytes read.
 
-    Every ParseError names the path: an unreadable file, undecodable or too
-    deeply nested contents, a top-level value that is not an object, and
-    each refusal of read, as does a cap that a field's reader meets.
+    Every refusal names the path: an unreadable file, undecodable or too
+    deeply nested contents and a non-object top level are ParseErrors, and
+    each GapsimError of read gets the path in place, keeping its class.
     """
     try:
         with open(path, "rb") as handle:
@@ -387,13 +384,14 @@ def load_file(path: str, read: Callable, *args) -> tuple:
         raise ParseError(f"{path}: top-level value must be a JSON object")
     try:
         return read(doc, *args), data
-    except (ParseError, _FieldCap) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except GapsimError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
-def load_system(path: str, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
+def load_system(path: str) -> UnitarySystem:
     """Read a machine file from disk."""
-    return load_file(path, build_system, max_configs)[0]
+    return load_file(path, build_system)[0]
 
 
 def eval_poly(coeffs: Sequence[int], n: int) -> int:

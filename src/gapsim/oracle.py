@@ -294,7 +294,8 @@ class OracleQuerySystem:
                 try:
                     blocks = checked_blocks(base.n_configs, entries)
                 except GapsimError as exc:
-                    raise type(exc)(f"step {step} with bits {bits}: {exc}") from None
+                    exc.args = (f"step {step} with bits {bits}: {exc}",)
+                    raise
                 patterns.append(_kept(blocks, lambda cs: not slots.keys().isdisjoint(cs)))
             shared = _kept(base.blocks, slots.keys().isdisjoint)
             cache[step] = (shared, tuple(self._position[y] for y in names), patterns)

@@ -80,6 +80,15 @@ def test_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
+def test_unknown_suite_refusal_is_one_error_line(capsys):
+    assert run(capsys, "verify", "nope") == (
+        2,
+        "",
+        "error: unknown suite 'nope'; choose from unitarity, closure, gaplem, awpp, lwpp, "
+        "lowness, bbbv, rerelativize\n",
+    )
+
+
 def test_verify_closure_passes(capsys):
     code, out, _ = run(capsys, "verify", "closure")
     assert code == 0
@@ -469,6 +478,40 @@ def test_oversized_bundle_tree_exits_1_naming_the_path_and_field(tmp_path, capsy
         "",
         f"error: {bundle}: field 'machine.trees' must be an object of trees (tree branches "
         "and edges 4 exceeds branch_bound 3 (raise gapp.DEFAULT_BRANCH_BOUND))\n",
+    )
+
+
+def test_oversized_referenced_system_exits_1_naming_both_paths(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 3)  # reflect_t1's tree stores 4
+    reference = _file(tmp_path, json.dumps(REFLECT_REFERENCE))
+    assert run(capsys, "gap-eval", reference) == (
+        1,
+        "",
+        f"error: {reference}: {REFLECT_REFERENCE['path']}: system_tree stored nodes and edges "
+        "(upper bound) 4 exceeds branch_bound 3 (raise gapp.DEFAULT_BRANCH_BOUND)\n",
+    )
+
+
+SKEWED = "not norm-preserving: inner product of columns (0,1) is 24, expected 0"
+
+
+def _skewed_machine(tmp_path):
+    # BLOCK_REFLECT with its last sign flipped: unit columns that are not orthogonal
+    return _machine_with(tmp_path, entries=[[0, 0, 3], [0, 1, 4], [1, 0, 4], [1, 1, 3]])
+
+
+def test_simulate_skewed_machine_exits_1_naming_its_path(tmp_path, capsys):
+    machine = _skewed_machine(tmp_path)
+    assert run(capsys, "simulate", machine) == (1, "", f"error: {machine}: {SKEWED}\n")
+
+
+def test_reference_to_skewed_machine_exits_1_naming_both_paths(tmp_path, capsys):
+    machine = _skewed_machine(tmp_path)
+    reference = _file(tmp_path, json.dumps({"kind": "system", "path": "machine.json"}))
+    assert run(capsys, "gap-eval", reference) == (
+        1,
+        "",
+        f"error: {reference}: {machine}: {SKEWED}\n",
     )
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -629,6 +630,23 @@ def test_eqp_to_lwpp_refuses_rotation():
     family, language = leaky_family()
     with pytest.raises(PromiseViolation):
         eqp_to_lwpp(family, [("", True)])
+
+
+def test_eqp_to_lwpp_refusal_names_the_side_with_its_witness():
+    from gapsim.model import MachineFamily
+
+    members, _ = leaky_family()  # even-parity "" is a member, accepted with 16/25
+    reflect = rotation_system(BLOCK_REFLECT, 0, 1, 1)
+    non_members = MachineFamily(lambda x, m: reflect, (1,))
+    for family, x, member, text in (
+        (members, "", True, "member '' accepted with probability 16/25 != 1"),
+        (non_members, "1", False, "non-member '1' accepted with probability 16/25 != 0"),
+    ):
+        with pytest.raises(PromiseViolation) as info:
+            eqp_to_lwpp(family, [(x, member)])
+        assert str(info.value) == text
+        assert info.value.witness == (x, accept_probability(family.system(x)))
+        assert info.value.witness[1].as_fraction() == Fraction(16, 25)
 
 
 def test_tree_files_round_trip(tmp_path):
