@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import BoundsError, ParseError, ResourceError, StructuralError
@@ -29,7 +30,8 @@ class AmplitudeVector:
 
 @dataclass(frozen=True)
 class ExactProbability:
-    """Acceptance probability numerator / 5**log5_denominator, kept unreduced."""
+    """Acceptance probability numerator / 5**log5_denominator, kept unreduced;
+    its Fraction is built once, on first use, and as_fraction returns it."""
 
     numerator: int
     log5_denominator: int
@@ -38,8 +40,12 @@ class ExactProbability:
         if not 0 <= self.numerator <= 5**self.log5_denominator:
             raise StructuralError("probability outside [0, 1]")
 
-    def as_fraction(self) -> Fraction:
+    @cached_property
+    def _fraction(self) -> Fraction:
         return Fraction(self.numerator, 5**self.log5_denominator)
+
+    def as_fraction(self) -> Fraction:
+        return self._fraction
 
     def is_zero(self) -> bool:
         return self.numerator == 0

@@ -451,7 +451,9 @@ def verify_flip_stability(
     _key); the flip of row y reads the key with y's bit toggled, and the
     flip of a string the run never reads is the base key itself.  Each
     distinct key runs once (see _outcome), so only the base and the flips
-    of queried strings cost a run.  The table keeps at most
+    of queried strings cost a run, and a row costs one table read, one
+    Fraction subtraction and one comparison: an entry's probability builds
+    its Fraction once (see ExactProbability).  The table keeps at most
     2**MAX_MIXED_STRINGS entries, so past that a key may run again; two
     threads on one machine may both run an entry, and both store the same
     value.  A sensitive set past params.bound raises ModelError (see

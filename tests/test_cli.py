@@ -515,6 +515,21 @@ def test_reference_to_skewed_machine_exits_1_naming_both_paths(tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize(
+    "fields,refusal",
+    [
+        ({"n_configs": 0}, "n_configs must be positive"),
+        ({"start": 2}, "start index 2 out of range"),
+        ({"accept": -1}, "accept index -1 out of range"),
+        ({"t": -1}, "running time must be nonnegative"),
+    ],
+    ids=["no_configs", "start_past_the_end", "negative_accept", "negative_t"],
+)
+def test_machine_field_refusals_exit_1_naming_the_path(tmp_path, capsys, fields, refusal):
+    machine = _machine_with(tmp_path, **fields)
+    assert run(capsys, "simulate", machine) == (1, "", f"error: {machine}: {refusal}\n")
+
+
 def _reference_canonical(value):
     # reference: the JSON-ready copy that json.dumps(indent=2, sort_keys=True) used to lay out
     if isinstance(value, bool):

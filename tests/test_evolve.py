@@ -112,6 +112,11 @@ def test_path_sum_trivial_lengths():
     assert path_sum(ROTATION, 1).entries == (3, 4)
 
 
+def test_path_sum_refuses_a_length_past_the_running_time():
+    with pytest.raises(BoundsError, match=r"^t=2 outside \[0, 1\]$"):
+        path_sum(ROTATION, ROTATION.t_bound + 1)
+
+
 def test_path_sum_cap(monkeypatch):
     system = rotation_system(BLOCK_REFLECT, 0, 1, 10)
     assert list(inspect.signature(path_sum).parameters) == ["system", "t"]  # no cap keyword

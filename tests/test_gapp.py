@@ -110,6 +110,16 @@ def test_poly_product_signs():
     assert gap_of(poly_product(machine, (2,)), "") == -1  # three factors of -1
 
 
+@pytest.mark.parametrize(
+    "combinator,refusal",
+    [(exp_sum, "negative branching length"), (poly_product, "negative product range")],
+)
+def test_combinators_refuse_a_negative_length(combinator, refusal):
+    machine = combinator(GapMachine(lambda z: ACCEPT), (-1,))  # q(n) = -1
+    with pytest.raises(StructuralError, match=f"^{refusal}$"):
+        gap_of(machine, "")
+
+
 def recording_machine():
     """Machine of gap 1 everywhere that records every input it is run on."""
     seen = []
@@ -579,6 +589,18 @@ def test_check_awpp_range():
     report = check_awpp(cert, [("0", True)], m=1)
     assert not report.rows[0].in_range
     assert not report.ok
+
+
+def test_check_awpp_refuses_padding_shorter_than_the_input():
+    cert = awpp_table_cert({"01": 20})
+    with pytest.raises(StructuralError, match="^padding m=1 shorter than input '01'$"):
+        check_awpp(cert, [("01", True)], m=1)
+
+
+def test_tally_must_be_positive():
+    cert = ClassCertificate(constant_machine(1), g=lambda m: 0)
+    with pytest.raises(StructuralError, match=r"^tally g\(3\) = 0 must be positive$"):
+        cert.g_value(3)
 
 
 def test_check_ceqp_examples():

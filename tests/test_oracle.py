@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -110,6 +111,8 @@ def test_condition_shape_validation():
         TowerCondition(frozenset({2}), domain, frozenset({"10", "011"}))
     with pytest.raises(ModelError):  # 3 is not a tower value
         TowerCondition(frozenset({3}), domain, frozenset({"011"}))
+    with pytest.raises(ModelError, match="^'000' lies outside the condition's domain$"):
+        TowerCondition(frozenset({2}), frozenset({0, 1, 2}), frozenset({"000"}))
 
 
 def test_condition_values_and_domain():
@@ -209,6 +212,8 @@ def test_bound_value():
         SensitivityParams(Fraction(1, 6), 1)
     with pytest.raises(ModelError):
         SensitivityParams(Fraction(0), 1)
+    with pytest.raises(ModelError, match="^running-time value must be positive$"):
+        SensitivityParams(Fraction(1, 7), 0)
 
 
 def test_flip_stability_on_corpus_both_epsilons():
@@ -540,6 +545,18 @@ def test_decider_refusals_keep_their_text_and_order(system, condition, refusal):
     assert str(info.value) == str(refusal)
 
 
+def test_decider_promise_refusal_witnesses_the_entrys_fraction():
+    d = Draft()  # one BLOCK_REFLECT step sends 3/5 of the start to accept: 9/25
+    start, accept = d.cfg("start"), d.cfg("accept")
+    d.block(start, d.cfg("spare"), accept, d.cfg("reject"))
+    system = d.query_system(start, accept, 1, 4)
+    with pytest.raises(CategoricalityError) as info:
+        rerelativized_decide(system, _SHORT_ONE, "", params_for(system), check_categorical=False)
+    assert str(info.value) == "simulation left the promise interval: 9/25"
+    prob = acceptance_prob_rel(system, OracleAssignment(4, frozenset()))
+    assert info.value.witness is prob.as_fraction() == Fraction(9, 25)
+
+
 def test_decider_reads_the_short_lengths_once_per_condition(monkeypatch):
     reads = []
     value = TowerCondition.value
@@ -713,6 +730,23 @@ def test_one_run_per_assignment(monkeypatch):
     for condition in conditions:  # every decision reads the table the check filled
         rerelativized_decide(system, condition, "", params_for(system))
     assert len(conditions) == 32 and len(runs) == 0
+
+
+def test_flip_rows_build_one_fraction_per_table_entry(monkeypatch):
+    evolve = importlib.import_module("gapsim.evolve")  # gapsim.evolve is the function
+    built, fraction = [], evolve.Fraction
+    monkeypatch.setattr(evolve, "Fraction", lambda *args: built.append(args) or fraction(*args))
+    system = deep_chain_system(11, "101", 8)
+    oracle = OracleAssignment(8, frozenset())
+    params = params_for(system)
+    report = verify_flip_stability(system, oracle, "", params)
+    assert len(report.rows) == 511
+    assert len(built) == 2  # the base entry and the flip of "101"; 510 flips read the base
+    built.clear()
+    assert verify_flip_stability(system, oracle, "", params) == report
+    assert built == []  # a warm call reads each entry's Fraction
+    prob = acceptance_prob_rel(system, oracle)
+    assert prob.as_fraction() is prob.as_fraction()
 
 
 def test_categorical_check_runs_once_per_machine(monkeypatch):

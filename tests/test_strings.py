@@ -59,6 +59,11 @@ def test_unpair_rejects_non_codes():
         unpair("abc")
 
 
+def test_no_string_is_numbered_zero():
+    with pytest.raises(DecodeError, match="^no string is numbered 0$"):
+        num_to_string(0)
+
+
 def test_strings_of_length_zero():
     assert list(strings_of_length(0)) == [""]
     assert list(strings_of_length(2)) == ["00", "01", "10", "11"]
