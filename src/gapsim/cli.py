@@ -22,7 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import GapsimError, ParseError, PromiseViolation
+from .errors import GapsimError, ParseError
 from .model import DEFAULT_MAX_CONFIGS, build_system, load_file
 
 USAGE_EXIT = 2
@@ -239,9 +239,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    except PromiseViolation as exc:
-        sys.stderr.write(f"promise violation: {exc}\n")
-        return FAIL_EXIT
     except GapsimError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAIL_EXIT

@@ -98,10 +98,6 @@ class Draft:
         used_rows = {r for col in self._columns.values() for r, _ in col}
         free_cols = sorted(set(range(n)) - self._columns.keys())
         free_rows = sorted(set(range(n)) - used_rows)
-        if len(free_cols) != len(free_rows):
-            raise StructuralError(
-                f"{len(free_cols)} unwired columns vs {len(free_rows)} unused rows"
-            )
         columns = dict(self._columns)
         for c, r in zip(free_cols, free_rows):
             columns[c] = ((r, 5),)

@@ -318,8 +318,6 @@ def bqp_to_awpp(
     q = tuple(q)
     for x, member in labeled_inputs:
         for m in paddings:
-            if m < len(x):
-                continue
             prob = accept_probability(family.system(x, m)).as_fraction()
             error = 1 - prob if member else prob
             if error > Fraction(1, 1 << eval_poly(q, m)):

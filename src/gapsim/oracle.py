@@ -269,8 +269,8 @@ class OracleQuerySystem:
         return shared[0] + pairs, shared[1] + singles
 
     def _checked_step_blocks(self) -> dict[int, tuple[Blocks, tuple[int, ...], list[Blocks]]]:
-        """Per query step with slots: (blocks off its slots, key bit of each
-        of its strings, slot blocks per bit pattern).
+        """Per query step: (blocks off its slots, key bit of each of its
+        strings, slot blocks per bit pattern).
 
         Each query step is decomposed under every bit pattern of its
         strings, in sorted order, by model.checked_blocks, which is its
@@ -281,8 +281,6 @@ class OracleQuerySystem:
         base = self.system
         cache = {}
         for step, slots in sorted(self.query_slots.items()):
-            if not slots:
-                continue
             names = sorted(set(slots.values()))
             patterns = []
             for bits in _bit_assignments(f"step {step}", names):

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from gapsim import gapp
 from gapsim.cli import _emit, main
 from gapsim.corpus import BLOCK_REFLECT, flip_stability_corpus, rotation_system, write_corpus
+from gapsim.errors import PromiseViolation
 from gapsim.gapp import GAP_MACHINE_FILES, MAX_TREE_DEPTH
 from gapsim.lowness import BUNDLE_FILE
 from gapsim.model import MACHINE_FILE
@@ -512,6 +514,19 @@ def test_reference_to_skewed_machine_exits_1_naming_both_paths(tmp_path, capsys)
         1,
         "",
         f"error: {reference}: {machine}: {SKEWED}\n",
+    )
+
+
+def test_a_broken_promise_exits_1_as_an_error(rotation_file, capsys, monkeypatch):
+    def broken(_system):
+        raise PromiseViolation("promise fails at x='', m=1: error 1/5", witness=("", 1))
+
+    # the package re-exports a function as gapsim.evolve
+    monkeypatch.setattr(importlib.import_module("gapsim.evolve"), "accept_probability", broken)
+    assert run(capsys, "simulate", rotation_file) == (
+        1,
+        "",
+        "error: promise fails at x='', m=1: error 1/5\n",
     )
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from gapsim import corpus
-from gapsim.corpus import write_corpus
+from gapsim.corpus import Draft, write_corpus
+from gapsim.errors import ModelError, StructuralError
 from gapsim.gapp import exp_sum, poly_product, tree_to_json
 from gapsim.strings import pair
 from gapsim.trees import gap
@@ -26,6 +27,60 @@ def test_written_corpus_matches_shipped_files(tmp_path):
     assert sorted(written) == sorted(shipped)
     for name, data in written.items():
         assert data == shipped[name], name
+
+
+def test_main_writes_the_corpus_and_prints_each_path(tmp_path, capsys):
+    assert corpus.main([str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 28  # 22 machines, 5 trees and 1 lowness bundle
+    assert sorted(printed) == sorted(_files(tmp_path))
+
+
+def test_main_without_one_directory_prints_its_usage(capsys):
+    for argv in ([], ["a", "b"]):
+        assert corpus.main(argv) == 2
+        assert capsys.readouterr() == ("", "usage: python -m gapsim.corpus OUTPUT_DIR\n")
+
+
+def _two_configs() -> tuple[Draft, int, int]:
+    d = Draft()
+    return d, d.cfg("a"), d.cfg("b")
+
+
+def test_draft_refuses_a_column_wired_twice():
+    d, a, b = _two_configs()
+    d.route(a, b)
+    with pytest.raises(StructuralError, match="^column 0 wired twice$"):
+        d.route(a, a)
+
+
+def test_draft_refuses_a_config_that_both_swaps_and_flips_sign():
+    d, a, b = _two_configs()
+    ra, rb = d.cfg("ra"), d.cfg("rb")
+    d.cond_swap(a, b, ra, rb, "0", 0)
+    d.cond_phase(a, "1", 1)
+    with pytest.raises(StructuralError, match="^config 0 cannot both swap and flip sign$"):
+        d.query_system(a, ra, 2, 1)
+
+
+def test_plain_system_refuses_query_slots():
+    d, a, b = _two_configs()
+    d.route(a, b)
+    d.cond_phase(b, "0", 0)
+    with pytest.raises(StructuralError, match="^query slots need query_system$"):
+        d.system(a, b, 1)
+
+
+def test_draft_with_a_row_wired_twice_is_refused_by_the_matrix_check():
+    # columns a and b both route to c: one unwired column (c) for two unused rows (a, b)
+    d, a, b = _two_configs()
+    c = d.cfg("c")
+    d.route(a, c)
+    d.route(b, c)
+    with pytest.raises(
+        ModelError, match=r"^not norm-preserving: inner product of columns \(0,1\) is 25, expected 0$"
+    ):
+        d.system(a, c, 1)
 
 
 def test_equal_signed_trees_are_one_object():

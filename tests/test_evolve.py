@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsim.corpus import (
@@ -52,8 +52,10 @@ from gapsim.oracle import (
     verify_flip_stability,
 )
 from gapsim.strings import strings_up_to
+from gapsim.trees import gap
 
 from drafts import BLOCKS, draft_query_systems
+from fingerprint import PRIMES, accept_numerator_mod
 
 ROTATION = rotation_system(BLOCK_REFLECT, 0, 1, 1)
 ROTATION_T2 = rotation_system(BLOCK_REFLECT, 0, 1, 2)
@@ -226,9 +228,9 @@ def _dense(vector: dict, n: int, zero) -> list:
 
 
 @st.composite
-def pb_systems(draw):
-    """V = P.B with B a direct sum of 2x2 blocks and P a permutation, n <= 256."""
-    n = 2 * draw(st.integers(min_value=1, max_value=128))
+def pb_systems(draw, max_half=128, times=st.integers(min_value=0, max_value=40)):
+    """V = P.B with B a direct sum of 2x2 blocks and P a permutation, n <= 2*max_half."""
+    n = 2 * draw(st.integers(min_value=1, max_value=max_half))
     blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=n // 2, max_size=n // 2))
     perm = draw(st.permutations(range(n)))
     entries = [
@@ -238,8 +240,13 @@ def pb_systems(draw):
         if w
     ]
     config = st.integers(min_value=0, max_value=n - 1)
-    t = draw(st.integers(min_value=0, max_value=40))
-    return make_system(n, entries, draw(config), draw(config), t)
+    return make_system(n, entries, draw(config), draw(config), draw(times))
+
+
+@pytest.mark.parametrize("numerator,log5_denominator", [(26, 1), (-1, 0)])
+def test_exact_probability_refuses_values_outside_the_unit_interval(numerator, log5_denominator):
+    with pytest.raises(StructuralError, match=r"^probability outside \[0, 1\]$"):
+        ExactProbability(numerator, log5_denominator)
 
 
 def _assert_runs_match_scatter(system):
@@ -300,6 +307,30 @@ def banded_pb_systems(draw):
     return _banded_system(blocks, shift, start, accept, t)
 
 
+def test_fingerprint_matches_accept_probability_and_system_tree_on_the_corpus():
+    for name, system in unitary_corpus():
+        numerator, tree_gap = accept_probability(system).numerator, gap(system_tree(system))
+        for p in PRIMES:
+            assert accept_numerator_mod(system, p) == numerator % p == tree_gap % p, name
+
+
+def _mixing_band(seed, t):
+    """32 configurations: 16 2x2 blocks with no zero entry, shifted by 3; 2**t paths."""
+    rng = random.Random(seed)
+    pair_blocks = [block for block in BLOCKS if all(block)]
+    return _banded_system([rng.choice(pair_blocks) for _ in range(16)], 3, 0, 5, t)
+
+
+@settings(max_examples=8, deadline=None)
+@given(system=pb_systems(max_half=16, times=st.sampled_from((1000, 4000))))
+@example(system=_mixing_band(11, 4000))
+def test_fingerprint_matches_accept_probability_past_the_path_cap(system):
+    # path_sum refuses past 2**20 paths; a mixing system has about 2**t
+    numerator = accept_probability(system).numerator
+    for p in PRIMES:
+        assert accept_numerator_mod(system, p) == numerator % p
+
+
 @settings(max_examples=60, deadline=None)
 @given(system=banded_pb_systems())
 def test_banded_runs_match_dict_scatter_loop(system):
@@ -341,6 +372,8 @@ def test_cone_edge_cases_match_dict_scatter_loop(system, numerator):
 
 
 def test_accept_probability_steps_only_the_two_sided_cone(monkeypatch):
+    """Step k hands 2*min(k, t-1-k) + 1 blocks on a shift-3 band: the work
+    grows as t**2 / 2 and does not depend on n once the cone fits in it."""
     rng = random.Random(7)
     pair_blocks = [block for block in BLOCKS if all(block)]
     n, t = 2048, 200
@@ -364,8 +397,8 @@ def test_accept_probability_steps_only_the_two_sided_cone(monkeypatch):
 
     monkeypatch.setattr(module, "trajectory", counted)
     accept_probability(system)
-    assert len(handed) == t
-    assert sum(handed) < 0.1 * (n // 2) * t  # a dense run hands (n/2)*t blocks
+    assert handed == [2 * min(k, t - 1 - k) + 1 for k in range(t)]
+    assert sum(handed) == 20_000  # t**2 / 2; a dense run hands (n/2)*t = 204,800 blocks
 
 
 def test_float_check_scales_only_the_blocks_of_its_two_walks(monkeypatch):

@@ -15,6 +15,7 @@ from gapsim import gapp, suites, trees
 from gapsim.corpus import (
     BLOCK_REFLECT,
     amplified_family,
+    cycle_system,
     gap_machine_corpus,
     leaky_family,
     rotation_system,
@@ -186,6 +187,14 @@ def test_closure_suite_reports_combinator_faults(monkeypatch):
     ok, results = suites.run_closure()
     assert not ok
     assert {m["op"] for m in results["mismatches"]} == {"negate"}
+
+
+def test_certificate_suites_fail_when_the_leaky_family_is_certified(monkeypatch):
+    monkeypatch.setattr(suites.corpus, "leaky_family", zero_error_family)
+    for run in (suites.run_awpp, suites.run_lwpp):
+        ok, results = run()
+        assert not ok
+        assert results["leaky_refused"] == {"ok": False}
 
 
 def test_system_machines_reproduce_numerators():
@@ -461,6 +470,25 @@ def test_system_tree_of_an_unreached_accept_is_tiny():
     assert corridor_pairs(ident) == 0 and size == 3 and value == 0
 
 
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_system_tree_builds_one_branch_per_cone_row_per_step(n, monkeypatch):
+    """A cycle's cone is one row at every step, so the build makes exactly
+    t Branch nodes: linear in t, and independent of n."""
+    t = 300
+    system = cycle_system(n, 0, t % n, t)
+    built = []
+    init = Branch.__init__
+
+    def counted_init(node, *args, **kwargs):
+        built.append(1)
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(Branch, "__init__", counted_init)
+    tree = system_tree(system)
+    assert len(built) == t
+    assert gap(tree) == 25**t
+
+
 def test_system_tree_caps_the_forward_frontiers(monkeypatch):
     monkeypatch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 10)
     unreached = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 20)  # 20 frontier rows
@@ -595,6 +623,12 @@ def test_check_awpp_refuses_padding_shorter_than_the_input():
     cert = awpp_table_cert({"01": 20})
     with pytest.raises(StructuralError, match="^padding m=1 shorter than input '01'$"):
         check_awpp(cert, [("01", True)], m=1)
+
+
+def test_bqp_to_awpp_refuses_padding_shorter_than_the_input():
+    family, _ = zero_error_family()
+    with pytest.raises(StructuralError, match="^padding length shorter than the input$"):
+        bqp_to_awpp(family, (1,), [("01", True)], paddings=[1])
 
 
 def test_tally_must_be_positive():

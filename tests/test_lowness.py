@@ -158,6 +158,25 @@ def test_large_margin_is_trivially_safe():
         assert row.paths_within_budget
 
 
+def _weakened(member_value):
+    """The one-query machine on oracle {"00"}, its member row set by member_value."""
+    return near_extreme_instance(
+        single_query_machine(), frozenset({"00"}), (2, 4), (0, 4), member_value
+    )
+
+
+def test_near_extreme_table_refuses_a_nonpositive_value():
+    with pytest.raises(ModelError, match="^table value 0 must be positive$"):
+        verify_sign_preservation(_weakened(lambda g: 0), ["00"])
+
+
+def test_validate_instance_names_the_input_whose_queries_break_the_promise():
+    assert validate_instance(_weakened(lambda g: g // 2), ["00"]) == (
+        False,
+        "approximator promise fails on queries of '00'",
+    )
+
+
 def test_path_count_is_max_over_answer_patterns():
     machine = machine_from_tables(
         1,

@@ -226,6 +226,32 @@ def test_flip_stability_on_corpus_both_epsilons():
             assert len(report.sensitive) <= params.bound
 
 
+def _hybrid_rows():
+    """(case, y, k_y, m_y, deviation) for every string that a case's base run reads."""
+    chains = [(f"deep_chain_{L}", deep_chain_system(11, "101", L), frozenset()) for L in (6, 8)]
+    for name, system, ones in flip_stability_corpus() + chains:
+        base = OracleAssignment(system.universe_length, ones)
+        p = acceptance_prob_rel(system, base).as_fraction()
+        magnitudes = query_magnitudes(system, base)
+        for y in sorted(system.queried_strings()):
+            k = sum(y in slots.values() for slots in system.query_slots.values())
+            flipped = OracleAssignment(system.universe_length, ones ^ {y})
+            deviation = acceptance_prob_rel(system, flipped).as_fraction() - p
+            yield name, y, k, magnitudes[y], deviation
+
+
+def test_flips_obey_the_hybrid_bound():
+    """BBBV's hybrid argument: flipping y moves the acceptance probability by
+    at most 4*sqrt(k_y * m_y), where k_y counts the query steps that read y
+    and m_y is y's query magnitude in the base run; checked squared, exactly."""
+    rows = list(_hybrid_rows())
+    assert len(rows) == 17
+    for name, y, k, m, deviation in rows:
+        assert deviation**2 <= 16 * k * m, (name, y)
+    tightest = max(deviation**2 / (16 * k * m) for _, _, k, m, deviation in rows)
+    assert tightest == Fraction(2304, 15625)  # phase_split's 00: (576/625)**2 against 16 * 9/25
+
+
 def test_flip_stability_refuses_a_sensitive_set_past_its_bound():
     system = classical_route_system("101")
     params = params_for(system)
@@ -617,6 +643,19 @@ def test_step_block_cache_reads_every_bit_and_splits_on_slots():
         assert not any(c in slots for c, _r, _w in shared[1])
 
 
+def test_a_step_with_an_empty_slot_map_runs_the_base_blocks():
+    routed = classical_route_system("101")  # t = 2, a query at step 0
+    padded = OracleQuerySystem(
+        routed.system, {**routed.query_slots, 1: {}}, routed.alt_columns, routed.universe_length
+    )
+    assert padded._step_blocks[1] == (routed.system.blocks, (), [((), ())])
+    assert padded._blocks_at(1, 1) == routed.system.blocks
+    for ones in (frozenset(), frozenset({"101"})):
+        oracle = OracleAssignment(3, ones)
+        assert acceptance_prob_rel(padded, oracle) == acceptance_prob_rel(routed, oracle)
+        assert query_magnitudes(padded, oracle) == query_magnitudes(routed, oracle)
+
+
 def test_exhaustive_bit_checks_refuse_thirteen_strings():
     one_step = Draft()
     for i in range(13):
@@ -912,6 +951,18 @@ def test_entry_points_refuse_as_the_run_does(system, oracle):
         assert type(by_entry.value) is type(first)
         assert str(by_entry.value) == str(first)
     assert system._outcomes == {}
+
+
+def test_sensitive_sets_stay_within_their_bound(monkeypatch):
+    system = classical_route_system("101")  # built unpatched
+    monkeypatch.setattr(gapsim.oracle, "MAX_MIXED_STRINGS", 1)
+    oracle = OracleAssignment(3, frozenset())
+    stored = []
+    for eps in (Fraction(1, 7), Fraction(1, 8), Fraction(1, 9)):  # one new threshold each
+        verify_flip_stability(system, oracle, "", SensitivityParams(eps, system.p(0)))
+        stored.append(len(system._sensitive_sets))
+    assert stored == [1, 2, 1]  # the third store found 2 = 2**MAX_MIXED_STRINGS and cleared
+    assert len(system._outcomes) == 2  # kept: that clear was the sensitive sets' own
 
 
 def test_outcome_table_stays_within_its_bound(monkeypatch):
