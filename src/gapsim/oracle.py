@@ -422,8 +422,9 @@ def query_magnitudes(system: OracleQuerySystem, oracle: OracleAssignment) -> dic
     return {y: Fraction(num, denominator) for y, num in numerators.items()}
 
 
-@dataclass(frozen=True)
-class FlipRow:
+class FlipRow(NamedTuple):
+    """One flip: a tuple of the flipped string and its exact deviation."""
+
     string: str
     deviation: Fraction
 
@@ -450,25 +451,29 @@ def verify_flip_stability(
     flip of a string the run never reads is the base key itself.  Each
     distinct key runs once (see _outcome), so only the base and the flips
     of queried strings cost a run, and a row costs one table read, one
-    Fraction subtraction and one comparison: an entry's probability builds
-    its Fraction once (see ExactProbability).  The table keeps at most
-    2**MAX_MIXED_STRINGS entries, so past that a key may run again; two
-    threads on one machine may both run an entry, and both store the same
-    value.  A sensitive set past params.bound raises ModelError (see
-    _sensitive_sets), so a report is ok when no flip outside it deviates by
-    more than epsilon.
+    Fraction subtraction and one integer comparison: an entry's probability
+    builds its Fraction once (see ExactProbability), and every entry of one
+    machine has the denominator 5**(2 * t_bound), so the worst row outside
+    the sensitive set is the one whose numerator lies farthest from the
+    base's, and only its Fraction is compared with epsilon.  The table
+    keeps at most 2**MAX_MIXED_STRINGS entries, so past that a key may run
+    again; two threads on one machine may both run an entry, and both store
+    the same value.  A sensitive set past params.bound raises ModelError
+    (see _sensitive_sets), so a report is ok when no flip outside it
+    deviates by more than epsilon.
     """
     key = _key(system, oracle.value)
     outcome = _outcome(system, key)
-    base = outcome[0].as_fraction()
+    n0, base = outcome[0].numerator, outcome[0].as_fraction()
     sensitive = _sensitive_sets(system, key, outcome, params)[0]
     position = system._position
     rows = []
-    worst = Fraction(0)
+    far, worst = 0, Fraction(0)
     for y in strings_up_to(oracle.universe_length):
-        deviation = abs(_outcome(system, key ^ position.get(y, 0))[0].as_fraction() - base)
-        if y not in sensitive:
-            worst = max(worst, deviation)
+        prob = _outcome(system, key ^ position.get(y, 0))[0]
+        deviation, gap = abs(prob.as_fraction() - base), abs(prob.numerator - n0)
+        if gap > far and y not in sensitive:
+            far, worst = gap, deviation
         rows.append(FlipRow(y, deviation))
     return FlipReport(
         rows=tuple(rows),

@@ -73,12 +73,12 @@ def unpair(z: str) -> tuple[str, str]:
 
 
 def strings_of_length(n: int) -> Iterator[str]:
-    """All binary strings of exactly length n, lexicographically."""
-    for k in range(1 << n):
-        yield format(k, f"0{n}b") if n else ""
+    """All binary strings of exactly length n, lexicographically: the
+    strings numbered 2**n .. 2**(n + 1) - 1."""
+    return map(_DROP_PREFIX, map(bin, range(1 << n, 2 << n)))
 
 
 def strings_up_to(n: int) -> Iterator[str]:
-    """All binary strings of length <= n, shortest first."""
-    for length in range(n + 1):
-        yield from strings_of_length(length)
+    """All binary strings of length <= n, shortest first: the strings
+    numbered 1 .. 2**(n + 1) - 1."""
+    return map(_DROP_PREFIX, map(bin, range(1, 2 << n)))

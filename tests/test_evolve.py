@@ -577,3 +577,10 @@ def test_random_oracle_machines_match_dict_scatter_loop(drawn):
         flipped = acceptance_prob_rel(fresh, OracleAssignment(length, ones ^ {row.string}))
         unflipped = acceptance_prob_rel(fresh, OracleAssignment(length, ones))
         assert row.deviation == abs(flipped.as_fraction() - unflipped.as_fraction())
+    # the worst row is picked by table numerators; plain Fractions agree
+    for epsilon in (Fraction(1, 7), Fraction(1, 10)):
+        params = SensitivityParams(epsilon, system.p(0))
+        report = verify_flip_stability(system, OracleAssignment(length, ones), "", params)
+        outside = [r.deviation for r in report.rows if r.string not in report.sensitive]
+        assert report.max_outside_deviation == max(outside, default=0)
+        assert report.ok == (max(outside, default=0) <= epsilon)

@@ -48,7 +48,7 @@ from gapsim.oracle import (
     tower,
     verify_flip_stability,
 )
-from gapsim.strings import strings_of_length
+from gapsim.strings import strings_of_length, strings_up_to
 
 from drafts import draft_query_systems
 
@@ -786,6 +786,27 @@ def test_flip_rows_build_one_fraction_per_table_entry(monkeypatch):
     assert built == []  # a warm call reads each entry's Fraction
     prob = acceptance_prob_rel(system, oracle)
     assert prob.as_fraction() is prob.as_fraction()
+
+
+def test_a_warm_flip_check_compares_one_fraction(monkeypatch):
+    system = deep_chain_system(11, "101", 8)
+    oracle = OracleAssignment(8, frozenset())
+    params = params_for(system)
+    verify_flip_stability(system, oracle, "", params)
+    compared = []
+
+    def counted(name, method):
+        return lambda a, b: compared.append(name) or method(a, b)
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):  # != falls back on __eq__
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    report = verify_flip_stability(system, oracle, "", params)
+    assert compared == ["__le__"]  # ok: the worst row against epsilon; rows compare integers
+    monkeypatch.undo()
+    assert report.ok and report.sensitive == frozenset()
+    assert report.max_outside_deviation == max(row.deviation for row in report.rows)
+    for row, string in zip(report.rows, strings_up_to(8)):
+        assert row == (string, row.deviation)  # a named tuple equals the plain tuple
 
 
 def test_categorical_check_runs_once_per_machine(monkeypatch):

@@ -69,6 +69,15 @@ def test_strings_of_length_zero():
     assert list(strings_of_length(2)) == ["00", "01", "10", "11"]
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_enumeration_matches_format(n):
+    def of_length(m):
+        return [format(k, f"0{m}b") if m else "" for k in range(1 << m)]
+
+    assert list(strings_of_length(n)) == of_length(n)
+    assert list(strings_up_to(n)) == [y for m in range(n + 1) for y in of_length(m)]
+
+
 def test_universe_size():
     assert sum(1 for _ in strings_up_to(6)) == 127
 
