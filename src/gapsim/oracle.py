@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -242,6 +243,12 @@ class OracleQuerySystem:
         return frozenset(self._position)
 
     @cached_property
+    def _query_steps(self) -> Counter[str]:
+        """Per queried string, the number of query steps that read it (the
+        k_y of the hybrid bound, see verify_flip_stability); computed once."""
+        return Counter(y for slots in self.query_slots.values() for y in set(slots.values()))
+
+    @cached_property
     def categorical_witness(self) -> tuple[Fraction, dict[str, int]] | None:
         """(probability, bits) of the first queried-bit assignment whose run
         leaves the promise interval, or None; computed once, on first use.
@@ -453,14 +460,20 @@ def verify_flip_stability(
     of queried strings cost a run, and a row costs one table read, one
     Fraction subtraction and one integer comparison: an entry's probability
     builds its Fraction once (see ExactProbability), and every entry of one
-    machine has the denominator 5**(2 * t_bound), so the worst row outside
-    the sensitive set is the one whose numerator lies farthest from the
-    base's, and only its Fraction is compared with epsilon.  The table
-    keeps at most 2**MAX_MIXED_STRINGS entries, so past that a key may run
-    again; two threads on one machine may both run an entry, and both store
-    the same value.  A sensitive set past params.bound raises ModelError
-    (see _sensitive_sets), so a report is ok when no flip outside it
-    deviates by more than epsilon.
+    machine has the denominator 5**(2 * t_bound), so the sign of the
+    integer gap between the row's numerator and the base's orders the one
+    subtraction that gives the deviation, the worst row outside the
+    sensitive set is the one whose gap is largest, and only its Fraction is
+    compared with epsilon.  The table keeps at most 2**MAX_MIXED_STRINGS
+    entries, so past that a key may run again; two threads on one machine
+    may both run an entry, and both store the same value.  A sensitive set
+    past params.bound raises ModelError (see _sensitive_sets), so a report
+    is ok when no flip outside it deviates by more than epsilon and every
+    read string y obeys the hybrid bound of Bennett, Bernstein, Brassard
+    and Vazirani, |deviation| <= 4 * sqrt(k_y * m_y), with k_y the query
+    steps that read y and m_y its base magnitude M_y / 25**T: checked
+    squared in integers, as D**2 * 25**T <= 16 * k_y * M_y * 25**(2 * t)
+    for the row's gap D, with one more table read per read string.
     """
     key = _key(system, oracle.value)
     outcome = _outcome(system, key)
@@ -471,16 +484,26 @@ def verify_flip_stability(
     far, worst = 0, Fraction(0)
     for y in strings_up_to(oracle.universe_length):
         prob = _outcome(system, key ^ position.get(y, 0))[0]
-        deviation, gap = abs(prob.as_fraction() - base), abs(prob.numerator - n0)
+        gap = prob.numerator - n0
+        if gap < 0:
+            gap, deviation = -gap, base - prob.as_fraction()
+        else:
+            deviation = prob.as_fraction() - base
         if gap > far and y not in sensitive:
             far, worst = gap, deviation
         rows.append(FlipRow(y, deviation))
+    whole = 5**outcome[0].log5_denominator
     return FlipReport(
         rows=tuple(rows),
         sensitive=sensitive,
         size_bound=params.bound,
         max_outside_deviation=worst,
-        ok=worst <= params.epsilon,
+        ok=worst <= params.epsilon
+        and all(
+            (_outcome(system, key ^ bit)[0].numerator - n0) ** 2 * outcome[2]
+            <= 16 * system._query_steps[y] * outcome[1].get(y, 0) * whole * whole
+            for y, bit in position.items()
+        ),
     )
 
 

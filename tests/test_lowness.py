@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gapsim.lowness
 from gapsim.corpus import adversarial_lowness_search, amplified_family, lowness_corpus
 from gapsim.errors import ModelError
 from gapsim.gapp import bqp_to_awpp, check_awpp, gap_of
@@ -257,6 +259,24 @@ def test_each_machine_call_is_made_once():
     counted, calls = _counted(instance)
     assert validate_instance(counted, ["00"]) == (True, "ok")
     assert calls["approximator"] == 2  # check_awpp on the two traced queries only
+
+
+def test_each_approximator_call_pairs_and_unpairs_its_string_once(monkeypatch):
+    """A sign check evaluates the approximator 2**k - 1 times per input of a
+    k-query machine, each on pair(y, 1**m), which its evaluator unpairs again."""
+    calls = Counter()
+
+    def counted(name, function):
+        return lambda *args: calls.update((name,)) or function(*args)
+
+    for name in ("pair", "unpair"):  # patched where lowness imported them
+        monkeypatch.setattr(gapsim.lowness, name, counted(name, getattr(gapsim.lowness, name)))
+    for name, instance, inputs in lowness_corpus():
+        calls.clear()
+        verify_sign_preservation(instance, inputs)
+        evaluations = ((1 << instance.machine.query_count) - 1) * len(inputs)
+        assert evaluations == {"two_query": 12, "no_query": 0}.get(name, 4), name
+        assert (calls["pair"], calls["unpair"]) == (evaluations, evaluations), name
 
 
 STRINGS = ("", "0", "1", "00", "01")

@@ -1,7 +1,9 @@
 import importlib
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -252,6 +254,28 @@ def test_flips_obey_the_hybrid_bound():
     assert tightest == Fraction(2304, 15625)  # phase_split's 00: (576/625)**2 against 16 * 9/25
 
 
+def test_ok_holds_the_hybrid_bound_to_the_last_magnitude_unit():
+    """ok also checks the hybrid bound, exactly: with phase_split's stored
+    magnitude numerator of 00 lowered to the least one that the bound admits
+    for its flip, ok holds, and one unit less breaks it."""
+    system, oracle = phase_split_system("00"), OracleAssignment(3, frozenset())
+    params = params_for(system)
+    report = verify_flip_stability(system, oracle, "", params)
+    assert report.ok and report.sensitive == {"00"}
+    key = gapsim.oracle._key(system, oracle.value)
+    prob, numerators, denominator = system._outcomes[key]
+    deviation = dict(report.rows)["00"]
+    assert system._query_steps == {"00": 1}  # k = 1: one step reads 00
+    least = math.ceil(deviation**2 / 16 * denominator)
+    assert 0 < least < numerators["00"]
+    for magnitude, ok in ((least, True), (least - 1, False)):
+        system._outcomes[key] = (prob, {**numerators, "00": magnitude}, denominator)
+        system._sensitive_sets.clear()
+        lowered = verify_flip_stability(system, oracle, "", params)
+        assert lowered.ok is ok and lowered.rows == report.rows
+        assert lowered.sensitive == {"00"} and lowered.max_outside_deviation == 0
+
+
 def test_flip_stability_refuses_a_sensitive_set_past_its_bound():
     system = classical_route_system("101")
     params = params_for(system)
@@ -267,6 +291,11 @@ def test_flip_deviation_zero_outside_single_query():
     assert report.max_outside_deviation == 0
     inside = {row.string: row.deviation for row in report.rows}
     assert inside["101"] == 1  # the sensitive string flips the outcome entirely
+    # under ones {"101"} that flip lowers P from 1 to 0: a negative integer gap
+    hit = OracleAssignment(3, frozenset({"101"}))
+    report = verify_flip_stability(system, hit, "", params_for(system))
+    assert ("101", Fraction(1)) in report.rows
+    assert all(row.deviation >= 0 for row in report.rows)
 
 
 def test_deep_chain_query_escapes_sensitive_set():
@@ -793,15 +822,18 @@ def test_a_warm_flip_check_compares_one_fraction(monkeypatch):
     oracle = OracleAssignment(8, frozenset())
     params = params_for(system)
     verify_flip_stability(system, oracle, "", params)
-    compared = []
+    calls = Counter()
 
     def counted(name, method):
-        return lambda a, b: compared.append(name) or method(a, b)
+        return lambda *args: calls.update((name,)) or method(*args)
 
-    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):  # != falls back on __eq__
+    compare = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")  # != falls back on __eq__
+    for name in compare + ("__sub__", "__rsub__", "__abs__", "__neg__"):
         monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
     report = verify_flip_stability(system, oracle, "", params)
-    assert compared == ["__le__"]  # ok: the worst row against epsilon; rows compare integers
+    # rows compare integers, and the sign of a row's integer gap orders its one
+    # subtraction (no abs, no negation); ok compares the worst row with epsilon
+    assert calls == {"__sub__": 511, "__le__": 1}
     monkeypatch.undo()
     assert report.ok and report.sensitive == frozenset()
     assert report.max_outside_deviation == max(row.deviation for row in report.rows)
@@ -1009,6 +1041,6 @@ def test_outcome_table_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(gapsim.oracle, "_outcome", watched)
     runs = _count_runs(monkeypatch)
     assert [flips(system, ones) for ones in bases] == want
-    assert len(sizes) == 4 * 16 and max(sizes) == 2
+    assert len(sizes) == 4 * (16 + 2) and max(sizes) == 2  # base, 15 rows, the 2 read flips again
     assert len(runs) > 4  # the table was cleared and refilled
     assert max(held) == 1  # the sensitive sets were held, and went with the outcomes
