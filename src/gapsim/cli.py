@@ -5,8 +5,8 @@ rationals as numerator/denominator pairs.  Floating point appears only in
 the float_check section, printed to 12 significant digits.  Identical
 inputs and flags produce byte-identical reports.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or parse
-errors.
+Exit codes: 0 all checks pass, 1 a verification failed or a check or cap
+refused the input, 2 usage or parse errors.
 
 Each command imports the modules it runs when it runs, so a cold
 `simulate` loads the model and evolve layers and nothing else.

@@ -24,7 +24,10 @@ class BoundsError(GapsimError):
 
 
 class ResourceError(GapsimError):
-    """An enumeration or tree-size cap was exceeded."""
+    """A cap was exceeded; the one refusal text names the value, the cap and its knob."""
+
+    def __init__(self, what: str, value, cap: int, knob: str):
+        super().__init__(f"{what} {value} exceeds the cap {cap} (raise {knob})")
 
 
 class DecodeError(GapsimError):

@@ -165,9 +165,7 @@ def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
         if depth == t:
             paths += 1
             if paths > cap:
-                raise ResourceError(
-                    f"{paths} paths exceed the cap {cap} (raise {_MAX_PATHS_ENV})"
-                )
+                raise ResourceError("paths", paths, cap, _MAX_PATHS_ENV)
             totals[config] += weight
             continue
         for r, w in system.columns[config]:

@@ -44,10 +44,7 @@ class GapMachine:
 
 def bound_error(what: str, value) -> ResourceError:
     """Refusal of a tree whose size passes DEFAULT_BRANCH_BOUND, raised before it is built."""
-    return ResourceError(
-        f"{what} {value} exceeds branch_bound {DEFAULT_BRANCH_BOUND} "
-        "(raise gapp.DEFAULT_BRANCH_BOUND)"
-    )
+    return ResourceError(what, value, DEFAULT_BRANCH_BOUND, "gapp.DEFAULT_BRANCH_BOUND")
 
 
 def gap_of(machine: GapMachine, x: str) -> int:
@@ -251,23 +248,32 @@ class CheckReport:
 LabeledInputs = Iterable[tuple[str, bool]]
 
 
-def check_pp(machine: GapMachine, labeled_inputs: LabeledInputs) -> CheckReport:
-    """Members need positive gap, non-members negative; zero always fails."""
+def _report(rows: list) -> CheckReport:
+    return CheckReport(tuple(rows), all(r.ok for r in rows))
+
+
+def _gap_check(machine: GapMachine, labeled_inputs: LabeledInputs, ok: Callable) -> CheckReport:
+    """The report of a CheckRow per input: x, its gap, and ok(x, gap, member)."""
     rows = []
     for x, member in labeled_inputs:
         value = gap_of(machine, x)
-        rows.append(CheckRow(x, value, value > 0 if member else value < 0))
-    return CheckReport(tuple(rows), all(r.ok for r in rows))
+        rows.append(CheckRow(x, value, ok(x, value, member)))
+    return _report(rows)
+
+
+def check_pp(machine: GapMachine, labeled_inputs: LabeledInputs) -> CheckReport:
+    """Members need positive gap, non-members negative; zero always fails."""
+    return _gap_check(machine, labeled_inputs, lambda _x, v, member: v > 0 if member else v < 0)
 
 
 def check_lwpp(cert: ClassCertificate, labeled_inputs: LabeledInputs) -> CheckReport:
     """Members need gap exactly g(len(x)); non-members exactly 0."""
-    rows = []
-    for x, member in labeled_inputs:
-        value = gap_of(cert.f, x)
-        target = cert.g_value(len(x))
-        rows.append(CheckRow(x, value, value == (target if member else 0)))
-    return CheckReport(tuple(rows), all(r.ok for r in rows))
+
+    def ok(x: str, value: int, member: bool) -> bool:
+        target = cert.g_value(len(x))  # read for non-members too, so a bad tally refuses
+        return value == (target if member else 0)
+
+    return _gap_check(cert.f, labeled_inputs, ok)
 
 
 def check_awpp(
@@ -291,16 +297,12 @@ def check_awpp(
         else:
             threshold_ok = scale * value <= g
         rows.append(AwppRow(x, value, g, threshold_ok, 0 <= value <= g))
-    return CheckReport(tuple(rows), all(r.ok for r in rows))
+    return _report(rows)
 
 
 def check_ceqp(machine: GapMachine, labeled_inputs: LabeledInputs) -> CheckReport:
     """Exact-zero characterization: in the language iff the gap is zero."""
-    rows = []
-    for x, member in labeled_inputs:
-        value = gap_of(machine, x)
-        rows.append(CheckRow(x, value, (value == 0) == member))
-    return CheckReport(tuple(rows), all(r.ok for r in rows))
+    return _gap_check(machine, labeled_inputs, lambda _x, v, member: (v == 0) == member)
 
 
 def bqp_to_awpp(
@@ -341,7 +343,7 @@ def tree_from_json(node) -> Node:
     One walk over the document checks each node, counts the branches and
     edges and finds the depth, so a tree over DEFAULT_BRANCH_BOUND is
     refused before any node is built, and one deeper than MAX_TREE_DEPTH
-    is a ParseError before the recursive decoding starts.
+    before the recursive decoding starts.
     """
     stored, deepest, stack = 0, 0, [iter((node,))]  # per open list, its children left to walk
     while stack:
@@ -360,10 +362,7 @@ def tree_from_json(node) -> Node:
             stack.pop()
     deepest -= 1  # the root's own entry is not a level
     if deepest > MAX_TREE_DEPTH:
-        raise ParseError(
-            f"tree depth {deepest} exceeds max_tree_depth {MAX_TREE_DEPTH} "
-            "(raise gapp.MAX_TREE_DEPTH)"
-        )
+        raise ResourceError("tree depth", deepest, MAX_TREE_DEPTH, "gapp.MAX_TREE_DEPTH")
     return _decoded(node)
 
 

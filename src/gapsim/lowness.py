@@ -14,16 +14,9 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from . import trees
-from .errors import ModelError, ParseError
-from .gapp import (
-    DEFAULT_BRANCH_BOUND,
-    ClassCertificate,
-    GapMachine,
-    bound_error,
-    check_awpp,
-    tree_from_json,
-)
+from . import gapp, trees
+from .errors import ModelError, ParseError, ResourceError
+from .gapp import ClassCertificate, GapMachine, bound_error, check_awpp, tree_from_json
 from .model import NAT, NAT_LIST, STRING, eval_poly, kind_of, read_fields
 from .strings import is_binary, pair, unpair
 from .trees import Branch, Node, Product
@@ -108,7 +101,7 @@ class _Unrolling:
             f_trees[a] = approximator.f.evaluator(pair(y, "1" * m))
             below = bound[a + (True,)] + bound[a + (False,)]
             bound[a] = trees.stored_size(f_trees[a]) + below + 10
-        if bound[()] > DEFAULT_BRANCH_BOUND:
+        if bound[()] > gapp.DEFAULT_BRANCH_BOUND:  # read per call, as the knob it names
             raise bound_error(
                 "inline_construction stored nodes and edges (upper bound)", bound[()]
             )
@@ -318,9 +311,9 @@ def read_instance_bundle(doc: dict) -> tuple[LownessInstance, tuple[str, ...]]:
         for key, coeffs in ("certificate.g_pow2", g_pow2), ("q", q):
             exponent = eval_poly(coeffs, len(x))
             if exponent > MAX_BUNDLE_EXPONENT:
-                raise ParseError(
-                    f"{key!r} is {Decimal(exponent)} at input {x!r}, above "
-                    f"the cap of {MAX_BUNDLE_EXPONENT} (lowness.MAX_BUNDLE_EXPONENT)"
+                raise ResourceError(
+                    f"input {x!r}: {key!r}", Decimal(exponent), MAX_BUNDLE_EXPONENT,
+                    "lowness.MAX_BUNDLE_EXPONENT",
                 )
         if eval_poly(g_pow2, len(x)) == 0:  # the table's member value g - 1 must be positive
             raise ParseError(f"log2 g is 0 at input {x!r}; it must be at least 1")

@@ -233,7 +233,7 @@ def _checked_system(
     if n_configs < 1:
         raise StructuralError("n_configs must be positive")
     if n_configs > max_configs:
-        raise ModelError(f"{n_configs} configurations exceed the limit of {max_configs}")
+        raise ResourceError("n_configs", n_configs, max_configs, "--max-configs")
     if not 0 <= start < n_configs:
         raise StructuralError(f"start index {start} out of range")
     if not 0 <= accept < n_configs:

@@ -2,9 +2,9 @@
 
 Systems here consult a finite 0/1 assignment: selected configurations carry
 an alternative transition column used at the steps where they query a
-string whose bit is 1.  Tower conditions check their lengths against
-`tower`, the one tower function.  Everything is verified exhaustively at
-desk scale with exact rational arithmetic.
+string whose bit is 1.  Tower conditions take exactly the tower values 2,
+4, 16, 65536, 2**65536, ... as lengths.  Everything is verified
+exhaustively at desk scale with exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -30,35 +31,16 @@ from .evolve import ExactProbability, trajectory
 from .model import Blocks, UnitarySystem, checked_blocks
 from .strings import strings_of_length, strings_up_to
 
-_TOWER_EXPONENT_BUDGET = 1 << 20
 MAX_MIXED_STRINGS = 12  # exhaustive checks visit 2**12 bit assignments at most
 _SHORT_PROBE_BUDGET = 8  # lengths with at most this many strings are read in full
-
-
-def tower(n: int) -> int:
-    """tower(0) = 2 and tower(n+1) = 2**tower(n), exactly.
-
-    Refuses once the exponent itself no longer fits the big-integer budget.
-    """
-    if n < 0:
-        raise StructuralError("tower is defined on nonnegative integers")
-    value = 2
-    for _ in range(n):
-        if value > _TOWER_EXPONENT_BUDGET:
-            raise ResourceError(
-                f"tower({n}) needs an exponent of 2**{value.bit_length() - 1}, above "
-                f"{_TOWER_EXPONENT_BUDGET} (raise oracle._TOWER_EXPONENT_BUDGET)"
-            )
-        value = 1 << value
-    return value
 
 
 def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
     """Every 0/1 assignment to the named strings, refused above the cap."""
     if len(names) > MAX_MIXED_STRINGS:
         raise ResourceError(
-            f"{where} conditions on {len(names)} strings, above the cap of "
-            f"{MAX_MIXED_STRINGS} (raise oracle.MAX_MIXED_STRINGS)"
+            f"strings {where} conditions on", len(names), MAX_MIXED_STRINGS,
+            "oracle.MAX_MIXED_STRINGS",
         )
     for mask in range(1 << len(names)):
         yield {y: (mask >> i) & 1 for i, y in enumerate(names)}
@@ -86,11 +68,11 @@ class OracleAssignment:
 class TowerCondition:
     """Partial assignment with one string set at each acceptable length.
 
-    The domain is closed by length; acceptable lengths must be tower
-    values, checked against `tower` up to the first value past the largest
-    length, so a length whose successor is over tower's budget raises its
-    ResourceError; every length-covered string outside `ones` is 0.  The
-    decider's probe plan is computed once per object (see _probe_plan).
+    The domain is closed by length; acceptable lengths must be tower values
+    (2 and 2**v for each tower value v, the spacing of Fortnow and Rogers'
+    generic oracles), checked in place by logarithms, exact for any int.
+    Every length-covered string outside `ones` is 0.  The decider's probe
+    plan is computed once per object (see _probe_plan).
     """
 
     acceptable_lengths: frozenset[int]
@@ -98,11 +80,15 @@ class TowerCondition:
     ones: frozenset[str]
 
     def __post_init__(self) -> None:
-        top = max(self.acceptable_lengths, default=2)
-        towers = itertools.takewhile(lambda v: v <= top, map(tower, itertools.count()))
-        bad = self.acceptable_lengths - set(towers)
+        bad = []
+        for length in sorted(self.acceptable_lengths):
+            n = length
+            while n > 2 and n & (n - 1) == 0:
+                n = n.bit_length() - 1
+            if n != 2:
+                bad.append(str(Decimal(length)))  # every digit, past the int-to-str limit
         if bad:
-            raise ModelError(f"lengths {sorted(bad)} are not tower values")
+            raise ModelError(f"lengths [{', '.join(bad)}] are not tower values")
         per_length: dict[int, int] = {}
         for y in self.ones:
             if len(y) not in self.domain_lengths:

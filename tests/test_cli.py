@@ -277,12 +277,12 @@ def test_tree_depth_cap_is_one_number_at_any_stack_depth(tmp_path, capsys):
         path.write_text(f'{{"kind": "tree", "tree": {_nested(depth)}}}')
     refusal = (
         f"error: {over}: field 'tree' must be a tree (tree depth {MAX_TREE_DEPTH + 1} exceeds "
-        f"max_tree_depth {MAX_TREE_DEPTH} (raise gapp.MAX_TREE_DEPTH))\n"
+        f"the cap {MAX_TREE_DEPTH} (raise gapp.MAX_TREE_DEPTH))\n"
     )
     for extra in (0, 300):
         code, out, err = _under_frames(extra, lambda: run(capsys, "gap-eval", str(at)))
         assert code == 0 and err == "" and json.loads(out)["results"]["gap"] == "1"
-        assert _under_frames(extra, lambda: run(capsys, "gap-eval", str(over))) == (2, "", refusal)
+        assert _under_frames(extra, lambda: run(capsys, "gap-eval", str(over))) == (1, "", refusal)
 
 
 def _lowness(tmp_path, **fields):
@@ -342,7 +342,6 @@ def _file(tmp_path, text):
         (lambda tmp: ["simulate", _machine_with(tmp)], {"GAPSIM_MAX_PATHS": "-5"}),
         (lambda tmp: ["simulate", _machine_with(tmp), "--max-configs", "-1"], {}),
         (lambda tmp: ["gap-eval", _tree_file(tmp, 5000)], {}),
-        (lambda tmp: ["gap-eval", _tree_file(tmp, 900)], {}),
         (lambda tmp: _lowness(tmp, g_pow2=[-1]), {}),
         (lambda tmp: _lowness(tmp, g_pow2=[True]), {}),
         (lambda tmp: _lowness(tmp, q=[-1]), {}),
@@ -350,7 +349,6 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, inputs=["0a"]), {}),
         (lambda tmp: _lowness(tmp, oracle="00"), {}),
         (lambda tmp: _lowness(tmp, machine=_table(-1, {})), {}),
-        (lambda tmp: _lowness(tmp, machine=_table(0, {"": json.loads(_nested(900))})), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={"": "0a"})), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(queries="ab")), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(trees=[])), {}),
@@ -358,8 +356,6 @@ def _file(tmp_path, text):
         (lambda tmp: _lowness(tmp, machine=_shipped_table(query_count=10**7)), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={})), {}),
         (lambda tmp: _lowness(tmp, machine=_shipped_table(queries={"": "00", "junk": "1"})), {}),
-        (lambda tmp: _lowness(tmp, g_pow2=[100000]), {}),
-        (lambda tmp: _lowness(tmp, q=[100000]), {}),
         (lambda tmp: _lowness(tmp, g_pow2=[0]), {}),
         (lambda tmp: _lowness(tmp, certificate={"style": "far-extreme", "g_pow2": [2]}), {}),
         (lambda tmp: ["gap-eval", str(PARITY_TREE), "--input", "0a"], {}),
@@ -382,11 +378,10 @@ def _file(tmp_path, text):
     ],
     ids=[
         "missing_file", "list_tree", "system_without_path", "bool_field", "bad_path_cap",
-        "negative_path_cap", "negative_max_configs", "deep_json", "deep_tree",
-        "negative_g_pow2", "bool_g_pow2", "negative_q", "string_inputs", "non_binary_input",
-        "string_oracle", "negative_query_count", "deep_bundle_tree", "non_binary_query",
-        "string_queries", "list_trees", "incomplete_tables", "huge_query_count",
-        "missing_query", "junk_query_key", "tally_above_cap", "q_above_cap",
+        "negative_path_cap", "negative_max_configs", "deep_json", "negative_g_pow2",
+        "bool_g_pow2", "negative_q", "string_inputs", "non_binary_input", "string_oracle",
+        "negative_query_count", "non_binary_query", "string_queries", "list_trees",
+        "incomplete_tables", "huge_query_count", "missing_query", "junk_query_key",
         "tally_of_one", "unknown_certificate_style", "non_binary_gap_input",
         "tree_file_without_tree", "list_certificate", "bundle_without_machine",
         "unknown_bundle_key", "unknown_machine_key", "unknown_certificate_key",
@@ -408,6 +403,35 @@ def test_malformed_inputs_exit_2_with_one_line(
     if not request.node.callspec.id.startswith(FAULTS_OUTSIDE_THE_FILE):
         path = argv[2] if argv[0] == "lowness" else argv[1]
         assert err.startswith(f"error: {path}: ")
+
+
+DEPTH_CAP = "tree depth 900 exceeds the cap 256 (raise gapp.MAX_TREE_DEPTH)"
+EXPONENT_CAP = "100000 exceeds the cap 65536 (raise lowness.MAX_BUNDLE_EXPONENT)"
+
+
+@pytest.mark.parametrize(
+    "make_argv,refusal",
+    [
+        (
+            lambda tmp: ["gap-eval", _tree_file(tmp, 900)],
+            f"field 'tree' must be a tree ({DEPTH_CAP})",
+        ),
+        (
+            lambda tmp: _lowness(tmp, machine=_table(0, {"": json.loads(_nested(900))})),
+            f"field 'machine.trees' must be an object of trees ({DEPTH_CAP})",
+        ),
+        (
+            lambda tmp: _lowness(tmp, g_pow2=[100000]),
+            f"input '00': 'certificate.g_pow2' {EXPONENT_CAP}",
+        ),
+        (lambda tmp: _lowness(tmp, q=[100000]), f"input '00': 'q' {EXPONENT_CAP}"),
+    ],
+    ids=["deep_tree", "deep_bundle_tree", "tally_above_cap", "q_above_cap"],
+)
+def test_cap_refusals_in_a_file_exit_1_with_one_line(make_argv, refusal, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    path = argv[2] if argv[0] == "lowness" else argv[1]
+    assert run(capsys, *argv) == (1, "", f"error: {path}: {refusal}\n")
 
 
 # a value close to each kind that is not of it
@@ -468,7 +492,7 @@ def test_oversized_tree_file_exits_1_with_one_line(tmp_path, capsys):
     assert out == ""
     assert err == (
         f"error: {tree}: field 'tree' must be a tree (tree branches and edges 1048578 exceeds "
-        "branch_bound 1048576 (raise gapp.DEFAULT_BRANCH_BOUND))\n"
+        "the cap 1048576 (raise gapp.DEFAULT_BRANCH_BOUND))\n"
     )
 
 
@@ -479,7 +503,7 @@ def test_oversized_bundle_tree_exits_1_naming_the_path_and_field(tmp_path, capsy
         1,
         "",
         f"error: {bundle}: field 'machine.trees' must be an object of trees (tree branches "
-        "and edges 4 exceeds branch_bound 3 (raise gapp.DEFAULT_BRANCH_BOUND))\n",
+        "and edges 4 exceeds the cap 3 (raise gapp.DEFAULT_BRANCH_BOUND))\n",
     )
 
 
@@ -490,7 +514,7 @@ def test_oversized_referenced_system_exits_1_naming_both_paths(tmp_path, capsys,
         1,
         "",
         f"error: {reference}: {REFLECT_REFERENCE['path']}: system_tree stored nodes and edges "
-        "(upper bound) 4 exceeds branch_bound 3 (raise gapp.DEFAULT_BRANCH_BOUND)\n",
+        "(upper bound) 4 exceeds the cap 3 (raise gapp.DEFAULT_BRANCH_BOUND)\n",
     )
 
 

@@ -125,7 +125,7 @@ def test_path_sum_cap(monkeypatch):
     monkeypatch.setenv("GAPSIM_MAX_PATHS", "100")
     with pytest.raises(
         ResourceError,
-        match=r"^101 paths exceed the cap 100 \(raise GAPSIM_MAX_PATHS\)$",
+        match=r"^paths 101 exceeds the cap 100 \(raise GAPSIM_MAX_PATHS\)$",
     ):
         path_sum(system, 10)
 
@@ -327,8 +327,10 @@ def _mixing_band(seed, t):
 def test_fingerprint_matches_accept_probability_past_the_path_cap(system):
     # path_sum refuses past 2**20 paths; a mixing system has about 2**t
     numerator = accept_probability(system).numerator
+    # evolve steps every block, where accept_probability steps only the two-sided cone
+    stepped = evolve(system, system.t_bound).entries[system.accept] ** 2
     for p in PRIMES:
-        assert accept_numerator_mod(system, p) == numerator % p
+        assert accept_numerator_mod(system, p) == numerator % p == stepped % p
 
 
 @settings(max_examples=60, deadline=None)

@@ -531,7 +531,7 @@ def test_system_tree_stops_the_forward_pass_at_a_fixed_point():
         timeout=60,
         check=True,
     )
-    refusal = "system_tree stored nodes and edges (upper bound) {} exceeds branch_bound "
+    refusal = "system_tree stored nodes and edges (upper bound) {} exceeds the cap "
     refusal += "1048576 (raise gapp.DEFAULT_BRANCH_BOUND)"
     assert done.stdout.splitlines() == [
         refusal.format(6000007),

@@ -8,6 +8,7 @@ from gapsim.errors import (
     GapsimError,
     ModelError,
     ParseError,
+    ResourceError,
     StructuralError,
 )
 from gapsim.model import (
@@ -218,7 +219,8 @@ def test_cancelling_duplicate_in_column_major_order_is_refused():
 def test_config_cap():
     entries = [[i, i, 5] for i in range(10)]
     doc = {"n_configs": 10, "entries": entries, "start": 0, "accept": 0, "t": 1}
-    with pytest.raises(ModelError, match="10 configurations exceed the limit of 9"):
+    refusal = r"^n_configs 10 exceeds the cap 9 \(raise --max-configs\)$"
+    with pytest.raises(ResourceError, match=refusal):
         build_system(doc, max_configs=9)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,6 @@ from gapsim.oracle import (
     categorical_check,
     query_magnitudes,
     rerelativized_decide,
-    tower,
     verify_flip_stability,
 )
 from gapsim.strings import strings_of_length, strings_up_to
@@ -62,37 +62,15 @@ def params_for(system, x=""):
 
 
 def test_tower_values():
-    assert tower(0) == 2
-    assert tower(1) == 4
-    assert tower(2) == 16
-    assert tower(3) == 65536
-    assert tower(4) == 2**65536
-    for length in (2, 4, 16, 65536):
+    # the tower values tower(0..4): 2, 4, 16, 65536 and 2**65536
+    for length in (2, 4, 16, 65536, 2**65536):
         TowerCondition(frozenset({length}), frozenset(), frozenset())
-    for length in (0, 1, 3, 5, 15, 17, 65535, 65537):
-        with pytest.raises(ModelError, match=rf"^lengths \[{length}\] are not tower values$"):
+    for length in (0, 1, 3, 5, 8, 15, 17, 256, 65535, 65537, 2**65536 + 1):
+        with pytest.raises(ModelError) as info:
             TowerCondition(frozenset({length}), frozenset(), frozenset())
-
-
-def test_condition_past_the_tower_budget_is_refused_by_tower():
-    # Checking 2**65536 needs tower(5), whose exponent is over the budget.
-    with pytest.raises(
-        ResourceError,
-        match=r"^tower\(5\) needs an exponent of 2\*\*65536, above 1048576 "
-        r"\(raise oracle\._TOWER_EXPONENT_BUDGET\)$",
-    ):
-        TowerCondition(frozenset({2**65536}), frozenset(), frozenset())
-
-
-def test_tower_budget_and_domain():
-    with pytest.raises(
-        ResourceError,
-        match=r"^tower\(5\) needs an exponent of 2\*\*65536, above 1048576 "
-        r"\(raise oracle\._TOWER_EXPONENT_BUDGET\)$",
-    ):
-        tower(5)
-    with pytest.raises(StructuralError):
-        tower(-1)
+        assert str(info.value) == f"lengths [{Decimal(length)}] are not tower values"
+    with pytest.raises(ModelError, match=r"^lengths \[3, 8\] are not tower values$"):
+        TowerCondition(frozenset({8, 4, 3}), frozenset(), frozenset())
 
 
 def test_assignment_totality():
@@ -685,11 +663,14 @@ def test_a_step_with_an_empty_slot_map_runs_the_base_blocks():
         assert query_magnitudes(padded, oracle) == query_magnitudes(routed, oracle)
 
 
+MIXED_CAP = r"exceeds the cap 12 \(raise oracle\.MAX_MIXED_STRINGS\)$"
+
+
 def test_exhaustive_bit_checks_refuse_thirteen_strings():
     one_step = Draft()
     for i in range(13):
         one_step.cond_phase(one_step.cfg(str(i)), format(i, "04b"), 0)
-    with pytest.raises(ResourceError, match="step 0 conditions on 13 strings.*cap of 12"):
+    with pytest.raises(ResourceError, match=r"^strings step 0 conditions on 13 " + MIXED_CAP):
         one_step.query_system(0, 0, 1, 4)
     spread = Draft()  # a 13-step route, one phase query per step
     chain = [spread.cfg("c0")]
@@ -698,7 +679,7 @@ def test_exhaustive_bit_checks_refuse_thirteen_strings():
         spread.route(chain[step], chain[step + 1])
         spread.cond_phase(chain[step], format(step, "04b"), step)
     system = spread.query_system(chain[0], chain[13], 13, 4)
-    with pytest.raises(ResourceError, match="the machine conditions on 13 strings.*cap of 12"):
+    with pytest.raises(ResourceError, match=r"^strings the machine conditions on 13 " + MIXED_CAP):
         categorical_check(system, "")
 
 

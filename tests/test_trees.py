@@ -91,7 +91,7 @@ def _inline_over_bound():
 THREE_LEAVES = GapMachine(lambda _z: Branch((ACCEPT, REJECT, ACCEPT)))
 
 
-BOUND = r"exceeds branch_bound 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
+BOUND = r"exceeds the cap 1048576 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
 
 
 @pytest.mark.parametrize(
@@ -143,13 +143,19 @@ def test_builders_refuse_before_allocating(make, message, monkeypatch):
 
 def test_one_constant_caps_every_builder(monkeypatch):
     monkeypatch.setattr(gapp, "DEFAULT_BRANCH_BOUND", 4)
-    bound = r"exceeds branch_bound 4 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
+    bound = r"exceeds the cap 4 \(raise gapp\.DEFAULT_BRANCH_BOUND\)$"
     assert gap(exp_sum(THREE_LEAVES, (1,)).evaluator("")) == 3  # 3 branches fit
     with pytest.raises(ResourceError, match=r"^exp_sum branches 2\*\*3 - 1 " + bound):
         exp_sum(THREE_LEAVES, (2,)).evaluator("")
     assert gap(poly_product(THREE_LEAVES, (3,)).evaluator("")) == 1  # 4 factors fit
     with pytest.raises(ResourceError, match="^poly_product factors 5 " + bound):
         poly_product(THREE_LEAVES, (4,)).evaluator("")
+    finishes = {"1": ACCEPT, "0": REJECT}
+    approximator = ClassCertificate(THREE_LEAVES, g=lambda _m: 2, q_coeffs=(0,))
+    machine = machine_from_tables(1, {"": "0"}, finishes)
+    inlined = r"^inline_construction stored nodes and edges \(upper bound\) 18 "
+    with pytest.raises(ResourceError, match=inlined + bound):  # lowness reads gapp's cap too
+        inline_construction(LownessInstance(machine, frozenset(), approximator), "")
     assert THREE_LEAVES.branch_bound == 4
 
 
@@ -157,7 +163,7 @@ def test_exp_sum_refuses_a_huge_bound_without_allocating():
     machine = exp_sum(GapMachine(lambda _z: ACCEPT), (10**8,))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match=r"^exp_sum branches 2\*\*100000001 - 1 exceeds"):
+        with pytest.raises(ResourceError, match=r"^exp_sum branches 2\*\*100000001 - 1 " + BOUND):
             machine.evaluator("")
         _, peak = tracemalloc.get_traced_memory()
     finally:

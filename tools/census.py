@@ -1,7 +1,8 @@
 """Line census: every function-body statement in src/gapsim runs in tier-1.
 
 Run from anywhere as `python tools/census.py`.  It runs the tier-1 tests
-in this process, with CI's warning flags and hypothesis seed 0, under a
+in this process, with hypothesis seed 0 and the warning filters of
+pyproject.toml (every warning an error, as in CI), under a
 trace function that records the lines run in src/gapsim frames only.  It
 then prints each function-body statement that never ran, as
 
@@ -40,8 +41,6 @@ ALLOWED = Path(__file__).resolve().with_name("census_allowed.txt")
 PYTEST_ARGS = [
     "-q",
     "-p", "no:cacheprovider",
-    "-W", "error",
-    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",
     "--hypothesis-seed=0",
     "tests",
 ]
