@@ -100,11 +100,14 @@ def cmd_simulate(args) -> int:
 
     if args.max_configs < 1:
         raise ParseError(f"--max-configs must be positive, got {args.max_configs}")
-    system, data = load_file(args.machine, build_system, args.max_configs)
-    prob = accept_probability(system)
-    beta = path_sum(system, system.t_bound)
-    path_square = beta.entries[system.accept] ** 2
-    approx = float_check(system)
+
+    def simulated(doc):  # runs inside load_file, so a refusal of a run names the file too
+        system = build_system(doc, args.max_configs)
+        prob = accept_probability(system)
+        beta = path_sum(system, system.t_bound)
+        return prob, beta.entries[system.accept] ** 2, float_check(system)
+
+    (prob, path_square, approx), data = load_file(args.machine, simulated)
     exact = prob.as_fraction()
     cross_ok = path_square == prob.numerator
     float_ok = abs(approx - float(exact)) <= 1e-9

@@ -41,16 +41,16 @@ class Draft:
     """Incremental wiring of a norm-preserving transition matrix."""
 
     def __init__(self) -> None:
-        self._index: dict[str, int] = {}
+        self._names: list[str] = []  # configuration i is named _names[i]
         self._columns: dict[int, tuple[tuple[int, int], ...]] = {}
         self._queries: dict[int, dict[int, str]] = {}
         self._swap_alts: dict[int, tuple[tuple[int, int], ...]] = {}
         self._phases: list[tuple[int, str, int]] = []
 
     def cfg(self, name: str) -> int:
-        if name not in self._index:
-            self._index[name] = len(self._index)
-        return self._index[name]
+        """A new configuration named name, numbered in call order."""
+        self._names.append(name)
+        return len(self._names) - 1
 
     def _set_column(self, c: int, column: tuple[tuple[int, int], ...]) -> None:
         if c in self._columns:
@@ -94,7 +94,7 @@ class Draft:
         self._phases.append((c, query, step))
 
     def _complete(self) -> tuple[int, list[tuple[int, int, int]], dict]:
-        n = len(self._index)
+        n = len(self._names)
         used_rows = {r for col in self._columns.values() for r, _ in col}
         free_cols = sorted(set(range(n)) - self._columns.keys())
         free_rows = sorted(set(range(n)) - used_rows)

@@ -223,17 +223,20 @@ def make_system(
 
     The entries may come in any order; the system keeps them sorted.
     """
-    return _checked_system(n_configs, tuple(sorted(entries)), start, accept, t, DEFAULT_MAX_CONFIGS)
+    return _checked_system(n_configs, tuple(sorted(entries)), start, accept, t, None)
 
 
 def _checked_system(
-    n_configs: int, ordered: tuple, start: int, accept: int, t: int, max_configs: int
+    n_configs: int, ordered: tuple, start: int, accept: int, t: int, max_configs: int | None
 ) -> UnitarySystem:
-    """Validate int fields and int entries sorted by (row, col)."""
+    """Validate int fields and int entries sorted by (row, col); a max_configs
+    of None reads DEFAULT_MAX_CONFIGS per call, any other comes from --max-configs."""
     if n_configs < 1:
         raise StructuralError("n_configs must be positive")
-    if n_configs > max_configs:
-        raise ResourceError("n_configs", n_configs, max_configs, "--max-configs")
+    cap = DEFAULT_MAX_CONFIGS if max_configs is None else max_configs
+    if n_configs > cap:
+        knob = "model.DEFAULT_MAX_CONFIGS" if max_configs is None else "--max-configs"
+        raise ResourceError("n_configs", n_configs, cap, knob)
     if not 0 <= start < n_configs:
         raise StructuralError(f"start index {start} out of range")
     if not 0 <= accept < n_configs:
@@ -267,7 +270,7 @@ def checked_blocks(n: int, entries: Sequence[Entry]) -> Blocks:
     )
 
 
-def build_system(description: Mapping, max_configs: int = DEFAULT_MAX_CONFIGS) -> UnitarySystem:
+def build_system(description: Mapping, max_configs: int | None = None) -> UnitarySystem:
     """Parse a machine-file dictionary into a validated UnitarySystem.
 
     The canonical file form has entries sorted by (row, col) with no

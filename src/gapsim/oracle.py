@@ -1,10 +1,11 @@
 """Oracle-dependent systems: query magnitudes, flip stability, and a frugal decider.
 
-Systems here consult a finite 0/1 assignment: selected configurations carry
-an alternative transition column used at the steps where they query a
-string whose bit is 1.  Tower conditions take exactly the tower values 2,
-4, 16, 65536, 2**65536, ... as lengths.  Everything is verified
-exhaustively at desk scale with exact rational arithmetic.
+Systems here consult a finite 0/1 assignment through the query gates of
+Bennett, Bernstein, Brassard and Vazirani and of Beals et al.: a query step
+is the base step after one sign flip or one swap per queried string whose
+bit is 1.  Tower conditions take exactly the tower values 2, 4, 16, 65536,
+2**65536, ... as lengths.  Everything is verified exhaustively at desk
+scale with exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -16,34 +17,22 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     CategoricalityError,
     DomainError,
-    GapsimError,
     ModelError,
     OracleError,
     ResourceError,
     StructuralError,
 )
 from .evolve import ExactProbability, trajectory
-from .model import Blocks, UnitarySystem, checked_blocks
+from .model import Blocks, UnitarySystem
 from .strings import strings_of_length, strings_up_to
 
-MAX_MIXED_STRINGS = 12  # exhaustive checks visit 2**12 bit assignments at most
+MAX_MIXED_STRINGS = 12  # the categorical check and each table hold 2**12 assignments at most
 _SHORT_PROBE_BUDGET = 8  # lengths with at most this many strings are read in full
-
-
-def _bit_assignments(where: str, names: list[str]) -> Iterator[dict[str, int]]:
-    """Every 0/1 assignment to the named strings, refused above the cap."""
-    if len(names) > MAX_MIXED_STRINGS:
-        raise ResourceError(
-            f"strings {where} conditions on", len(names), MAX_MIXED_STRINGS,
-            "oracle.MAX_MIXED_STRINGS",
-        )
-    for mask in range(1 << len(names)):
-        yield {y: (mask >> i) & 1 for i, y in enumerate(names)}
 
 
 @dataclass(frozen=True)
@@ -165,18 +154,20 @@ class SensitivityParams:
 
 @dataclass(frozen=True, eq=False)
 class OracleQuerySystem:
-    """One oracle machine: a base system plus conditional columns at query steps.
+    """One oracle machine: a base system plus one query gate per slot.
 
     At step k each configuration c in query_slots[k] applies alt_columns[c]
     instead of its base column when the bit of query_slots[k][c] is 1.
     Every input runs the same machine for system.t_bound steps, and every
     query lies within the strings of length at most universe_length.  All
-    checks run once, here: slot steps and configurations, alternative
-    columns and query lengths; then model.checked_blocks checks each query
-    step's matrix under every bit assignment.  The same pass caches each
-    query step's blocks for the runs (see _blocks_at), so building costs
-    the query steps, whatever t_bound is.  The bounded-error promise is
-    checked lazily, at most once per object.
+    checks run once, here: slot steps and configurations, query lengths,
+    and that each slot's alternative, as a sorted (row, numerator) tuple,
+    is a phase (its own column negated) or a swap (the column of another
+    slot at the same step on the same string, whose alternative is this
+    slot's column).  A query step is then the base step after a signed
+    permutation, unitary as the base step is, so no matrix is checked, and
+    building costs the query steps, whatever t_bound is (see _blocks_at).
+    The bounded-error promise is checked lazily, at most once per object.
 
     A run reads only the bits of the queried strings, packed into one int
     key (see _key), so the machine keeps a table from that key to the
@@ -199,11 +190,15 @@ class OracleQuerySystem:
     _sensitive_sets: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        base = self.system
+        reads = (y for step in sorted(self.query_slots) for y in self.query_slots[step].values())
+        position = {y: 1 << i for i, y in enumerate(dict.fromkeys(reads))}
+        columns, step_blocks = base.columns, {}
         for step, slots in self.query_slots.items():
-            if not 0 <= step < self.system.t_bound:
+            if not 0 <= step < base.t_bound:
                 raise StructuralError(f"query slot at step {step} out of range")
             for config, y in slots.items():
-                if not 0 <= config < self.system.n_configs:
+                if not 0 <= config < base.n_configs:
                     raise StructuralError(f"config {config} out of range")
                 if config not in self.alt_columns:
                     raise StructuralError(
@@ -211,11 +206,25 @@ class OracleQuerySystem:
                     )
                 if len(y) > self.universe_length:
                     raise StructuralError(f"query {y!r} outside the universe")
-        reads = (y for step in sorted(self.query_slots) for y in self.query_slots[step].values())
-        object.__setattr__(
-            self, "_position", {y: 1 << i for i, y in enumerate(dict.fromkeys(reads))}
-        )
-        object.__setattr__(self, "_step_blocks", self._checked_step_blocks())
+            alts = {c: tuple(sorted(self.alt_columns[c])) for c in slots}
+            owner = {columns[c]: c for c in slots}
+            gates = []  # (key bit, block column read, configuration fed, weight sign)
+            for config, y in slots.items():
+                alt, own = alts[config], columns[config]
+                partner = owner.get(alt)
+                if alt == tuple((r, -w) for r, w in own):
+                    gates.append((position[y], config, config, -1))
+                elif partner != config and slots.get(partner) == y and alts[partner] == own:
+                    gates.append((position[y], partner, config, 1))
+                else:
+                    raise StructuralError(
+                        f"step {step}: config {config} reading {y!r} is neither a phase nor a swap"
+                    )
+            if slots:
+                on_slots = _kept(base.blocks, lambda cs: not slots.keys().isdisjoint(cs))
+                step_blocks[step] = (_kept(base.blocks, slots.keys().isdisjoint), on_slots, gates)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_step_blocks", step_blocks)
 
     def p(self, n: int) -> int:
         """Running time on inputs of length n: t_bound for every n."""
@@ -241,7 +250,14 @@ class OracleQuerySystem:
 
         Every input runs this machine, so the answer holds for all inputs.
         """
-        for bits in _bit_assignments("the machine", sorted(self.queried_strings())):
+        names = sorted(self.queried_strings())
+        if len(names) > MAX_MIXED_STRINGS:
+            raise ResourceError(
+                "strings the machine conditions on", len(names), MAX_MIXED_STRINGS,
+                "oracle.MAX_MIXED_STRINGS",
+            )
+        for mask in range(1 << len(names)):
+            bits = {y: (mask >> i) & 1 for i, y in enumerate(names)}
             prob = _outcome(self, _key(self, bits.__getitem__))[0]
             if _verdict(prob) is None:
                 return prob.as_fraction(), bits
@@ -250,47 +266,23 @@ class OracleQuerySystem:
     def _blocks_at(self, step: int, key: int) -> Blocks:
         """Step blocks under the bits packed in key (see _key).
 
-        A query step joins its shared blocks to the slot blocks of the
-        pattern its strings' key bits pick; every other step runs the base
-        system's blocks.
+        A query step joins its blocks off the slots to its base blocks on
+        them, built under key: a set swap relabels its partner's block
+        input to its own configuration, and a set phase negates its
+        column's weights.  Every other step runs the base system's blocks.
         """
         entry = self._step_blocks.get(step)
         if entry is None:
             return self.system.blocks
-        shared, bits, patterns = entry
-        pairs, singles = patterns[sum(1 << i for i, bit in enumerate(bits) if key & bit)]
-        return shared[0] + pairs, shared[1] + singles
-
-    def _checked_step_blocks(self) -> dict[int, tuple[Blocks, tuple[int, ...], list[Blocks]]]:
-        """Per query step: (blocks off its slots, key bit of each of its
-        strings, slot blocks per bit pattern).
-
-        Each query step is decomposed under every bit pattern of its
-        strings, in sorted order, by model.checked_blocks, which is its
-        matrix check.  The blocks on no slot configuration are the base
-        system's under every pattern, so they are shared, and each pattern
-        keeps only its blocks on slot configurations.
-        """
-        base = self.system
-        cache = {}
-        for step, slots in sorted(self.query_slots.items()):
-            names = sorted(set(slots.values()))
-            patterns = []
-            for bits in _bit_assignments(f"step {step}", names):
-                patched = list(base.columns)
-                for config, y in slots.items():
-                    if bits[y]:
-                        patched[config] = self.alt_columns[config]
-                entries = [(r, c, w) for c, col in enumerate(patched) for r, w in col]
-                try:
-                    blocks = checked_blocks(base.n_configs, entries)
-                except GapsimError as exc:
-                    exc.args = (f"step {step} with bits {bits}: {exc}",)
-                    raise
-                patterns.append(_kept(blocks, lambda cs: not slots.keys().isdisjoint(cs)))
-            shared = _kept(base.blocks, slots.keys().isdisjoint)
-            cache[step] = (shared, tuple(self._position[y] for y in names), patterns)
-        return cache
+        (shared_pairs, shared_singles), (pairs, singles), gates = entry
+        read = {source: (config, sign) for bit, source, config, sign in gates if key & bit}
+        built = []
+        for c1, c2, r1, r2, a, b, c, d in pairs:
+            i1, s1 = read.get(c1, (c1, 1))
+            i2, s2 = read.get(c2, (c2, 1))
+            built.append((i1, i2, r1, r2, s1 * a, s2 * b, s1 * c, s2 * d))
+        moved = [(i, r, s * w) for c, r, w in singles for i, s in [read.get(c, (c, 1))]]
+        return shared_pairs + tuple(built), shared_singles + tuple(moved)
 
 
 def _kept(blocks: Blocks, keep: Callable[[tuple], bool]) -> Blocks:

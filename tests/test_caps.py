@@ -54,10 +54,9 @@ CAPS = {
         lambda patch: patch.setenv("GAPSIM_MAX_PATHS", "100"),
         lambda: path_sum(ROTATION, 10),
         "paths 101 exceeds the cap 100 (raise GAPSIM_MAX_PATHS)",
-        # met by the run after the file is read, so the line names no path
         lambda tmp: (
-            ["simulate", _file(tmp, ROTATION.to_file_dict())],
-            "error: paths 101 exceeds the cap 100 (raise GAPSIM_MAX_PATHS)",
+            ["simulate", path := _file(tmp, ROTATION.to_file_dict())],
+            f"error: {path}: paths 101 exceeds the cap 100 (raise GAPSIM_MAX_PATHS)",
         ),
     ),
     "model.DEFAULT_MAX_CONFIGS": Cap(
@@ -91,8 +90,9 @@ CAPS = {
     ),
     "oracle.MAX_MIXED_STRINGS": Cap(
         lambda patch: patch.setattr(oracle, "MAX_MIXED_STRINGS", 1),
-        _two_strings_at_step_0,
-        "strings step 0 conditions on 2 exceeds the cap 1 (raise oracle.MAX_MIXED_STRINGS)",
+        lambda: oracle.categorical_check(_two_strings_at_step_0(), ""),
+        "strings the machine conditions on 2 exceeds the cap 1 "
+        "(raise oracle.MAX_MIXED_STRINGS)",
         None,  # no file kind holds an oracle machine
     ),
     "lowness.MAX_BUNDLE_EXPONENT": Cap(

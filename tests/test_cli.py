@@ -550,7 +550,7 @@ def test_a_broken_promise_exits_1_as_an_error(rotation_file, capsys, monkeypatch
     assert run(capsys, "simulate", rotation_file) == (
         1,
         "",
-        "error: promise fails at x='', m=1: error 1/5\n",
+        f"error: {rotation_file}: promise fails at x='', m=1: error 1/5\n",
     )
 
 

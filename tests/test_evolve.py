@@ -51,7 +51,7 @@ from gapsim.oracle import (
     acceptance_prob_rel,
     verify_flip_stability,
 )
-from gapsim.strings import strings_up_to
+from gapsim.strings import strings_of_length, strings_up_to
 from gapsim.trees import gap
 
 from drafts import BLOCKS, draft_query_systems
@@ -551,6 +551,47 @@ def test_phase_queries_at_two_steps_of_one_configuration(wiring):
         vectors = trajectory(base, base.t_bound, lambda k: system._blocks_at(k, key))
         assert list(vectors) == [_dense(v, base.n_configs, 0) for v in want]
         assert _outcome(system, key) == outcome
+
+
+def _sixteen_string_system():
+    """Five block levels spread start over 32 leaves, and step 5 reads all 16
+    strings of length 4: phases on leaves 0-7, in blocks that each mix two
+    strings, and swaps of leaves 8-23 in pairs, one string per pair."""
+    d = Draft()
+    start = d.cfg("start")
+    leaves = [start]
+    for level in range(5):
+        spread = []
+        for k, c in enumerate(leaves):
+            rows = d.cfg(f"n{level}.{2 * k}"), d.cfg(f"n{level}.{2 * k + 1}")
+            d.block(c, d.cfg(f"pad{level}.{k}"), *rows)
+            spread += rows
+        leaves = spread
+    out = [d.cfg(f"out{i}") for i in range(24)]
+    strings = list(strings_of_length(4))
+    for i in range(0, 8, 2):
+        d.block(leaves[i], leaves[i + 1], out[i], out[i + 1], BLOCK_ROTATE)
+        d.cond_phase(leaves[i], strings[i], 5)
+        d.cond_phase(leaves[i + 1], strings[i + 1], 5)
+    for i in range(8, 24, 2):
+        d.cond_swap(leaves[i], leaves[i + 1], out[i], out[i + 1], strings[4 + i // 2], 5)
+    return d.query_system(start, out[0], 6, 4)
+
+
+def test_a_step_reading_sixteen_strings_runs_as_the_patched_columns():
+    system = _sixteen_string_system()
+    base, names = system.system, sorted(system.queried_strings())
+    assert len(names) == 16 and list(system._step_blocks) == [5]
+    probabilities = set()
+    for mask in (0, 0xFFFF, 0x5555, 0xAAAA, 0x00FF, 0x1234, 0x8001):
+        bits = {y: (mask >> i) & 1 for i, y in enumerate(names)}
+        want, outcome = _scatter_outcome(system, bits)
+        key = _key(system, bits.__getitem__)
+        vectors = trajectory(base, base.t_bound, lambda k: system._blocks_at(k, key))
+        assert list(vectors) == [_dense(v, base.n_configs, 0) for v in want]
+        assert _outcome(system, key) == outcome
+        probabilities.add(outcome[0])
+    assert len(probabilities) > 1
 
 
 def test_second_phase_query_at_one_step_is_refused():

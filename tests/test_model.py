@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gapsim.model
 from gapsim.corpus import unitary_corpus
 from gapsim.errors import (
     AmplitudeError,
@@ -222,6 +223,16 @@ def test_config_cap():
     refusal = r"^n_configs 10 exceeds the cap 9 \(raise --max-configs\)$"
     with pytest.raises(ResourceError, match=refusal):
         build_system(doc, max_configs=9)
+
+
+def test_the_default_config_cap_is_read_per_call(monkeypatch):
+    doc = {"n_configs": 2, "entries": [[0, 0, 5], [1, 1, 5]], "start": 0, "accept": 0, "t": 1}
+    monkeypatch.setattr(gapsim.model, "DEFAULT_MAX_CONFIGS", 1)
+    refusal = r"^n_configs 2 exceeds the cap 1 \(raise model\.DEFAULT_MAX_CONFIGS\)$"
+    for build in (lambda: build_system(doc), lambda: make_system(2, doc["entries"], 0, 0, 1)):
+        with pytest.raises(ResourceError, match=refusal):
+            build()
+    assert build_system(doc, max_configs=2).n_configs == 2  # an explicit cap wins
 
 
 corpus_systems = unitary_corpus()

@@ -27,7 +27,6 @@ from gapsim.corpus import (
     phase_split_system,
 )
 from gapsim.errors import (
-    AmplitudeError,
     CategoricalityError,
     DomainError,
     GapsimError,
@@ -639,15 +638,17 @@ def test_step_block_cache_reads_every_bit_and_splits_on_slots():
         acceptance_prob_rel(system, OracleAssignment(2, frozenset()))
     assert acceptance_prob_rel(system, oracle) == first
     assert list(system._step_blocks) == [11]  # the one query step; every other runs the base
-    for step, (shared, _bits, patterns) in system._step_blocks.items():
+    for step, (shared, (pairs, singles), gates) in system._step_blocks.items():
         slots = system.query_slots[step]
-        assert len(patterns) == 2  # one query string
-        for pairs, singles in patterns:
-            assert pairs or singles
-            assert all(c1 in slots or c2 in slots for c1, c2, *_ in pairs)
-            assert all(c in slots for c, _r, _w in singles)
+        assert pairs or singles
+        assert all(c1 in slots or c2 in slots for c1, c2, *_ in pairs)
+        assert all(c in slots for c, _r, _w in singles)
         assert not any(c1 in slots or c2 in slots for c1, c2, *_ in shared[0])
         assert not any(c in slots for c, _r, _w in shared[1])
+        # one gate per slot, on its string's key bit, reading a slot's block column
+        assert sorted(config for _bit, _source, config, _sign in gates) == sorted(slots)
+        for bit, source, config, _sign in gates:
+            assert bit == system._position[slots[config]] and source in slots
 
 
 def test_a_step_with_an_empty_slot_map_runs_the_base_blocks():
@@ -655,8 +656,8 @@ def test_a_step_with_an_empty_slot_map_runs_the_base_blocks():
     padded = OracleQuerySystem(
         routed.system, {**routed.query_slots, 1: {}}, routed.alt_columns, routed.universe_length
     )
-    assert padded._step_blocks[1] == (routed.system.blocks, (), [((), ())])
-    assert padded._blocks_at(1, 1) == routed.system.blocks
+    assert list(padded._step_blocks) == [0]  # step 1 gets no entry
+    assert padded._blocks_at(1, 1) is routed.system.blocks
     for ones in (frozenset(), frozenset({"101"})):
         oracle = OracleAssignment(3, ones)
         assert acceptance_prob_rel(padded, oracle) == acceptance_prob_rel(routed, oracle)
@@ -667,24 +668,26 @@ MIXED_CAP = r"exceeds the cap 12 \(raise oracle\.MAX_MIXED_STRINGS\)$"
 
 
 def test_exhaustive_bit_checks_refuse_thirteen_strings():
-    one_step = Draft()
+    one_step = Draft()  # a step reads any number of strings; the categorical check is capped
     for i in range(13):
         one_step.cond_phase(one_step.cfg(str(i)), format(i, "04b"), 0)
-    with pytest.raises(ResourceError, match=r"^strings step 0 conditions on 13 " + MIXED_CAP):
-        one_step.query_system(0, 0, 1, 4)
     spread = Draft()  # a 13-step route, one phase query per step
     chain = [spread.cfg("c0")]
     for step in range(13):
         chain.append(spread.cfg(f"c{step + 1}"))
         spread.route(chain[step], chain[step + 1])
         spread.cond_phase(chain[step], format(step, "04b"), step)
-    system = spread.query_system(chain[0], chain[13], 13, 4)
-    with pytest.raises(ResourceError, match=r"^strings the machine conditions on 13 " + MIXED_CAP):
-        categorical_check(system, "")
+    systems = one_step.query_system(0, 0, 1, 4), spread.query_system(chain[0], chain[13], 13, 4)
+    for system in systems:
+        with pytest.raises(ResourceError, match="^strings the machine conditions on 13 " + MIXED_CAP):
+            categorical_check(system, "")
 
 
 IDENTITY_T1 = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 1)
+IDENTITY_T2 = make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 1, 2)
 IDENTITY4_T1 = make_system(4, [(i, i, 5) for i in range(4)], 0, 0, 1)
+REFLECT_T1 = make_system(2, [(0, 0, 3), (0, 1, 4), (1, 0, 4), (1, 1, -3)], 0, 1, 1)
+NEITHER = "^step {}: config {} reading '{}' is neither a phase nor a swap$"
 # Left multiplication by the quaternion 1 + 2i + 2j + 4k (norm 25): its columns
 # are orthogonal with squared norm 25, but 1, 2 and -2 are no fifth-integer numerators.
 QUATERNION = {
@@ -705,30 +708,36 @@ QUATERNION = {
             IDENTITY_T1, {0: {0: "0000"}}, {0: ((0, -5),)}, StructuralError,
             "'0000' outside the universe",
         ),
-        (
-            IDENTITY_T1, {0: {0: "0"}}, {0: ((1, 5),)}, ModelError,
-            r"^step 0 with bits \{'0': 1\}: not norm-preserving: inner product of columns "
-            r"\(0,1\) is 25, expected 0$",
-        ),
+        (IDENTITY_T1, {0: {0: "0"}}, {0: ((1, 5),)}, StructuralError, NEITHER.format(0, 0, "0")),
         (
             IDENTITY_T1, {0: {-1: "0"}}, {-1: ((1, -5),)}, StructuralError,
             "^config -1 out of range$",
         ),
-        (
-            IDENTITY_T1, {0: {0: "0"}}, {0: ((2, 5),)}, StructuralError,
-            r"^step 0 with bits \{'0': 1\}: entry \(2,0\) out of range$",
-        ),
+        (IDENTITY_T1, {0: {0: "0"}}, {0: ((2, 5),)}, StructuralError, NEITHER.format(0, 0, "0")),
         (  # 9 - 9 + 25: a norm of 25, but one entry three times
             IDENTITY_T1, {0: {0: "0"}}, {0: ((0, 3), (0, -3), (0, 5))}, StructuralError,
-            r"^step 0 with bits \{'0': 1\}: duplicate matrix entries$",
+            NEITHER.format(0, 0, "0"),
         ),
         (
-            IDENTITY_T1, {0: {0: "0"}}, {0: ((0, 5), (1, 0))}, AmplitudeError,
-            r"numerator 0 at \(1,0\) not in the allowed set",
+            IDENTITY_T1, {0: {0: "0"}}, {0: ((0, -5), (1, 0))}, StructuralError,
+            NEITHER.format(0, 0, "0"),
         ),
         (
-            IDENTITY4_T1, {0: {c: "1" for c in range(4)}}, QUATERNION, AmplitudeError,
-            r"numerator 1 at \(0,0\) not in the allowed set",
+            IDENTITY4_T1, {0: {c: "1" for c in range(4)}}, QUATERNION, StructuralError,
+            NEITHER.format(0, 0, "1"),
+        ),
+        (IDENTITY_T1, {0: {0: "0"}}, {0: ((0, 5),)}, StructuralError, NEITHER.format(0, 0, "0")),
+        (
+            IDENTITY_T2, {0: {0: "0"}, 1: {1: "0"}}, {0: ((1, 5),), 1: ((0, 5),)},
+            StructuralError, NEITHER.format(0, 0, "0"),
+        ),
+        (
+            IDENTITY_T1, {0: {0: "0", 1: "1"}}, {0: ((1, 5),), 1: ((0, 5),)}, StructuralError,
+            NEITHER.format(0, 0, "0"),
+        ),
+        (
+            IDENTITY_T1, {0: {1: "0", 0: "0"}}, {0: ((1, 5),), 1: ((1, -5),)}, StructuralError,
+            NEITHER.format(0, 0, "0"),
         ),
     ],
     ids=[
@@ -741,10 +750,19 @@ QUATERNION = {
         "alt_repeats_a_row",
         "alt_explicit_zero",
         "alt_quaternion_numerators",
+        "alt_is_its_own_column",
+        "swap_partner_at_another_step",
+        "swap_partner_reads_another_string",
+        "one_sided_swap",
     ],
 )
 def test_oracle_machine_is_checked_when_built(base, slots, alts, error, match):
-    OracleQuerySystem(IDENTITY_T1, {0: {0: "0"}}, {0: ((0, -5),)}, 3)  # a sound sign flip
+    for sound in (
+        (IDENTITY_T1, {0: {0: "0"}}, {0: ((0, -5),)}),  # a phase
+        (IDENTITY_T1, {0: {0: "0", 1: "0"}}, {0: ((1, 5),), 1: ((0, 5),)}),  # a swap
+        (REFLECT_T1, {0: {0: "0"}}, {0: ((1, -4), (0, -3))}),  # a phase given unsorted
+    ):
+        OracleQuerySystem(*sound, 3)
     with pytest.raises(error, match=match):
         OracleQuerySystem(base, slots, alts, 3)
 
@@ -844,17 +862,18 @@ _LAUNCH = (
 )
 
 _BUILD_SCRIPT = """
-import gapsim.oracle
+import gapsim.model
 from gapsim.corpus import cycle_system
 from gapsim.oracle import OracleQuerySystem
 
 calls = []
-kernel = gapsim.oracle.checked_blocks
-gapsim.oracle.checked_blocks = lambda *args: calls.append(args) or kernel(*args)
+walk = gapsim.model.column_blocks  # every matrix check runs this walk
 for t in (10, 10**6):
-    phase = OracleQuerySystem(cycle_system(3, 0, 1, t), {2: {0: "1"}}, {0: ((1, -5),)}, 1)
+    base = cycle_system(3, 0, 1, t)
+    gapsim.model.column_blocks = lambda *args: calls.append(args) or walk(*args)
+    phase = OracleQuerySystem(base, {2: {0: "1"}}, {0: ((1, -5),)}, 1)
+    gapsim.model.column_blocks = walk
     print(len(calls), len(phase._step_blocks))
-    calls.clear()
 """
 
 _RUN_SCRIPT = """
@@ -887,9 +906,8 @@ def _fresh_interpreter(script, timeout):
 
 
 def test_building_a_machine_costs_its_query_steps_whatever_t_is():
-    # one query step with one string: two bit patterns and one cache entry,
-    # at t = 10 and at t = 10**6 alike
-    assert _fresh_interpreter(_BUILD_SCRIPT, timeout=30) == ["2 1", "2 1"]
+    # no matrix check and one cache entry, at t = 10 and at t = 10**6 alike
+    assert _fresh_interpreter(_BUILD_SCRIPT, timeout=30) == ["0 1", "0 1"]
     short = OracleQuerySystem(
         make_system(2, [(0, 0, 5), (1, 1, 5)], 0, 0, 9), {2: {0: "1"}}, {0: ((0, -5),)}, 1
     )
