@@ -96,10 +96,11 @@ def _write_report(args, command: str, inputs: dict, results, pass_fail: dict) ->
 
 
 def cmd_simulate(args) -> int:
-    from .evolve import accept_probability, float_check, path_sum
+    from .evolve import accept_probability, float_check, path_cap, path_sum
 
     if args.max_configs < 1:
         raise ParseError(f"--max-configs must be positive, got {args.max_configs}")
+    path_cap()  # a bad GAPSIM_MAX_PATHS is refused before the file is read
 
     def simulated(doc):  # runs inside load_file, so a refusal of a run names the file too
         system = build_system(doc, args.max_configs)

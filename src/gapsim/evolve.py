@@ -141,15 +141,8 @@ def accept_probability(system: UnitarySystem) -> ExactProbability:
     return ExactProbability(amp * amp, 2 * system.t_bound)
 
 
-def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
-    """Amplitudes by explicit enumeration of nonzero-weight length-t paths.
-
-    Independent of evolve: sums the product of edge weights over every path
-    from the start configuration.  Raises ResourceError once more complete
-    paths are seen than GAPSIM_MAX_PATHS allows (2**20 when unset).
-    """
-    if t < 0 or t > system.t_bound:
-        raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
+def path_cap() -> int:
+    """GAPSIM_MAX_PATHS, or DEFAULT_MAX_PATHS when unset; ParseError unless a positive int."""
     text = os.environ.get(_MAX_PATHS_ENV)
     try:
         cap = DEFAULT_MAX_PATHS if text is None else int(text)
@@ -157,6 +150,19 @@ def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
         cap = 0
     if cap < 1:
         raise ParseError(f"{_MAX_PATHS_ENV} must be a positive integer, got {text!r}")
+    return cap
+
+
+def path_sum(system: UnitarySystem, t: int) -> AmplitudeVector:
+    """Amplitudes by explicit enumeration of nonzero-weight length-t paths.
+
+    Independent of evolve: sums the product of edge weights over every path
+    from the start configuration.  Raises ResourceError once more complete
+    paths are seen than path_cap allows.
+    """
+    if t < 0 or t > system.t_bound:
+        raise BoundsError(f"t={t} outside [0, {system.t_bound}]")
+    cap = path_cap()
     totals = [0] * system.n_configs
     paths = 0
     stack: list[tuple[int, int, int]] = [(system.start, 0, 1)]

@@ -1,7 +1,7 @@
 """Gap machines: finite nondeterministic computations valued by their gap.
 
 A machine maps an input string to a computation tree; its value is the
-number of accepting minus rejecting leaves.  The closure combinators below
+number of accept leaves minus reject leaves.  The closure combinators below
 are machine transformations only: they rearrange trees and never touch the
 gap values themselves, so brute-force gap arithmetic stays available as an
 independent oracle in the tests.
@@ -49,8 +49,7 @@ def bound_error(what: str, value) -> ResourceError:
 
 def gap_of(machine: GapMachine, x: str) -> int:
     """Exact gap of the machine's tree on x; the ground truth for every combinator."""
-    acc, rej = machine.evaluator(x).counts
-    return acc - rej
+    return trees.gap(machine.evaluator(x))
 
 
 def negate(machine: GapMachine) -> GapMachine:
@@ -375,7 +374,7 @@ def _decoded(node) -> Node:
 def tree_to_json(node: Node, on_accept="accept", on_reject="reject"):
     """Nested-array unfolding; a product's right and a negative weight negate by swapping labels."""
     if isinstance(node, trees.Leaf):
-        return on_accept if node.accepting else on_reject
+        return on_accept if trees.gap(node) > 0 else on_reject
     if isinstance(node, Product):
         right = node.right
         return tree_to_json(

@@ -159,10 +159,6 @@ class SignReport:
         return tuple(row for row in self.rows if not row.sign_ok)
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def verify_sign_preservation(
     instance: LownessInstance, inputs: Iterable[str]
 ) -> SignReport:
@@ -194,7 +190,7 @@ def verify_sign_preservation(
                 x=x,
                 true_gap=tgap,
                 inlined_gap=igap,
-                sign_ok=_sign(igap) == _sign(tgap),
+                sign_ok=(igap > 0, igap < 0) == (tgap > 0, tgap < 0),
                 path_count=run.path_count,
                 paths_within_budget=run.path_count**2 < (1 << q),
                 error_mass=error_mass,

@@ -1,4 +1,4 @@
-"""Finite computation trees with accept/reject leaves.
+"""Finite computation trees with accept/reject leaves, valued by their gap.
 
 Trees may share subtrees: the in-memory object is a DAG whose unfolding is
 the computation tree.  Nodes are plain slotted objects: __init__ sets each
@@ -9,14 +9,13 @@ itself, negated (accept and reject swapped) when weights[i] < 0, so g equal
 subtrees are one edge and a -1 weight is GapP closure under subtraction.  A
 product node is GapP closure under products in one node: its unfolding is
 `left` with every accept leaf replaced by `right` and every reject leaf by
-`right` negated, so its gap is the product of theirs.  Every node stores the
-(accepting, rejecting) leaf counts of its unfolding when it is built, so
-gaps are read, never recomputed.  stored_size is one walk that reads each
-distinct node's children once and sums its edges as it goes.  Size caps live
-in the builders (gapp, lowness), which refuse a tree over its bound before
-allocating it.  Nodes built bottom-up hold no cycle, so gapp.system_tree
-pauses the garbage collector while it builds; the pause is process-global,
-and other threads run without the collector then.
+`right` negated.  A node stores one number, its gap (accept minus reject
+leaves), set when it is built: ±1 at a leaf, the weighted sum of the
+children's at a branch, the product of the two at a product.  Size caps
+live in the builders (gapp, lowness), which refuse a tree over its bound
+before allocating it.  Nodes built bottom-up hold no cycle, so
+gapp.system_tree pauses the garbage collector while it builds; the pause is
+process-global, and other threads run without the collector then.
 """
 
 from __future__ import annotations
@@ -39,39 +38,32 @@ class _Node:
 
 
 class Leaf(_Node):
-    __slots__ = ("accepting", "counts")
+    __slots__ = ("gap",)
 
-    def __init__(self, accepting: bool):
-        _set(self, "accepting", accepting)
-        _set(self, "counts", (1, 0) if accepting else (0, 1))
+    def __init__(self, gap: int):  # 1 for an accept leaf, -1 for a reject leaf
+        _set(self, "gap", gap)
 
     def __repr__(self) -> str:
-        return f"Leaf(accepting={self.accepting!r})"
+        return f"Leaf(gap={self.gap!r})"
 
 
 class Branch(_Node):
     # Child i repeated |weights[i]| != 0 times, negated if negative; None: each once.
-    __slots__ = ("children", "weights", "counts")
+    __slots__ = ("children", "weights", "gap")
 
     def __init__(self, children: tuple, weights: tuple[int, ...] | None = None):
-        acc = rej = 0
+        total = 0
         if weights is None:
             for child in children:
-                a, r = child.counts
-                acc += a
-                rej += r
+                total += child.gap
         else:
             if len(children) != len(weights):
                 raise ValueError(f"{len(weights)} weights for {len(children)} children")
             for child, w in zip(children, weights):
-                a, r = child.counts
-                if w < 0:  # -w copies of the child negated
-                    a, r, w = r, a, -w
-                acc += w * a
-                rej += w * r
+                total += w * child.gap
         _set(self, "children", children)
         _set(self, "weights", weights)
-        _set(self, "counts", (acc, rej))
+        _set(self, "gap", total)
 
     def __repr__(self) -> str:
         # Constant size: a repr that recursed would unfold the shared DAG as a tree.
@@ -81,14 +73,12 @@ class Branch(_Node):
 class Product(_Node):
     """left with accept leaves replaced by right and reject leaves by right negated."""
 
-    __slots__ = ("left", "right", "counts")
+    __slots__ = ("left", "right", "gap")
 
     def __init__(self, left: Node, right: Node):
-        a1, r1 = left.counts
-        a2, r2 = right.counts
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "counts", (a1 * a2 + r1 * r2, a1 * r2 + r1 * a2))
+        _set(self, "gap", left.gap * right.gap)
 
     def __repr__(self) -> str:
         return "Product(<left>, <right>)"
@@ -96,19 +86,13 @@ class Product(_Node):
 
 Node = Leaf | Branch | Product
 
-ACCEPT = Leaf(True)
-REJECT = Leaf(False)
+ACCEPT = Leaf(1)
+REJECT = Leaf(-1)
 
 
 def gap(root: Node, node_budget: int | None = None) -> int:
-    """Accepting minus rejecting leaves of the unfolded tree.
-
-    node_budget is unused.  It stays for callers that still pass a budget
-    positionally (perfbench's gap_trees workload); the builders refuse a
-    tree over its bound before it exists, so reading the gap needs none.
-    """
-    acc, rej = root.counts
-    return acc - rej
+    """Accept minus reject leaves of the unfolded tree; perfbench passes the unused node_budget."""
+    return root.gap
 
 
 def _walk(root: Node) -> tuple[dict[int, Node], int]:
@@ -122,15 +106,10 @@ def _walk(root: Node) -> tuple[dict[int, Node], int]:
         if key in seen:
             continue
         seen[key] = node
-        kind = type(node)
-        if kind is Branch:
-            children = node.children
-        elif kind is Product:
-            children = node.left, node.right
-        else:
-            continue
-        edges += len(children)
-        stack += children
+        if type(node) is not Leaf:
+            children = (node.left, node.right) if type(node) is Product else node.children
+            edges += len(children)
+            stack += children
     return seen, edges
 
 
@@ -141,5 +120,23 @@ def stored_size(root: Node) -> int:
 
 
 def unfolded_leaves(root: Node) -> int:
-    """Leaf count of the unfolded tree, with multiplicity."""
-    return sum(root.counts)
+    """Leaf count of the unfolded tree, with multiplicity, by one children-first walk
+    (no recursion) over the distinct nodes; a leaf child counts 1 where it is read."""
+    below: dict[int, int] = {}  # each walked node's leaf count, by id
+    stack = [] if type(root) is Leaf else [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in below:
+            continue
+        children = (node.left, node.right) if type(node) is Product else node.children
+        missing = [c for c in children if type(c) is not Leaf and id(c) not in below]
+        if missing:
+            stack += [node, *missing]
+        elif type(node) is Product:
+            below[id(node)] = below.get(id(node.left), 1) * below.get(id(node.right), 1)
+        else:
+            sizes = [below.get(id(c), 1) for c in children]
+            if node.weights is not None:
+                sizes = [abs(w) * n for w, n in zip(node.weights, sizes)]
+            below[id(node)] = sum(sizes)
+    return below.get(id(root), 1)

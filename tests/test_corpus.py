@@ -8,7 +8,7 @@ from gapsim.corpus import Draft, write_corpus
 from gapsim.errors import ModelError, StructuralError
 from gapsim.gapp import exp_sum, poly_product, tree_to_json
 from gapsim.strings import pair
-from gapsim.trees import gap
+from gapsim.trees import gap, unfolded_leaves
 
 SHIPPED = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -98,14 +98,15 @@ def test_lowness_finishes_and_gap_machines_share_signed_trees():
 
 
 def _closures() -> dict:
-    """Gap-tree JSON and counts of both combinators over every corpus machine, q <= 3."""
+    """Gap-tree JSON, gap and leaves of both combinators over every corpus machine, q <= 3."""
     built = {}
     for name, machine in corpus.gap_machine_corpus():
         for combinator in (exp_sum, poly_product):
             for q in range(4):
                 for x in ("", "1"):
                     tree = combinator(machine, (q,)).evaluator(x)
-                    built[name, combinator.__name__, q, x] = (tree_to_json(tree), tree.counts)
+                    leaves = unfolded_leaves(tree)
+                    built[name, combinator.__name__, q, x] = (tree_to_json(tree), gap(tree), leaves)
     return built
 
 

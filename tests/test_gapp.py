@@ -285,6 +285,43 @@ def test_system_tree_stays_inside_the_corridor(system):
     assert size <= corridor_pairs(system) + 3
 
 
+def cone_layers(tree):
+    """The distinct nodes under the square's factor by depth below it: depth d is step t - d."""
+    layers, layer = [], [tree.left]
+    while layer:
+        layers.append(layer)
+        below = {id(c): c for node in layer if isinstance(node, Branch) for c in node.children}
+        layer = list(below.values())
+    return layers
+
+
+def assert_layer_bits_law(system):
+    """Each branch of the step-s cone layer has |gap| <= 5**s: a scaled amplitude.
+
+    So the ints that a layer of k nodes stores have at most k times the
+    bits of 5**s, which bounds a tree's bits before it is built.
+    """
+    tree = system_tree(system)
+    if not isinstance(tree, trees.Product):  # an unreached accept: the gap-0 tree
+        return
+    layers = cone_layers(tree)
+    assert len(layers) == system.t_bound + 1  # down to the start's accept leaf at step 0
+    for depth, layer in enumerate(layers):
+        bound = 5 ** (system.t_bound - depth)
+        assert all(abs(node.gap) <= bound for node in layer)
+        assert sum(node.gap.bit_length() for node in layer) <= len(layer) * bound.bit_length()
+
+
+@settings(deadline=None, max_examples=60)
+@given(system=pb_systems)
+def test_cone_layers_store_at_most_the_amplitude_bits(system):
+    assert_layer_bits_law(system)
+
+
+def test_a_long_rotation_cone_stores_at_most_the_amplitude_bits():
+    assert_layer_bits_law(rotation_system(BLOCK_REFLECT, 0, 1, 2000))
+
+
 @settings(deadline=None, max_examples=60)
 @given(system=pb_systems)
 def test_system_tree_cap_bounds_the_tree_it_builds(system):
@@ -351,7 +388,7 @@ def same_dag(a, b, matched):
         return True
     leaves = isinstance(a, trees.Leaf), isinstance(b, trees.Leaf)
     if any(leaves):
-        return all(leaves) and a.accepting == b.accepting
+        return all(leaves) and a.gap == b.gap
     products = isinstance(a, trees.Product), isinstance(b, trees.Product)
     if any(products):
         if not all(products):

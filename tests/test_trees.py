@@ -57,10 +57,20 @@ def json_nodes(doc):
     return 1 + sum(map(json_nodes, doc)) if isinstance(doc, list) else 1
 
 
+def stored(node):
+    """The node's gap and the leaf count of its unfolding."""
+    return gap(node), unfolded_leaves(node)
+
+
+def signed(pair):
+    """(gap, leaves) of an (accept, reject) pair of leaf counts."""
+    acc, rej = pair
+    return acc - rej, acc + rej
+
+
 def test_gap_by_definition():
     tree = Branch((ACCEPT, ACCEPT, ACCEPT, REJECT))
-    assert tree.counts == (3, 1)
-    assert gap(tree) == 2
+    assert stored(tree) == (2, 4)
 
 
 def test_all_reject():
@@ -177,7 +187,7 @@ def recursive_counts(node):
     A child of weight -w counts w times with its accept and reject leaves swapped.
     """
     if isinstance(node, Leaf):
-        return (1, 0) if node.accepting else (0, 1)
+        return (1, 0) if node.gap > 0 else (0, 1)
     acc = rej = 0
     for child, w in zip(node.children, node.weights or [1] * len(node.children)):
         a, r = recursive_counts(child)
@@ -189,7 +199,7 @@ def recursive_counts(node):
 
 @given(tree_strategy())
 def test_stored_counts_match_a_recursive_count(tree):
-    assert tree.counts == recursive_counts(tree)
+    assert stored(tree) == signed(recursive_counts(tree))
     assert gap(tree, 10) == gap(tree)  # the positional budget perfbench passes
 
 
@@ -202,7 +212,7 @@ def unfolding(node):
     with its labels swapped.
     """
     if isinstance(node, Leaf):
-        return "accept" if node.accepting else "reject"
+        return "accept" if node.gap > 0 else "reject"
     if isinstance(node, Product):
         right = unfolding(node.right)
         return relabeled(unfolding(node.left), {"accept": right, "reject": swapped(right)})
@@ -252,7 +262,7 @@ def test_products_match_their_unfolding(a, b, c):
         Branch((a, Product(b, c)), (2, -1)),
     ):
         doc = unfolding(node)
-        assert node.counts == listed_counts(doc)
+        assert stored(node) == signed(listed_counts(doc))
         assert tree_to_json(node) == doc
 
 
@@ -263,19 +273,17 @@ def test_product_multiplies_gaps(a, b):
 
 @given(tree_strategy())
 def test_negation_flips_gap(tree):
-    acc, rej = tree.counts
     for negated in (negation(tree), signed_negation(tree)):
-        assert gap(negated) == -gap(tree)
-        assert negated.counts == (rej, acc)
+        assert stored(negated) == (-gap(tree), unfolded_leaves(tree))
 
 
 @given(small_trees)
 def test_double_negation_unfolds_to_the_tree(tree):
     twice = negation(negation(tree))
-    assert twice.counts == tree.counts
+    assert stored(twice) == stored(tree)
     assert unfolding(twice) == unfolding(tree)
     signed_twice = signed_negation(signed_negation(tree))
-    assert signed_twice.counts == tree.counts
+    assert stored(signed_twice) == stored(tree)
     assert tree_to_json(signed_twice) == [[tree_to_json(tree)]]  # two one-child branches
 
 
@@ -296,9 +304,9 @@ def test_weighted_branch_matches_its_expansion(weighted, other):
         lambda t: Product(t, other),
         lambda t: Product(other, Product(t, Branch((ACCEPT, REJECT, ACCEPT)))),
     ):
-        assert image(weighted).counts == image(expanded).counts
+        assert stored(image(weighted)) == stored(image(expanded))
         assert tree_to_json(image(weighted)) == unfolding(image(expanded))
-    assert tree_from_json(tree_to_json(weighted)).counts == weighted.counts
+    assert stored(tree_from_json(tree_to_json(weighted))) == stored(weighted)
 
 
 def test_product_is_one_node_over_shared_factors():
@@ -353,29 +361,29 @@ def test_stored_size_counts_each_distinct_node_once(a, b):
 def test_nodes_are_immutable_and_compare_by_identity():
     branch = Branch((ACCEPT, REJECT, ACCEPT))
     product = Product(branch, REJECT)
-    for node, field in ((ACCEPT, "accepting"), (branch, "children"), (product, "left")):
-        for name in (field, "counts", "extra"):
+    for node, field in ((ACCEPT, "gap"), (branch, "children"), (product, "left")):
+        for name in (field, "gap", "extra"):
             with pytest.raises(AttributeError):
                 setattr(node, name, None)
             with pytest.raises(AttributeError):
                 delattr(node, name)
-    assert ACCEPT.accepting and ACCEPT.counts == (1, 0)
-    assert branch.children == (ACCEPT, REJECT, ACCEPT) and branch.counts == (2, 1)
-    assert product.left is branch and product.counts == (1, 2)
+    assert ACCEPT.gap == 1 and REJECT.gap == -1
+    assert branch.children == (ACCEPT, REJECT, ACCEPT) and branch.gap == 1
+    assert product.left is branch and product.gap == -1
     twin = Branch((ACCEPT, REJECT, ACCEPT))
-    assert branch == branch and branch != twin and twin.counts == branch.counts
-    assert Leaf(True) != ACCEPT and Product(branch, REJECT) != product
+    assert branch == branch and branch != twin and twin.gap == branch.gap
+    assert Leaf(1) != ACCEPT and Product(branch, REJECT) != product
     assert hash(branch) == object.__hash__(branch) and hash(twin) == object.__hash__(twin)
     assert len({branch, twin, Branch((ACCEPT, REJECT, ACCEPT))}) == 3
     for copied in (pickle.loads(pickle.dumps(product)), copy.deepcopy(product)):
-        assert copied is not product and copied.counts == product.counts
+        assert copied is not product and copied.gap == product.gap
         assert tree_to_json(copied) == tree_to_json(product)
     assert copy.copy(branch).children is branch.children
 
 
 def test_node_reprs_are_constant_size():
-    assert repr(ACCEPT) == "Leaf(accepting=True)"
-    assert repr(REJECT) == "Leaf(accepting=False)"
+    assert repr(ACCEPT) == "Leaf(gap=1)"
+    assert repr(REJECT) == "Leaf(gap=-1)"
     assert repr(Branch((ACCEPT,) * 1000)) == "Branch(<1000 children>, weights=None)"
     assert repr(Branch((ACCEPT, REJECT), (2, -1))) == "Branch(<2 children>, weights=(2, -1))"
     assert repr(Product(ACCEPT, Branch((REJECT,)))) == "Product(<left>, <right>)"
@@ -404,14 +412,14 @@ def test_signed_tree_writes_the_listed_form():
         for noise in range(3):
             tree = _signed_tree(value, noise)
             assert tree_to_json(tree) == tree_to_json(_listed_signed_tree(value, noise))
-            assert tree.counts == _listed_signed_tree(value, noise).counts
+            assert stored(tree) == stored(_listed_signed_tree(value, noise))
 
 
 def test_deep_chain_no_recursion_limit():
     tree = ACCEPT
     for _ in range(5000):
         tree = Branch((tree,))
-    assert gap(tree) == 1
-    assert gap(negation(tree)) == -1
+    assert stored(tree) == (1, 1)
+    assert stored(negation(tree)) == stored(signed_negation(tree)) == (-1, 1)
     assert stored_size(negation(tree)) == 2 * 5000 + 1 + 1 + 3  # the walk is not recursive
     assert stored_size(signed_negation(tree)) == 2 * 5000 + 1 + 2
