@@ -23,7 +23,6 @@ from .lowness import (
     OracleGapMachine,
     machine_from_tables,
     near_extreme_instance,
-    verify_sign_preservation,
 )
 from .model import MachineFamily, UnitarySystem, make_system
 from .oracle import OracleQuerySystem, TowerCondition
@@ -357,28 +356,22 @@ def lowness_corpus() -> list[tuple[str, LownessInstance, tuple[str, ...]]]:
     ]
 
 
-def adversarial_lowness_search() -> tuple[LownessInstance, tuple[str, ...], int, int]:
-    """Brute-force search for a sign flip under an undersized budget.
+def adversarial_lowness_instance() -> tuple[LownessInstance, tuple[str, ...], int, int]:
+    """A sign flip under an undersized budget.
 
-    Scans honest-but-weak member values and lopsided continuation trees
-    until the inlined gap flips against the true gap; returns the instance,
-    its inputs, and the (member_fraction_num, no_gap) pair that flipped.
+    The one-query machine with wrong-branch gap -2 on oracle {"00"}, member
+    value 2/3 of g and q = 1, so paths**2 >= 2**1: the inlined gap on "00"
+    is -2 against a true gap of 1.  Returns the instance, its inputs, and
+    the (member percent, wrong-branch gap) pair that flips.
     """
-    inputs = ("00",)
-    oracle = frozenset({"00"})
-    for no_gap in (-2, -3, -4):
-        for num, den in ((3, 4), (2, 3), (1, 2)):
-            instance = near_extreme_instance(
-                _asks_input(1, no_gap),
-                oracle,
-                g_pow2=(2, 4),
-                q_coeffs=(1,),  # undersized: paths**2 >= 2**1
-                member_value=lambda g, num=num, den=den: g * num // den,
-            )
-            report = verify_sign_preservation(instance, inputs)
-            if report.flips():
-                return instance, inputs, num * 100 // den, no_gap
-    raise AssertionError("no flip found in the adversarial grid")
+    instance = near_extreme_instance(
+        _asks_input(1, -2),
+        frozenset({"00"}),
+        g_pow2=(2, 4),
+        q_coeffs=(1,),
+        member_value=lambda g: g * 2 // 3,
+    )
+    return instance, ("00",), 66, -2
 
 
 # --- oracle query systems --------------------------------------------------

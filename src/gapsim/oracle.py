@@ -449,19 +449,21 @@ def verify_flip_stability(
     is ok when no flip outside it deviates by more than epsilon and every
     read string y obeys the hybrid bound of Bennett, Bernstein, Brassard
     and Vazirani, |deviation| <= 4 * sqrt(k_y * m_y), with k_y the query
-    steps that read y and m_y its base magnitude M_y / 25**T: checked
-    squared in integers, as D**2 * 25**T <= 16 * k_y * M_y * 25**(2 * t)
-    for the row's gap D, with one more table read per read string.
+    steps that read y and m_y its base magnitude M_y / 25**T: checked on
+    y's row, by one more integer comparison, squared, as
+    D**2 * 25**T <= 16 * k_y * M_y * 25**(2 * t) for the row's gap D.
     """
     key = _key(system, oracle.value)
     outcome = _outcome(system, key)
     n0, base = outcome[0].numerator, outcome[0].as_fraction()
     sensitive = _sensitive_sets(system, key, outcome, params)[0]
     position = system._position
+    hybrid = 16 * 25**outcome[0].log5_denominator  # 16 * 25**(2 * t)
     rows = []
-    far, worst = 0, Fraction(0)
+    far, worst, within = 0, Fraction(0), True
     for y in strings_up_to(oracle.universe_length):
-        prob = _outcome(system, key ^ position.get(y, 0))[0]
+        bit = position.get(y, 0)
+        prob = _outcome(system, key ^ bit)[0]
         gap = prob.numerator - n0
         if gap < 0:
             gap, deviation = -gap, base - prob.as_fraction()
@@ -469,19 +471,15 @@ def verify_flip_stability(
             deviation = prob.as_fraction() - base
         if gap > far and y not in sensitive:
             far, worst = gap, deviation
+        if bit and gap * gap * outcome[2] > hybrid * system._query_steps[y] * outcome[1].get(y, 0):
+            within = False
         rows.append(FlipRow(y, deviation))
-    whole = 5**outcome[0].log5_denominator
     return FlipReport(
         rows=tuple(rows),
         sensitive=sensitive,
         size_bound=params.bound,
         max_outside_deviation=worst,
-        ok=worst <= params.epsilon
-        and all(
-            (_outcome(system, key ^ bit)[0].numerator - n0) ** 2 * outcome[2]
-            <= 16 * system._query_steps[y] * outcome[1].get(y, 0) * whole * whole
-            for y, bit in position.items()
-        ),
+        ok=worst <= params.epsilon and within,
     )
 
 

@@ -257,7 +257,7 @@ def run_lowness(_corpus_dir: str | None = None) -> tuple[bool, dict]:
             }
         )
         ok = ok and valid and report.ok
-    instance, inputs, fraction, no_gap = corpus.adversarial_lowness_search()
+    instance, inputs, fraction, no_gap = corpus.adversarial_lowness_instance()
     adversarial = verify_sign_preservation(instance, inputs)
     flipped = bool(adversarial.flips())
     undersized, _ = validate_instance(instance, inputs)

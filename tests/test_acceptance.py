@@ -132,7 +132,7 @@ def test_criterion_6_lowness_sign_preservation():
         valid, why = validate_instance(instance, inputs)
         assert valid, f"{name}: {why}"
         all_ok = all_ok and verify_sign_preservation(instance, inputs).ok
-    adversarial, inputs, fraction, no_gap = corpus.adversarial_lowness_search()
+    adversarial, inputs, fraction, no_gap = corpus.adversarial_lowness_instance()
     flips = verify_sign_preservation(adversarial, inputs).flips()
     undersized, _ = validate_instance(adversarial, inputs)
     report(

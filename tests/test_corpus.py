@@ -237,7 +237,7 @@ def test_lowness_instances_keep_their_queries_gaps_and_certificates():
 
 
 def test_adversarial_lowness_instance_keeps_its_shape():
-    instance, inputs, fraction, no_gap = corpus.adversarial_lowness_search()
+    instance, inputs, fraction, no_gap = corpus.adversarial_lowness_instance()
     assert (inputs, fraction, no_gap) == (("00",), 66, -2)
     assert _lowness_shape(instance, inputs) == (
         1, ["00"], 1024, 1, {"00": 682, "01": 1, "10": 1, "11": 1},

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gapsim.lowness
-from gapsim.corpus import adversarial_lowness_search, amplified_family, lowness_corpus
+from gapsim.corpus import adversarial_lowness_instance, amplified_family, lowness_corpus
 from gapsim.errors import ModelError
 from gapsim.gapp import bqp_to_awpp, check_awpp, gap_of
 from gapsim.lowness import (
@@ -138,7 +138,7 @@ def test_approximator_certificates_hold_on_queries():
 
 
 def test_adversarial_flip_found_and_budget_violated():
-    instance, inputs, fraction, no_gap = adversarial_lowness_search()
+    instance, inputs, fraction, no_gap = adversarial_lowness_instance()
     report = verify_sign_preservation(instance, inputs)
     flips = report.flips()
     assert flips
@@ -147,6 +147,20 @@ def test_adversarial_flip_found_and_budget_violated():
     assert "2**(q/2)" in why
     row = flips[0]
     assert row.error_mass > 0
+    assert not row.paths_within_budget
+
+
+@pytest.mark.parametrize(
+    "member_value, inlined",
+    [(lambda g: g * 3 // 4, 256), (lambda g: g * 2 // 3, -2)],
+    ids=["three_quarters_keeps", "two_thirds_flips"],
+)
+def test_undersized_budget_flips_at_two_thirds_not_three_quarters(member_value, inlined):
+    instance = near_extreme_instance(
+        single_query_machine(no_gap=-2), frozenset({"00"}), (2, 4), (1,), member_value
+    )
+    (row,) = verify_sign_preservation(instance, ["00"]).rows
+    assert (row.true_gap, row.inlined_gap, row.sign_ok) == (1, inlined, inlined > 0)
     assert not row.paths_within_budget
 
 

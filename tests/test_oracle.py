@@ -1040,6 +1040,6 @@ def test_outcome_table_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(gapsim.oracle, "_outcome", watched)
     runs = _count_runs(monkeypatch)
     assert [flips(system, ones) for ones in bases] == want
-    assert len(sizes) == 4 * (16 + 2) and max(sizes) == 2  # base, 15 rows, the 2 read flips again
+    assert len(sizes) == 4 * 16 and max(sizes) == 2  # base and 15 rows
     assert len(runs) > 4  # the table was cleared and refilled
     assert max(held) == 1  # the sensitive sets were held, and went with the outcomes

@@ -13,13 +13,8 @@ when a line event fell on one of its own lines (those of no statement
 nested in it) or when a statement nested in it ran, so a multi-line
 statement counts whichever of its lines the interpreter reports.
 
-tools/census_allowed.txt lists the statements kept unrun on purpose.  Each
-entry is one line `module.py FUNCTION: STATEMENT`, matched on module,
-function and statement text (never on the line number), followed by one
-indented line that gives the reason.  The exit code is 1 when a statement
-that no entry lists never ran, when an entry matches no unrun statement,
-when an entry has no reason, or when tier-1 fails (its output is printed
-then); otherwise it is 0 and nothing is printed.
+The exit code is 1 when any statement never ran or when tier-1 fails (its
+output is printed then); otherwise it is 0 and nothing is printed.
 
 Line events of multi-line statements differ between Python versions, so
 the census is kept on one version (CI runs it on 3.11).
@@ -37,7 +32,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gapsim"
-ALLOWED = Path(__file__).resolve().with_name("census_allowed.txt")
 PYTEST_ARGS = [
     "-q",
     "-p", "no:cacheprovider",
@@ -135,22 +129,6 @@ def _is_docstring(stmt: ast.stmt) -> bool:
     )
 
 
-def read_allowed(path: Path) -> dict[str | None, list[str]]:
-    """The allow-list: {entry `module.py FUNCTION: STATEMENT`: its reason lines};
-    reason lines before the first entry go under None."""
-    entries: dict[str | None, list[str]] = {}
-    entry = None
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        if line[0].isspace():
-            entries.setdefault(entry, []).append(line.strip())
-        else:
-            entry = line.strip()
-            entries[entry] = []
-    return entries
-
-
 def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
@@ -159,26 +137,10 @@ def main() -> int:
         sys.stdout.write(output)
         print(f"census: tier-1 failed (pytest exit {status})")
         return 1
-    allowed = read_allowed(ALLOWED)
-    matched = set()
     failed = False
     for path in sorted(PACKAGE.glob("*.py")):
         for line, function, text in unrun(path, ran.get(os.path.realpath(path), set())):
-            entry = f"{path.name} {function}: {text}"
-            if entry in allowed:
-                matched.add(entry)
-            else:
-                print(f"{path.name}:{line} {function}: {text}")
-                failed = True
-    for entry, reasons in allowed.items():
-        if entry is None:
-            print("census_allowed.txt: a reason line comes before the first entry")
-            failed = True
-        elif len(reasons) != 1:
-            print(f"census_allowed.txt: {entry} needs exactly one reason line after it")
-            failed = True
-        elif entry not in matched:
-            print(f"census_allowed.txt: no unrun statement matches {entry}")
+            print(f"{path.name}:{line} {function}: {text}")
             failed = True
     return 1 if failed else 0
 
