@@ -6,7 +6,8 @@ the float_check section, printed to 12 significant digits.  Identical
 inputs and flags produce byte-identical reports.
 
 Exit codes: 0 all checks pass, 1 a verification failed or a check or cap
-refused the input, 2 usage or parse errors.
+refused the input, 2 usage or parse errors or a report that cannot be
+written (to --json-out or to stdout).
 
 Each command imports the modules it runs when it runs, so a cold
 `simulate` loads the model and evolve layers and nothing else.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -92,7 +94,13 @@ def _write_report(args, command: str, inputs: dict, results, pass_fail: dict) ->
                 handle.write(text)
         except OSError as exc:
             raise ParseError(f"{args.json_out}: cannot write ({exc.strerror})") from exc
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full device
+        # Python flushes stdout again at exit: give what is left a sink that takes it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ParseError(f"<stdout>: cannot write ({exc.strerror})") from exc
 
 
 def cmd_simulate(args) -> int:

@@ -193,9 +193,16 @@ def system_to_gap_machine(system: UnitarySystem) -> GapMachine:
     return GapMachine(lambda _x: tree)
 
 
-def _compiled(system_of: Callable[[str], UnitarySystem]) -> GapMachine:
-    """Machine compiling the system of each input once; repeats reuse the tree."""
-    return GapMachine(functools.cache(lambda z: system_tree(system_of(z))))
+def padded(tree_at: Callable[[str, int], Node]) -> GapMachine:
+    """AWPP's f(<x, 1^m>) = tree_at(x, m), each input built once; other paddings are refused."""
+
+    def tree_of(z: str) -> Node:
+        x, padding = unpair(z)
+        if padding.strip("1"):
+            raise StructuralError("padding must be a block of ones")
+        return tree_at(x, len(padding))
+
+    return GapMachine(functools.cache(tree_of))
 
 
 @dataclass(frozen=True)
@@ -326,14 +333,8 @@ def bqp_to_awpp(
                     f"promise fails at x={x!r}, m={m}: error {error}",
                     witness=(x, m, prob),
                 )
-
-    def system_at_padding(z: str) -> UnitarySystem:
-        x, padding = unpair(z)
-        if padding.strip("1"):
-            raise StructuralError("padding must be a block of ones")
-        return family.system(x, len(padding))
-
-    return ClassCertificate(_compiled(system_at_padding), lambda m: 5 ** (2 * family.t(m)), q)
+    f = padded(lambda x, m: system_tree(family.system(x, m)))
+    return ClassCertificate(f, lambda m: 5 ** (2 * family.t(m)), q)
 
 
 def tree_from_json(node) -> Node:
@@ -435,4 +436,5 @@ def eqp_to_lwpp(
                 f"{prob.as_fraction()} != {int(member)}",
                 witness=(x, prob),
             )
-    return ClassCertificate(_compiled(family.system), lambda n: 5 ** (2 * family.t(n)))
+    f = functools.cache(lambda x: system_tree(family.system(x)))  # each input compiled once
+    return ClassCertificate(GapMachine(f), lambda n: 5 ** (2 * family.t(n)))

@@ -16,9 +16,9 @@ from typing import Callable, Iterable, Sequence
 
 from . import gapp, trees
 from .errors import ModelError, ParseError, ResourceError
-from .gapp import ClassCertificate, GapMachine, bound_error, check_awpp, tree_from_json
+from .gapp import ClassCertificate, GapMachine, bound_error, check_awpp, padded, tree_from_json
 from .model import NAT, NAT_LIST, STRING, eval_poly, kind_of, read_fields
-from .strings import is_binary, pair, unpair
+from .strings import is_binary, pair
 from .trees import Branch, Node, Product
 
 Answers = tuple[bool, ...]
@@ -220,9 +220,7 @@ def near_extreme_instance(
     def g(m: int) -> int:
         return 1 << eval_poly(g_pow2, m)
 
-    def evaluator(z: str) -> Node:
-        y, padding = unpair(z)
-        m = len(padding)
+    def tree_at(y: str, m: int) -> Node:
         if y in oracle:
             value = (g(m) - 1) if member_value is None else member_value(g(m))
         else:
@@ -231,7 +229,7 @@ def near_extreme_instance(
             raise ModelError(f"table value {value} must be positive")
         return Branch((trees.ACCEPT,), (value,))
 
-    cert = ClassCertificate(GapMachine(evaluator), g, tuple(q_coeffs))
+    cert = ClassCertificate(padded(tree_at), g, tuple(q_coeffs))
     return LownessInstance(machine, oracle, cert)
 
 

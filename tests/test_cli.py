@@ -126,6 +126,55 @@ def test_unwritable_json_out_exits_2(tmp_path, capsys):
     assert err == f"error: {target}: cannot write (No such file or directory)\n"
 
 
+# A small report and a large one, each run as the `gapsim` script runs it.
+REPORTS = [("simulate", "corpus/machines/reflect_t1.json"), ("verify", "lowness")]
+
+
+def _with_stdout(stdout, argv):
+    """Exit code and stderr of the command argv run with stdout on the given file."""
+    done = subprocess.run(
+        [sys.executable, "-m", "gapsim.cli", *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("argv", REPORTS)
+def test_closed_stdout_exits_2_with_one_line(argv):
+    read, write = os.pipe()
+    os.close(read)  # before the child starts, so its write fails with EPIPE (SIGPIPE is ignored)
+    try:
+        refused = _with_stdout(write, argv)
+    finally:
+        os.close(write)
+    assert refused == (2, "error: <stdout>: cannot write (Broken pipe)\n")
+
+
+def test_closed_stdout_is_refused_and_left_on_devnull(monkeypatch, capsys):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["simulate", str(CORPUS / "machines" / "reflect_t1.json")])
+        monkeypatch.undo()
+        # what the failed write left buffered goes to the null device when the file closes
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    assert (code, capsys.readouterr().err) == (2, "error: <stdout>: cannot write (Broken pipe)\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", REPORTS)
+def test_full_stdout_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        refused = _with_stdout(full, argv)
+    assert refused == (2, "error: <stdout>: cannot write (No space left on device)\n")
+
+
 def test_parser_is_built_once_per_process(rotation_file, monkeypatch, capsys):
     run(capsys, "verify", "lwpp")  # warm-up: the first call in the process may build it
     built = []

@@ -174,7 +174,7 @@ def _members(*oracle):
     return {y: 1023 if y in oracle else 1 for y in INPUTS}
 
 
-# name: (query_count, oracle, g(2), q(2), approximator gap at <y, "00">,
+# name: (query_count, oracle, g(2), q(2), approximator gap at <y, "11">,
 #        {input: ({answer prefix: query}, {full answers: finish gap})})
 LOWNESS_SHAPES = {
     **{
@@ -223,7 +223,7 @@ def _lowness_shape(instance, inputs):
         sorted(instance.oracle),
         approximator.g_value(2),
         approximator.q_value(2),
-        {y: gap(approximator.f.evaluator(pair(y, "00"))) for y in INPUTS},
+        {y: gap(approximator.f.evaluator(pair(y, "11"))) for y in INPUTS},
         rows,
     )
 

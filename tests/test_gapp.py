@@ -37,12 +37,14 @@ from gapsim.gapp import (
     gap_of,
     load_gap_machine,
     negate,
+    padded,
     poly_product,
     system_to_gap_machine,
     system_tree,
     tree_from_json,
     tree_to_json,
 )
+from gapsim.lowness import machine_from_tables, near_extreme_instance
 from gapsim.model import make_system
 from gapsim.strings import index_string, pair, strings_up_to, unpair
 from gapsim.trees import ACCEPT, REJECT, Branch, _walk, gap, stored_size, unfolded_leaves
@@ -589,10 +591,14 @@ def test_family_certificates_compile_each_input_once():
     family, language = zero_error_family()
     labeled = [(x, language(x)) for x in strings_up_to(2)]
     awpp = bqp_to_awpp(family, (3,), labeled, paddings=[3])
+    no_query = machine_from_tables(0, {}, {"": ACCEPT})
+    table = near_extreme_instance(no_query, frozenset({"01"}), (2,), (1,)).approximator
     z = pair("01", "111")
-    assert awpp.f.evaluator(z) is awpp.f.evaluator(z)
-    with pytest.raises(StructuralError):
-        awpp.f.evaluator(pair("01", "101"))
+    for cert in awpp, table:  # both AWPP certificates decode through gapp.padded
+        assert cert.f.evaluator(z) is cert.f.evaluator(z)
+        for padding in "101", "0101":
+            with pytest.raises(StructuralError, match="^padding must be a block of ones$"):
+                cert.f.evaluator(pair("00", padding))
     lwpp = eqp_to_lwpp(family, labeled)
     assert lwpp.f.evaluator("01") is lwpp.f.evaluator("01")
 
@@ -625,12 +631,11 @@ def test_check_lwpp_target():
 
 
 def awpp_table_cert(values, g=25, q=(1,)):
-    def evaluator(z):
-        x, _padding = unpair(z)
+    def tree_at(x, _m):
         value = values[x]
         return Branch((ACCEPT,) * value) if value else Branch((ACCEPT, REJECT))
 
-    return ClassCertificate(GapMachine(evaluator), g=lambda m: g, q_coeffs=q)
+    return ClassCertificate(padded(tree_at), g=lambda m: g, q_coeffs=q)
 
 
 def test_check_awpp_threshold_arithmetic():

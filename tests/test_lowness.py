@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gapsim.gapp
 import gapsim.lowness
 from gapsim.corpus import adversarial_lowness_instance, amplified_family, lowness_corpus
 from gapsim.errors import ModelError
@@ -275,22 +276,26 @@ def test_each_machine_call_is_made_once():
     assert calls["approximator"] == 2  # check_awpp on the two traced queries only
 
 
-def test_each_approximator_call_pairs_and_unpairs_its_string_once(monkeypatch):
+def test_each_approximator_call_pairs_and_each_padded_query_unpairs_once(monkeypatch):
     """A sign check evaluates the approximator 2**k - 1 times per input of a
-    k-query machine, each on pair(y, 1**m), which its evaluator unpairs again."""
+    k-query machine, each on pair(y, 1**m).  The certificate decodes each
+    distinct padded query once, in gapp.padded, so a second audit decodes none."""
     calls = Counter()
 
-    def counted(name, function):
-        return lambda *args: calls.update((name,)) or function(*args)
+    def count(module, name):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update((name,)) or function(*args))
 
-    for name in ("pair", "unpair"):  # patched where lowness imported them
-        monkeypatch.setattr(gapsim.lowness, name, counted(name, getattr(gapsim.lowness, name)))
+    count(gapsim.lowness, "pair")  # where _Unrolling encodes
+    count(gapsim.gapp, "unpair")  # where gapp.padded decodes
     for name, instance, inputs in lowness_corpus():
-        calls.clear()
-        verify_sign_preservation(instance, inputs)
         evaluations = ((1 << instance.machine.query_count) - 1) * len(inputs)
         assert evaluations == {"two_query": 12, "no_query": 0}.get(name, 4), name
-        assert (calls["pair"], calls["unpair"]) == (evaluations, evaluations), name
+        distinct = {"fixed_query": 1, "no_query": 0}.get(name, 4)
+        for unpairs in distinct, 0:
+            calls.clear()
+            verify_sign_preservation(instance, inputs)
+            assert (calls["pair"], calls["unpair"]) == (evaluations, unpairs), name
 
 
 STRINGS = ("", "0", "1", "00", "01")

@@ -50,6 +50,7 @@ from gapsim.oracle import (
     verify_flip_stability,
 )
 from gapsim.strings import strings_of_length, strings_up_to
+from gapsim.suites import RUNNERS
 
 from drafts import draft_query_systems
 
@@ -797,6 +798,16 @@ def test_one_run_per_assignment(monkeypatch):
     for condition in conditions:  # every decision reads the table the check filled
         rerelativized_decide(system, condition, "", params_for(system))
     assert len(conditions) == 32 and len(runs) == 0
+
+
+def test_oracle_suites_make_the_runs_the_readme_states(monkeypatch):
+    """Each suite builds its machines afresh, so every call makes the same runs."""
+    runs, run = [], gapsim.oracle._run
+    monkeypatch.setattr(gapsim.oracle, "_run", lambda *args: runs.append(args) or run(*args))
+    for suite, count in ("rerelativize", 11), ("bbbv", 26), ("rerelativize", 11):
+        runs.clear()
+        assert RUNNERS[suite](None)[0], suite
+        assert len(runs) == count, suite
 
 
 def test_flip_rows_build_one_fraction_per_table_entry(monkeypatch):
